@@ -8,12 +8,21 @@
 //! Perfetto trace, same forensic records (including the recorded
 //! threshold values), same analysis outcome bytes.
 //!
-//! The `GOLDEN` fingerprints below were captured at the commit
-//! immediately before the refactor, on the pre-`BufferPolicy` code.
+//! The `GOLDEN` fingerprints were first captured at the commit
+//! immediately before the refactor, on the pre-`BufferPolicy` code, and
+//! re-captured once since, on an unchanged simulator, when the hashed
+//! fields changed (see below).
 //! They cover dyadic α (0.25, 1.0, 2.0 — where integer math is
 //! trivially exact) and the α-tuner path (α = 4/(1+s), non-dyadic
 //! values like 4/3 — where the threshold must emulate the f64
 //! product's round-to-nearest-even exactly).
+//!
+//! The fingerprints hash *behaviour* only: trace bytes, forensic
+//! records, ground-truth byte counters, the per-server Millisampler
+//! series and the analysis outcome. The engine's dispatch count
+//! (`report.events`) is bookkeeping — it moves whenever no-op events are
+//! added or removed — so it is pinned in its own table, [`EVENTS`], which
+//! an engine change may lower without touching `GOLDEN`.
 
 use ms_analysis::analyze_run;
 use ms_dcsim::{Bps, Ns};
@@ -31,7 +40,7 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 
 /// One contended incast (300 conns into one 12.5G downlink) that forces
 /// drops, marks, and forensic classification under the given α.
-fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> u64 {
+fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> (u64, u64) {
     let mut b = ScenarioBuilder::new(2, seed);
     b.buckets(150)
         .warmup(Ns::from_millis(10))
@@ -71,16 +80,30 @@ fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> u64 {
     fnv(
         &mut h,
         format!(
-            "{} {} {} {} {}",
+            "{} {} {} {}",
             report.switch_ingress_bytes,
             report.switch_discard_bytes,
             report.flows_started,
             report.conns_completed,
-            report.events
         )
         .as_bytes(),
     );
     if let Some(run) = &report.rack_run {
+        // The sampler's own output, per server and per bucket.
+        for s in &run.servers {
+            for series in [
+                &s.in_bytes,
+                &s.in_retx,
+                &s.out_bytes,
+                &s.out_retx,
+                &s.in_ecn,
+                &s.conns,
+            ] {
+                for v in series {
+                    fnv(&mut h, &v.to_le_bytes());
+                }
+            }
+        }
         let analysis = analyze_run(run, Bps(12_500_000_000), 5);
         let outcome = ms_analysis::RunOutcome::from_analysis(
             &analysis,
@@ -90,16 +113,16 @@ fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> u64 {
             report.conns_completed,
             report.events,
         );
-        // Hash the outcome through the *pre-refactor* 15-field MSO1
-        // schema (the `policy` column appended later is a schema change,
-        // not a behavior change, so it must not invalidate the captured
-        // fingerprints). Any drift in the scalar values still lands here.
+        // Hash the outcome through the *pre-refactor* MSO1 schema minus
+        // `events` (the `policy` column appended later is a schema
+        // change, not a behavior change, so it must not invalidate the
+        // captured fingerprints). Any drift in the scalar values still
+        // lands here.
         let mut w = millisampler::codec::WireWriter::with_magic(b"MSO1");
         w.u64(outcome.switch_ingress_bytes);
         w.u64(outcome.switch_discard_bytes);
         w.u64(outcome.flows_started);
         w.u64(outcome.conns_completed);
-        w.u64(outcome.events);
         w.u64(outcome.total_in_bytes);
         w.u64(outcome.total_retx_bytes);
         w.u64(outcome.bursts);
@@ -112,26 +135,35 @@ fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> u64 {
         w.u64(u64::from(outcome.bursty_servers));
         fnv(&mut h, &w.finish());
     }
-    h
+    (h, report.events)
 }
 
-/// `(seed, alpha, tune, fingerprint)` — captured pre-refactor.
+/// `(seed, alpha, tune, fingerprint)`.
 const GOLDEN: &[(u64, f64, bool, u64)] = &[
-    (7, 1.0, false, 0xa02a_cb41_699d_4784),
-    (11, 2.0, false, 0x228e_317e_89b2_0c5d),
-    (13, 0.25, false, 0x72cd_d233_6243_c2e0),
-    (7, 1.0, true, 0x9bc4_a673_835e_1529),
+    (7, 1.0, false, 0x9404_ab39_59d4_7629),
+    (11, 2.0, false, 0x43e1_d976_47e1_e6d7),
+    (13, 0.25, false, 0x58e9_6b63_f0cf_2418),
+    (7, 1.0, true, 0x47d6_5cd5_48ea_8811),
 ];
+
+/// `report.events` of each `GOLDEN` case, in the same order: the number
+/// of engine dispatches, not behaviour.
+const EVENTS: &[u64] = &[88_215, 131_139, 36_864, 148_907];
 
 #[test]
 fn dt_alpha_reproduces_pre_refactor_traces_seed_for_seed() {
     let mut bad = Vec::new();
-    for &(seed, alpha, tune, expected) in GOLDEN {
-        let got = run_fingerprint(seed, alpha, tune);
-        println!("({seed}, {alpha:?}, {tune}, {got:#018x}),");
+    for (&(seed, alpha, tune, expected), &expected_events) in GOLDEN.iter().zip(EVENTS) {
+        let (got, events) = run_fingerprint(seed, alpha, tune);
+        println!("({seed}, {alpha:?}, {tune}, {got:#018x}), events {events}");
         if got != expected {
             bad.push(format!(
                 "seed {seed} alpha {alpha} tune {tune}: fingerprint {got:#018x} != golden {expected:#018x}"
+            ));
+        }
+        if events != expected_events {
+            bad.push(format!(
+                "seed {seed} alpha {alpha} tune {tune}: events {events} != pinned {expected_events}"
             ));
         }
     }
