@@ -46,6 +46,12 @@ fi
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perf crate tests (the benchmark's only door into the crates)"
+# perf/ is its own workspace, so the line above does not build it. A
+# crate API change that breaks perf/src/api.rs must fail here, not in
+# the benchmark run.
+cargo test -q --offline --manifest-path perf/Cargo.toml
+
 echo "==> traced example smoke (Perfetto export)"
 TRACE_TMP="${TMPDIR:-/tmp}/ms_trace_smoke.json"
 cargo run -q --release -p ms-bench --example incast_loss -- --trace "$TRACE_TMP"

@@ -208,7 +208,10 @@ impl Receiver {
         }
     }
 
-    /// Handles a delayed-ACK timer expiration; stale events are ignored.
+    /// Handles a delayed-ACK timer expiration; a call before
+    /// [`Receiver::next_timer`] is a no-op. As with `Sender::on_timer`,
+    /// drive it from one re-armable timer (`ms_dcsim::TimerSlot`), not
+    /// from an event per armed deadline.
     pub fn on_timer(&mut self, now: Ns) -> Option<Packet> {
         match self.delack_deadline {
             Some(deadline) if now >= deadline => Some(self.make_ack()),

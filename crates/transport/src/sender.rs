@@ -423,8 +423,11 @@ impl Sender {
     }
 
     /// Handles a timer expiration. Returns retransmissions if the RTO
-    /// genuinely fired; stale timer events (deadline re-armed since the
-    /// event was scheduled) are ignored, so callers need no cancellation.
+    /// genuinely fired; a call before [`Sender::next_timer`] is a no-op.
+    /// That makes an early call harmless, not free: the deadline moves on
+    /// every ACK, so a driver should keep one re-armable timer on it
+    /// (`ms_dcsim::TimerSlot`) rather than schedule an event per move and
+    /// let this method discard the stale ones.
     pub fn on_timer(&mut self, now: Ns) -> Vec<Packet> {
         match self.rto_deadline {
             Some(deadline) if now >= deadline => {}

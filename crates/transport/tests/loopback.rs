@@ -5,7 +5,7 @@
 
 use ms_dcsim::fault::DropInjector;
 use ms_dcsim::packet::PacketKind;
-use ms_dcsim::{Bps, Bytes, EventQueue, FlowId, Link, Ns, Packet};
+use ms_dcsim::{Bps, Bytes, EventQueue, FlowId, Link, Ns, Packet, TimerSlot};
 use ms_transport::{CcAlgorithm, Receiver, Sender, SenderConfig};
 
 #[derive(Debug)]
@@ -24,6 +24,9 @@ struct Loopback {
     q: EventQueue<Ev>,
     tx: Sender,
     rx: Receiver,
+    /// The RTO and delayed-ACK timers, driven as `RackSim` drives them.
+    tx_timer: TimerSlot,
+    rx_timer: TimerSlot,
     bottleneck: Link,
     back_delay: Ns,
     drops: Option<DropInjector>,
@@ -43,6 +46,8 @@ impl Loopback {
             q: EventQueue::new(),
             tx: Sender::new(FlowId(1), 100, 0, &cfg),
             rx: Receiver::new(FlowId(1), 0, 100),
+            tx_timer: TimerSlot::default(),
+            rx_timer: TimerSlot::default(),
             bottleneck: Link::new(rate, delay),
             back_delay: delay,
             drops: None,
@@ -77,12 +82,10 @@ impl Loopback {
     }
 
     fn sync_timers(&mut self) {
-        if let Some(t) = self.tx.next_timer() {
-            self.q.schedule(t.max(self.q.now()), Ev::SenderTimer);
-        }
-        if let Some(t) = self.rx.next_timer() {
-            self.q.schedule(t.max(self.q.now()), Ev::ReceiverTimer);
-        }
+        self.tx_timer
+            .arm(&mut self.q, self.tx.next_timer(), || Ev::SenderTimer);
+        self.rx_timer
+            .arm(&mut self.q, self.rx.next_timer(), || Ev::ReceiverTimer);
     }
 
     /// Runs until the sender completes or the deadline passes.
@@ -104,12 +107,16 @@ impl Loopback {
                     self.send_packets(out);
                 }
                 Ev::SenderTimer => {
-                    let out = self.tx.on_timer(now);
-                    self.send_packets(out);
+                    if self.tx_timer.on_pop(&mut self.q, || Ev::SenderTimer) {
+                        let out = self.tx.on_timer(now);
+                        self.send_packets(out);
+                    }
                 }
                 Ev::ReceiverTimer => {
-                    let ack = self.rx.on_timer(now);
-                    self.send_packets(ack.into_iter().collect());
+                    if self.rx_timer.on_pop(&mut self.q, || Ev::ReceiverTimer) {
+                        let ack = self.rx.on_timer(now);
+                        self.send_packets(ack.into_iter().collect());
+                    }
                 }
             }
             self.sync_timers();

@@ -30,7 +30,7 @@ use ms_dcsim::packet::{NodeId, PacketKind};
 use ms_dcsim::switch::MinuteBin;
 use ms_dcsim::{
     Bps, Bytes, Direction, EngineProfile, EventQueue, FlowId, Host, Link, Ns, Packet, RackConfig,
-    SharedBufferSwitch, SimRng,
+    SharedBufferSwitch, SimRng, TimerSlot,
 };
 use ms_telemetry::{
     DropCause, DropForensic, DropReason, PerfettoMeta, SharedTelemetry, Telemetry, TelemetryConfig,
@@ -293,8 +293,9 @@ struct FlowState {
     /// Static one-way delay of the uncongested reverse (ACK) path
     /// after the receiving host's uplink transmit.
     ack_delay: Ns,
-    sender_deadline: Option<Ns>,
-    receiver_deadline: Option<Ns>,
+    /// The sender's RTO and the receiver's delayed-ACK timer.
+    sender_timer: TimerSlot,
+    receiver_timer: TimerSlot,
 }
 
 /// A full rack simulation.
@@ -1231,31 +1232,22 @@ impl RackSim {
         let Some(state) = self.flows.get_mut(&flow) else {
             return;
         };
-        if let Some(t) = state.sender.next_timer() {
-            let due = t.max(self.q.now());
-            if state.sender_deadline != Some(due) {
-                state.sender_deadline = Some(due);
-                self.q.schedule(due, Ev::SenderTimer { flow: FlowId(flow) });
-            }
-        } else {
-            state.sender_deadline = None;
-        }
+        state
+            .sender_timer
+            .arm(&mut self.q, state.sender.next_timer(), || Ev::SenderTimer {
+                flow: FlowId(flow),
+            });
     }
 
     fn sync_receiver_timer(&mut self, flow: u64) {
         let Some(state) = self.flows.get_mut(&flow) else {
             return;
         };
-        if let Some(t) = state.receiver.next_timer() {
-            let due = t.max(self.q.now());
-            if state.receiver_deadline != Some(due) {
-                state.receiver_deadline = Some(due);
-                self.q
-                    .schedule(due, Ev::ReceiverTimer { flow: FlowId(flow) });
-            }
-        } else {
-            state.receiver_deadline = None;
-        }
+        state
+            .receiver_timer
+            .arm(&mut self.q, state.receiver.next_timer(), || {
+                Ev::ReceiverTimer { flow: FlowId(flow) }
+            });
     }
 
     fn start_flow(&mut self, spec: &FlowSpec, now: Ns) {
@@ -1309,8 +1301,8 @@ impl RackSim {
                     pacer,
                     topo_src: None,
                     ack_delay: self.cfg.rack.fabric_delay,
-                    sender_deadline: None,
-                    receiver_deadline: None,
+                    sender_timer: TimerSlot::default(),
+                    receiver_timer: TimerSlot::default(),
                 },
             );
             // Tiny per-connection stagger: distinct machines never fire in
@@ -1384,8 +1376,8 @@ impl RackSim {
                     pacer,
                     topo_src: Some(spec.src_host),
                     ack_delay,
-                    sender_deadline: None,
-                    receiver_deadline: None,
+                    sender_timer: TimerSlot::default(),
+                    receiver_timer: TimerSlot::default(),
                 },
             );
             // Same per-connection stagger as legacy flows: distinct
@@ -1582,7 +1574,12 @@ impl RackSim {
         let Some(state) = self.flows.get_mut(&flow) else {
             return;
         };
-        state.sender_deadline = None;
+        let fires = state
+            .sender_timer
+            .on_pop(&mut self.q, || Ev::SenderTimer { flow: FlowId(flow) });
+        if !fires {
+            return;
+        }
         let out = state.sender.on_timer(now);
         self.send_from_source(flow, out, now);
         self.sync_sender_timer(flow);
@@ -1593,7 +1590,12 @@ impl RackSim {
             let Some(state) = self.flows.get_mut(&flow) else {
                 return;
             };
-            state.receiver_deadline = None;
+            let fires = state
+                .receiver_timer
+                .on_pop(&mut self.q, || Ev::ReceiverTimer { flow: FlowId(flow) });
+            if !fires {
+                return;
+            }
             let server = state.sender.dst() as usize;
             (server, state.receiver.on_timer(now))
         };
@@ -2269,6 +2271,32 @@ mod tests {
         let stacks = sim.profile().collapsed_stacks();
         assert!(stacks.contains("engine;switch;TorArrive "));
         assert!(stacks.contains("engine;host;HostDeliver "));
+    }
+
+    #[test]
+    fn long_flow_timers_cost_a_fraction_of_its_packets() {
+        // Every ACK re-arms the RTO and every odd segment the delayed
+        // ACK, yet each timer keeps one heap entry that re-pushes itself
+        // once per timeout: a stale pop must not forget the deadline and
+        // schedule a duplicate for it.
+        let mut b = quick(36);
+        b.flow_at(Ns::from_millis(30), incast_spec(2, 2, 8_000_000));
+        let mut sim = b.build();
+        let report = sim.run_sync_window(0);
+        assert_eq!(report.conns_completed, 2);
+        let count = |event: &str| {
+            let kind = EV_KINDS.iter().position(|&(_, ev)| ev == event).unwrap();
+            sim.profile().count(kind)
+        };
+        let timers = count("SenderTimer") + count("ReceiverTimer");
+        let delivered = count("HostDeliver");
+        assert!(delivered > 1_000, "{delivered} packets delivered");
+        assert!(
+            timers * 4 < delivered,
+            "{timers} timer dispatches for {delivered} delivered packets"
+        );
+        let depth = sim.q.depth_high_water();
+        assert!(depth < 1_000, "heap grew to {depth} entries");
     }
 
     #[test]

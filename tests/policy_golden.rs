@@ -148,11 +148,12 @@ const GOLDEN: &[(u64, f64, bool, u64)] = &[
 
 /// `report.events` of each `GOLDEN` case, in the same order: the number
 /// of engine dispatches, not behaviour.
-const EVENTS: &[u64] = &[88_215, 131_139, 36_864, 148_907];
+const EVENTS: &[u64] = &[46_550, 58_304, 28_407, 65_809];
 
 #[test]
 fn dt_alpha_reproduces_pre_refactor_traces_seed_for_seed() {
     let mut bad = Vec::new();
+    assert_eq!(GOLDEN.len(), EVENTS.len(), "one dispatch count per case");
     for (&(seed, alpha, tune, expected), &expected_events) in GOLDEN.iter().zip(EVENTS) {
         let (got, events) = run_fingerprint(seed, alpha, tune);
         println!("({seed}, {alpha:?}, {tune}, {got:#018x}), events {events}");
