@@ -23,12 +23,20 @@
 //! (`report.events`) is bookkeeping — it moves whenever no-op events are
 //! added or removed — so it is pinned in its own table, [`EVENTS`], which
 //! an engine change may lower without touching `GOLDEN`.
+//!
+//! The rows after the four α cases pin the data-plane paths those never
+//! reach — the trunk FIFO, the fat-tree mesh, multicast replication,
+//! chatter, GRO, NIC-fault drops and a kernel stall — captured on an
+//! unchanged simulator immediately before the three planes were merged
+//! into one switch mesh. That merge renamed handlers, not schedules, so
+//! it had to leave every row of both tables as captured.
 
 use ms_analysis::analyze_run;
-use ms_dcsim::{Bps, Ns};
+use ms_dcsim::{Bps, Bytes, Ns};
 use ms_telemetry::TelemetryConfig;
 use ms_transport::CcAlgorithm;
-use ms_workload::{FlowSpec, ScenarioBuilder};
+use ms_workload::sim::{FabricHopConfig, GroConfig};
+use ms_workload::{FatTreeOpts, FlowSpec, ScenarioBuilder, TopoFlowSpec, TopologySpec};
 
 /// FNV-1a, folded incrementally.
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -38,29 +46,117 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
+fn incast(dst_server: usize, connections: u32, total_bytes: u64) -> FlowSpec {
+    FlowSpec {
+        dst_server,
+        connections,
+        total_bytes,
+        algorithm: CcAlgorithm::Dctcp,
+        paced_bps: None,
+        task: 1,
+    }
+}
+
 /// One contended incast (300 conns into one 12.5G downlink) that forces
 /// drops, marks, and forensic classification under the given α.
-fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> (u64, u64) {
+fn dt_incast(seed: u64, alpha: f64, tune: bool) -> ScenarioBuilder {
     let mut b = ScenarioBuilder::new(2, seed);
     b.buckets(150)
         .warmup(Ns::from_millis(10))
         .alpha(alpha)
         .telemetry(TelemetryConfig::default())
         .forensics()
-        .flow_at(
+        .flow_at(Ns::from_millis(20), incast(0, 300, 30_000_000));
+    if tune {
+        b.alpha_tune_period(Ns::from_millis(5));
+    }
+    b
+}
+
+/// An incast smoothed to 40 Gbps through a 25 Gbps trunk with a 256 KiB
+/// FIFO: the trunk overflows (off-switch forensics, `fabric_drops`) and
+/// what it lets through queues at the ToR behind one 12.5 Gbps downlink.
+fn trunk_overflow() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(8, 21);
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .fabric_hop(FabricHopConfig {
+            rate_bps: Bps(25_000_000_000),
+            buffer_bytes: Bytes::from_kib(256),
+        })
+        .fabric_smoothing(Bps(40_000_000_000))
+        .forensics()
+        .flow_at(Ns::from_millis(20), incast(1, 150, 20_000_000));
+    b
+}
+
+/// Every host outside pod 0 of a k = 4 tree incasts on host 0 over
+/// 10 Gbps fabric links and 512 KiB switch buffers: ECMP picks, drops
+/// on all three tiers, tier-packed forensic queue ids.
+fn tree_cross_pod() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(16, 22);
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .topology(TopologySpec::fat_tree(
+            FatTreeOpts {
+                k: 4,
+                link_gbps: 10,
+                buffer_bytes: Bytes(512 << 10),
+                ..FatTreeOpts::default()
+            },
+            5,
+        ))
+        .forensics();
+    for src_host in 4..16 {
+        b.topo_flow_at(
             Ns::from_millis(20),
-            FlowSpec {
-                dst_server: 0,
-                connections: 300,
-                total_bytes: 30_000_000,
+            TopoFlowSpec {
+                src_host,
+                dst_host: 0,
+                connections: 12,
+                total_bytes: 4_000_000,
                 algorithm: CcAlgorithm::Dctcp,
                 paced_bps: None,
                 task: 1,
             },
         );
-    if tune {
-        b.alpha_tune_period(Ns::from_millis(5));
     }
+    b
+}
+
+/// Keepalive chatter on every server plus a paced multicast burst the
+/// ToR replicates to the whole rack; no transport above either.
+fn chatter_and_multicast() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(8, 23);
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .telemetry(TelemetryConfig::default());
+    for server in 0..8 {
+        b.chatter(server, 40, 8_000).join_multicast(77, server);
+    }
+    b.multicast_burst(Ns::from_millis(30), 77, 600, 1500, Bps(2_000_000_000));
+    b
+}
+
+/// A paced transfer into a host that coalesces (GRO), loses 2 % of its
+/// packets at the NIC and stalls for 10 ms of the window.
+fn gro_nic_drops_stall() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(8, 24);
+    let mut flow = incast(3, 4, 6_000_000);
+    flow.paced_bps = Some(Bps(4_000_000_000));
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .gro(GroConfig::default())
+        .forensics()
+        .flow_at(Ns::from_millis(20), flow)
+        .nic_drops(3, 99, 0.02)
+        .stall(3, Ns::from_millis(24), Ns::from_millis(34));
+    b
+}
+
+/// Runs the scenario and returns `(behaviour fingerprint, dispatches,
+/// FNV of the per-kind dispatch table)`.
+fn run_fingerprint(b: &ScenarioBuilder) -> (u64, u64, u64) {
     let mut sim = b.build();
     let report = sim.run_sync_window(0);
 
@@ -135,36 +231,91 @@ fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> (u64, u64) {
         w.u64(u64::from(outcome.bursty_servers));
         fnv(&mut h, &w.finish());
     }
-    (h, report.events)
+    // Fabric-side ledgers, folded only where a fabric exists so the α
+    // rows keep their original fingerprints.
+    if sim.config().topology.is_some() {
+        let [tor, agg, spine] = sim.tier_discard_bytes();
+        fnv(
+            &mut h,
+            format!("{} {tor} {agg} {spine}", sim.fabric_drops()).as_bytes(),
+        );
+    }
+    let mut kinds = 0xcbf2_9ce4_8422_2325_u64;
+    fnv(&mut kinds, sim.profile().counts_json().as_bytes());
+    (h, report.events, kinds)
 }
 
-/// `(seed, alpha, tune, fingerprint)`.
-const GOLDEN: &[(u64, f64, bool, u64)] = &[
-    (7, 1.0, false, 0x9404_ab39_59d4_7629),
-    (11, 2.0, false, 0x43e1_d976_47e1_e6d7),
-    (13, 0.25, false, 0x58e9_6b63_f0cf_2418),
-    (7, 1.0, true, 0x47d6_5cd5_48ea_8811),
+/// `(case, scenario, fingerprint)`.
+type Case = (&'static str, fn() -> ScenarioBuilder, u64);
+
+const GOLDEN: &[Case] = &[
+    (
+        "dt seed 7 alpha 1",
+        || dt_incast(7, 1.0, false),
+        0x9404_ab39_59d4_7629,
+    ),
+    (
+        "dt seed 11 alpha 2",
+        || dt_incast(11, 2.0, false),
+        0x43e1_d976_47e1_e6d7,
+    ),
+    (
+        "dt seed 13 alpha 0.25",
+        || dt_incast(13, 0.25, false),
+        0x58e9_6b63_f0cf_2418,
+    ),
+    (
+        "dt seed 7 alpha tuned",
+        || dt_incast(7, 1.0, true),
+        0x47d6_5cd5_48ea_8811,
+    ),
+    ("trunk overflow", trunk_overflow, 0x8ac2_c408_fe2a_4b47),
+    (
+        "k=4 cross-pod incast",
+        tree_cross_pod,
+        0xfc3f_7b03_7a1f_2f3c,
+    ),
+    (
+        "chatter + multicast",
+        chatter_and_multicast,
+        0x415a_1397_21f6_b62e,
+    ),
+    (
+        "gro + nic drops + stall",
+        gro_nic_drops_stall,
+        0xcd68_6d09_0865_edbf,
+    ),
 ];
 
-/// `report.events` of each `GOLDEN` case, in the same order: the number
-/// of engine dispatches, not behaviour.
-const EVENTS: &[u64] = &[46_550, 58_304, 28_407, 65_809];
+/// `(report.events, FNV of profile().counts_json())` of each `GOLDEN`
+/// case, in the same order: how many engine dispatches and of which
+/// kinds, not behaviour.
+const EVENTS: &[(u64, u64)] = &[
+    (46_550, 0xd083_6263_6378_09a0),
+    (58_304, 0xa8da_e01d_520c_4c10),
+    (28_407, 0xcaac_699a_43a8_74d7),
+    (65_809, 0xc07f_abd4_8bd9_333f),
+    (60_332, 0xb635_a57c_9c05_2fc9),
+    (201_954, 0x1882_b2d7_ed89_6ec6),
+    (72_661, 0x5536_a3e2_adf2_2be5),
+    (21_614, 0xed00_9da4_c6fc_3876),
+];
 
 #[test]
 fn dt_alpha_reproduces_pre_refactor_traces_seed_for_seed() {
     let mut bad = Vec::new();
     assert_eq!(GOLDEN.len(), EVENTS.len(), "one dispatch count per case");
-    for (&(seed, alpha, tune, expected), &expected_events) in GOLDEN.iter().zip(EVENTS) {
-        let (got, events) = run_fingerprint(seed, alpha, tune);
-        println!("({seed}, {alpha:?}, {tune}, {got:#018x}), events {events}");
+    for (&(case, scenario, expected), &expected_events) in GOLDEN.iter().zip(EVENTS) {
+        let (got, events, kinds) = run_fingerprint(&scenario());
+        println!("(\"{case}\", {got:#018x}), events ({events}, {kinds:#018x})");
         if got != expected {
             bad.push(format!(
-                "seed {seed} alpha {alpha} tune {tune}: fingerprint {got:#018x} != golden {expected:#018x}"
+                "{case}: fingerprint {got:#018x} != golden {expected:#018x}"
             ));
         }
-        if events != expected_events {
+        if (events, kinds) != expected_events {
             bad.push(format!(
-                "seed {seed} alpha {alpha} tune {tune}: events {events} != pinned {expected_events}"
+                "{case}: events ({events}, {kinds:#018x}) != pinned {expected_events:x?}"
             ));
         }
     }
