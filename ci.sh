@@ -64,24 +64,22 @@ echo "==> forensics smoke (every drop -> exactly one classified forensic)"
 cargo run -q --release -p ms-bench --example incast_loss -- --forensics \
     | grep -q '^OK: every dropped byte attributed'
 
-echo "==> engine profiler bench (dispatch determinism + overhead artifact)"
-# Runs the showcase stock / traced / wall-clocked, asserts the sim-time
-# dispatch counters are identical across all three, and writes
-# BENCH_profile.json plus the collapsed-stack flamegraph text.
-cargo run -q --release -p ms-bench --example incast_loss -- --profile BENCH_profile.json
-grep -q '"bench": "profile"' BENCH_profile.json
-grep -q '"detached_hook_overhead_pct"' BENCH_profile.json
-grep -q '"telemetry_overhead_pct"' BENCH_profile.json
-test -s BENCH_profile.json.folded
+echo "==> engine profiler smoke (clocked run -> dispatch table + folded stacks)"
+PROFILE_TMP="${TMPDIR:-/tmp}/ms_profile_smoke.json"
+cargo run -q --release -p ms-bench --example incast_loss -- --profile "$PROFILE_TMP" > /dev/null
+grep -q '"by_kind"' "$PROFILE_TMP"
+test -s "$PROFILE_TMP.folded"
+rm -f "$PROFILE_TMP" "$PROFILE_TMP.folded"
 
-echo "==> fleet sweep smoke (parallel vs serial byte-identity + bench artifact)"
-# --bench re-runs the grid serially, asserts the aggregate CSV/JSON are
-# byte-identical to the parallel run, and writes BENCH_fleet.json.
+echo "==> fleet sweep smoke (parallel vs serial byte-identity)"
+# --bench re-runs the grid serially and asserts the aggregate CSV/JSON
+# are byte-identical to the parallel run; its timing artifact is scratch.
 FLEET_CSV="${TMPDIR:-/tmp}/ms_fleet_smoke.csv"
+FLEET_BENCH="${TMPDIR:-/tmp}/ms_fleet_smoke_bench.json"
 cargo run -q --release -p ms-fleet --bin fleet -- \
     --jobs 2 --buckets 80 --conns 24 --bytes 1500000 --quiet \
-    --csv "$FLEET_CSV" --bench BENCH_fleet.json
-rm -f "$FLEET_CSV"
+    --csv "$FLEET_CSV" --bench "$FLEET_BENCH"
+rm -f "$FLEET_CSV" "$FLEET_BENCH"
 
 echo "==> lake smoke (writer determinism + query fidelity + compression bench)"
 LAKE_TMP="${TMPDIR:-/tmp}/ms_lake_smoke"
@@ -177,15 +175,15 @@ grep -q '^cell,tor,agg,spine,offswitch,total$' "$LAKE_TMP/tiers_j1.csv"
 awk -F, 'NR > 1 && ($3 + $4) > 0 { found = 1 } END { exit !found }' "$LAKE_TMP/tiers_j1.csv"
 
 # 24-hour diurnal corpus: the columnar encoding must beat raw column
-# bytes by >= 4x; BENCH_lake.json records the ratio and scan rate.
+# bytes by >= 4x.
 cargo run -q --release -p ms-lake --bin lake -- bench \
-    --dir "$LAKE_TMP/bench" --json BENCH_lake.json
-grep -q '"bench": "lake"' BENCH_lake.json
+    --dir "$LAKE_TMP/bench" --json "$LAKE_TMP/bench.json"
+grep -q '"bench": "lake"' "$LAKE_TMP/bench.json"
 awk -F': ' '/"compression_vs_raw"/ {
     ratio = $2 + 0
     if (ratio < 4.0) { printf "lake compression %.2fx is below the 4x gate\n", ratio; exit 1 }
     printf "    (compression_vs_raw: %.2fx)\n", ratio
-}' BENCH_lake.json
+}' "$LAKE_TMP/bench.json"
 rm -rf "$LAKE_TMP"
 
 echo "==> CI green"

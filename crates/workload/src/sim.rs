@@ -27,7 +27,7 @@ use crate::tasks::{FlowSpec, TaskGen, TaskKind, TopoFlowSpec, WorkItem};
 use millisampler::{AlignedRackRun, PacketMeta, RunConfig, SyncCoordinator, TcFilter};
 use ms_dcsim::link::Pacer;
 use ms_dcsim::packet::{NodeId, PacketKind};
-use ms_dcsim::switch::MinuteBin;
+use ms_dcsim::Direction::{Egress, Ingress};
 use ms_dcsim::{
     Bps, Bytes, Direction, EngineProfile, EventQueue, FlowId, Host, Link, Ns, Packet, RackConfig,
     SharedBufferSwitch, SimRng, TimerSlot,
@@ -36,7 +36,7 @@ use ms_telemetry::{
     DropCause, DropForensic, DropReason, PerfettoMeta, SharedTelemetry, Telemetry, TelemetryConfig,
     TraceEvent,
 };
-use ms_topo::{EcmpHash, FatTree, FatTreeOpts, HopTarget, SwitchId};
+use ms_topo::{EcmpHash, FatTree, FatTreeOpts, HopTarget, SwitchId, Tier};
 use ms_transport::{CcAlgorithm, Receiver, Sender, SenderConfig};
 use std::collections::BTreeMap;
 
@@ -70,7 +70,10 @@ impl Default for GroConfig {
 /// shared FIFO drained at the trunk rate. When the aggregate offered rate
 /// exceeds the trunk, queueing here smooths bursts *before* the rack —
 /// the emergent version of the §8.1 fabric-smoothing effect (the pacer in
-/// [`RackSim::set_fabric_smoothing`] is the parametric version).
+/// [`RackSim::set_fabric_smoothing`] is the parametric version). It is a
+/// stage in front of the switch mesh, not a switch: no ECN, and its
+/// drops are off-switch ([`RackSim::fabric_drops`]), outside
+/// `switch_discard_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricHopConfig {
     /// Trunk rate (e.g. one 100 Gbps uplink).
@@ -79,12 +82,15 @@ pub struct FabricHopConfig {
     pub buffer_bytes: Bytes,
 }
 
-/// The fabric upstream of the rack hosts, as one closed enum.
+/// What the simulation has besides one rack's ToR, as one closed enum.
 ///
-/// Abstract-hop forwarding has exactly one owner: a `k = 1`
+/// Every simulation forwards through one mesh of shared-buffer switches
+/// and one arrive/drain handler pair. With no topology the mesh is the
+/// rack's ToR alone, fed by abstract remote senders; `Trunk` puts a
+/// FIFO stage between those senders and that ToR; `FatTree` grows the
+/// mesh to a routed region whose flows run host to host. A `k = 1`
 /// "fat-tree" *is* the trunk (see [`TopologySpec::fat_tree`]), so the
-/// degenerate single-rack case and the region case share the same
-/// spec surface, event variants, and drop accounting.
+/// degenerate region needs no second spec surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologySpec {
     /// Degenerate `k = 1` region: one shared trunk FIFO between the
@@ -92,9 +98,8 @@ pub enum TopologySpec {
     /// "fabric hop").
     Trunk(FabricHopConfig),
     /// A k-ary fat-tree region: hosts under ToRs, agg and spine
-    /// tiers, every inter-switch link backed by a
-    /// [`SharedBufferSwitch`] egress queue, ECMP across equal-cost
-    /// uplinks.
+    /// tiers, every port of every switch a [`SharedBufferSwitch`]
+    /// egress queue, ECMP across equal-cost uplinks.
     FatTree {
         /// Tree construction parameters (`k`, link rate/latency,
         /// per-switch buffer, admission policy).
@@ -107,8 +112,7 @@ pub enum TopologySpec {
 impl TopologySpec {
     /// Normalizing constructor: `k >= 2` yields a real fat-tree,
     /// `k = 1` collapses to the trunk (rate = the tree's link rate,
-    /// buffer = its per-switch buffer) so degenerate regions are
-    /// expressible without a second code path.
+    /// buffer = its per-switch buffer).
     pub fn fat_tree(opts: FatTreeOpts, ecmp_seed: u64) -> Self {
         opts.validate();
         if opts.is_tree() {
@@ -119,11 +123,6 @@ impl TopologySpec {
                 buffer_bytes: opts.buffer_bytes,
             })
         }
-    }
-
-    /// Whether this is a real multi-switch tree (not the trunk).
-    pub fn is_tree(&self) -> bool {
-        matches!(self, TopologySpec::FatTree { .. })
     }
 }
 
@@ -143,7 +142,7 @@ pub struct RackSimConfig {
     /// Receive-side coalescing (off by default; §4.6 artifact study).
     pub gro: Option<GroConfig>,
     /// Upstream fabric topology: none (senders hit the ToR directly),
-    /// the degenerate trunk, or a full fat-tree region.
+    /// the trunk stage, or a full fat-tree region.
     pub topology: Option<TopologySpec>,
     /// Contention-driven DT α retuning period (off by default; §9 probe).
     pub alpha_tune_period: Option<Ns>,
@@ -175,8 +174,6 @@ pub struct RackSimReport {
     pub switch_discard_bytes: u64,
     /// Ground truth: bytes admitted by the switch (whole simulation).
     pub switch_ingress_bytes: u64,
-    /// 1-minute switch telemetry bins.
-    pub minute_bins: Vec<MinuteBin>,
     /// Connection groups started.
     pub flows_started: u64,
     /// Connections completed (all bytes delivered and acknowledged).
@@ -191,10 +188,11 @@ enum Ev {
     Gen { idx: usize },
     /// Start the connections of a flow spec.
     StartFlow { spec: FlowSpec },
-    /// Packet reaches the ToR ingress pipeline.
-    TorArrive { pkt: Packet },
-    /// Egress link for `queue` is free to pull the next packet.
-    TorDrain { queue: usize },
+    /// Packet reaches the ingress pipeline of mesh switch `sw` (flat
+    /// switch ordinal; 0 is a single rack's ToR).
+    SwArrive { sw: u32, pkt: Packet },
+    /// Output `port` of mesh switch `sw` is free to pull the next packet.
+    SwDrain { sw: u32, port: u32 },
     /// Packet reaches a rack server.
     HostDeliver { pkt: Packet },
     /// ACK reaches the fabric-side sender.
@@ -216,12 +214,10 @@ enum Ev {
     GroFlush { server: usize, gen: u64 },
     /// Periodic DT α retuning tick (the §9 "dynamic buffer sharing" probe).
     AlphaTune,
-    /// Packet reaches a fabric switch's ingress pipeline (`sw` is the
-    /// flat switch ordinal; 0 for the degenerate trunk).
-    SwArrive { sw: u32, pkt: Packet },
-    /// Output `port` of fabric switch `sw` is free to pull the next
-    /// packet (the trunk is `sw = 0, port = 0`).
-    SwDrain { sw: u32, port: u32 },
+    /// Packet reaches the trunk FIFO in front of node 0.
+    TrunkArrive { pkt: Packet },
+    /// The trunk link is free to pull the next packet.
+    TrunkDrain,
     /// Enable all samplers (the synchronized run start).
     EnableSamplers,
     /// Agent mode: enable this host's filter for its next scheduled run.
@@ -232,8 +228,9 @@ enum Ev {
     StartTopoFlow { spec: TopoFlowSpec },
 }
 
-/// Fixed `(component, event)` kind table of the engine profiler; indices
-/// must match [`ev_kind`].
+/// Fixed `(component, event)` kind table of the engine profiler, indexed
+/// by [`RackSim::ev_kind`]. The names predate the single mesh and are
+/// what `perf` groups by, so they stay.
 const EV_KINDS: &[(&str, &str)] = &[
     ("gen", "Gen"),
     ("gen", "StartFlow"),
@@ -255,41 +252,25 @@ const EV_KINDS: &[(&str, &str)] = &[
     ("gen", "StartTopoFlow"),
 ];
 
-/// The profiler kind id of an event (index into [`EV_KINDS`]).
-fn ev_kind(ev: &Ev) -> usize {
-    match ev {
-        Ev::Gen { .. } => 0,
-        Ev::StartFlow { .. } => 1,
-        Ev::TorArrive { .. } => 2,
-        Ev::TorDrain { .. } => 3,
-        Ev::HostDeliver { .. } => 4,
-        Ev::SourceDeliver { .. } => 5,
-        Ev::SenderTimer { .. } => 6,
-        Ev::ReceiverTimer { .. } => 7,
-        Ev::McastSend { .. } => 8,
-        Ev::Chatter { .. } => 9,
-        Ev::GroFlush { .. } => 10,
-        Ev::AlphaTune => 11,
-        Ev::SwArrive { .. } => 12,
-        Ev::SwDrain { .. } => 13,
-        Ev::EnableSamplers => 14,
-        Ev::AgentEnable { .. } => 15,
-        Ev::AgentCollect { .. } => 16,
-        Ev::StartTopoFlow { .. } => 17,
-    }
+/// Where a flow's sender sits.
+#[derive(Debug, Clone)]
+enum Source {
+    /// An abstract off-region machine with its own NIC toward the
+    /// fabric; its packets enter at node 0 (through the trunk, if any).
+    Remote(Link),
+    /// A region host (fat-tree flows): its shared uplink serializes all
+    /// of the host's connections, its tc filter records the egress, and
+    /// its packets enter at its ToR (mesh ordinal `tor`).
+    Host { host: u32, tor: u32 },
 }
 
 #[derive(Debug)]
 struct FlowState {
     sender: Sender,
     receiver: Receiver,
-    /// The sender's NIC toward the fabric.
-    src_link: Link,
+    source: Source,
     /// Fabric-side smoothing, if the spec asked for it.
     pacer: Option<Pacer>,
-    /// For fat-tree host-to-host flows: the source host id. Legacy
-    /// flows (`None`) originate at abstract off-region machines.
-    topo_src: Option<u32>,
     /// Static one-way delay of the uncongested reverse (ACK) path
     /// after the receiving host's uplink transmit.
     ack_delay: Ns,
@@ -303,12 +284,17 @@ pub struct RackSim {
     cfg: RackSimConfig,
     q: EventQueue<Ev>,
     rng: SimRng,
-    switch: SharedBufferSwitch,
+    /// The switch mesh by flat switch ordinal: `[ToR]` for a single
+    /// rack, ToRs then aggs then spines for a fat-tree. Node 0 is the
+    /// switch α-tuning, multicast membership and depth probes address.
+    nodes: Vec<PlaneSwitch>,
+    /// Fat-tree shape and ECMP hash. Absent for a single rack, where
+    /// the egress port is `pkt.dst` and every port faces a host.
+    router: Option<(FatTree, EcmpHash)>,
+    /// The trunk FIFO stage in front of node 0, if configured.
+    trunk: Option<TrunkState>,
     hosts: Vec<Host>,
     filters: Vec<TcFilter>,
-    /// Per-server ToR→server downlink.
-    tor_links: Vec<Link>,
-    draining: Vec<bool>,
     flows: BTreeMap<u64, FlowState>,
     next_flow: u64,
     /// Multicast rate limiter state is carried in events; groups live in
@@ -325,16 +311,13 @@ pub struct RackSim {
     /// rack (the §8.1 hypothesis for RegA-High's low loss).
     default_pacing: Option<Bps>,
     /// Per-server chatter state: (pool of persistent flow ids, mean gap).
-    chatter: BTreeMap<usize, (u64, Ns)>,
+    chatter: Vec<Option<(u64, Ns)>>,
     /// Per-server NIC-level drop injectors (fault injection, §4.2's
     /// firmware-bug scenario).
-    nic_drops: BTreeMap<usize, ms_dcsim::fault::DropInjector>,
+    nic_drops: Vec<Option<ms_dcsim::fault::DropInjector>>,
     /// Per-server pending GRO super-segment.
     gro_pending: Vec<Option<GroPending>>,
     gro_gen: u64,
-    /// Fabric plane state: the degenerate trunk FIFO or the full
-    /// fat-tree switch mesh.
-    plane: Option<Plane>,
     /// Per-host user-space agents (agent mode): scheduler + on-host store.
     agents: Vec<Option<AgentState>>,
     /// Optional pcap capture of all host-delivered packets.
@@ -345,10 +328,6 @@ pub struct RackSim {
     /// (always on — two slice stores per event) plus wall time once a
     /// clock is injected via [`RackSim::set_profile_clock`].
     profile: EngineProfile,
-    /// Whether the dispatch loop runs its profiler bracket. On by
-    /// default; only the hook-overhead bench turns it off (see
-    /// [`RackSim::set_profiler_enabled`]).
-    profile_enabled: bool,
 }
 
 /// The §4.1 user-space agent for one host: schedules periodic runs with
@@ -367,15 +346,7 @@ struct GroPending {
     gen: u64,
 }
 
-/// The instantiated fabric upstream of the hosts.
-#[derive(Debug)]
-enum Plane {
-    /// One shared FIFO drained at trunk rate (the `k = 1` region).
-    Trunk(TrunkState),
-    /// The fat-tree switch mesh.
-    Tree(TreePlane),
-}
-
+/// The trunk stage: one shared FIFO drained at trunk rate.
 #[derive(Debug)]
 struct TrunkState {
     cfg: FabricHopConfig,
@@ -387,26 +358,17 @@ struct TrunkState {
     drops: u64,
 }
 
-/// One fat-tree switch in the simulator: the shared-buffer ASIC plus
-/// one egress link and drain flag per port.
+/// One switch of the mesh: the shared-buffer ASIC plus one egress link
+/// and drain flag per port.
 #[derive(Debug)]
 struct PlaneSwitch {
     /// Tier + index (cached inverse of the flat ordinal).
     id: SwitchId,
     switch: SharedBufferSwitch,
-    /// Per-port egress links (ToR host ports run at server rate, all
+    /// Per-port egress links (host-facing ports run at server rate, all
     /// inter-switch ports at the tree's link rate).
     links: Vec<Link>,
     draining: Vec<bool>,
-}
-
-/// The fat-tree plane: shape, ECMP hash, and per-switch state indexed
-/// by flat switch ordinal (ToRs, then aggs, then spines).
-#[derive(Debug)]
-struct TreePlane {
-    tree: FatTree,
-    ecmp: EcmpHash,
-    nodes: Vec<PlaneSwitch>,
 }
 
 impl RackSim {
@@ -435,22 +397,31 @@ impl RackSim {
         let filters = (0..s)
             .map(|_| TcFilter::new(&cfg.sampler, cfg.rack.cpus_per_server))
             .collect();
-        let tor_links = (0..s)
-            .map(|_| Link::new(cfg.rack.server_link_bps, cfg.rack.server_link_delay))
-            .collect();
         let sender_cfg = SenderConfig {
             mss: cfg.rack.mss,
             algorithm: CcAlgorithm::Dctcp,
             ..SenderConfig::default()
         };
+        let (nodes, router) = Self::build_mesh(&cfg);
+        let trunk = match cfg.topology {
+            Some(TopologySpec::Trunk(fc)) => Some(TrunkState {
+                cfg: fc,
+                fifo: std::collections::VecDeque::new(),
+                occupancy: Bytes::ZERO,
+                link: Link::new(fc.rate_bps, Ns::from_micros(5)),
+                draining: false,
+                drops: 0,
+            }),
+            _ => None,
+        };
         let mut sim = RackSim {
-            switch: SharedBufferSwitch::new(cfg.rack.switch.clone()),
             q: EventQueue::new(),
             rng,
+            nodes,
+            router,
+            trunk,
             hosts,
             filters,
-            tor_links,
-            draining: vec![false; s as usize],
             flows: BTreeMap::new(),
             next_flow: 1,
             mcast_pacers: BTreeMap::new(),
@@ -460,16 +431,14 @@ impl RackSim {
             conns_completed: 0,
             event_budget: 500_000_000,
             default_pacing: None,
-            chatter: BTreeMap::new(),
-            nic_drops: BTreeMap::new(),
+            chatter: vec![None; s as usize],
+            nic_drops: (0..s).map(|_| None).collect(),
             gro_pending: vec![None; s as usize],
             gro_gen: 0,
-            plane: cfg.topology.map(|t| Self::build_plane(&t, &cfg)),
             agents: (0..s).map(|_| None).collect(),
             pcap: None,
             telemetry: None,
             profile: EngineProfile::new(EV_KINDS),
-            profile_enabled: true,
             cfg,
         };
         if let Some(period) = sim.cfg.alpha_tune_period {
@@ -478,70 +447,64 @@ impl RackSim {
         sim
     }
 
-    /// Instantiates the fabric plane of a topology spec: the trunk's
-    /// FIFO, or one [`PlaneSwitch`] per fat-tree switch with tier-aware
+    /// Instantiates the switch mesh: the rack's own ToR with a
+    /// server-rate link on every port, or one [`PlaneSwitch`] per
+    /// fat-tree switch (plus the router that walks them) with tier-aware
     /// telemetry queue-id bases so forensics and Perfetto tracks
     /// attribute every record to a specific ToR/agg/spine.
-    fn build_plane(topology: &TopologySpec, cfg: &RackSimConfig) -> Plane {
-        match *topology {
-            TopologySpec::Trunk(fc) => Plane::Trunk(TrunkState {
-                cfg: fc,
-                fifo: std::collections::VecDeque::new(),
-                occupancy: Bytes::ZERO,
-                link: Link::new(fc.rate_bps, Ns::from_micros(5)),
-                draining: false,
-                drops: 0,
-            }),
-            TopologySpec::FatTree { opts, ecmp_seed } => {
-                let tree = FatTree::new(opts);
-                assert_eq!(
-                    cfg.rack.num_servers,
-                    tree.num_hosts() as usize,
-                    "fat-tree topology requires num_servers == k^3/4 hosts"
-                );
-                let ports = tree.ports_per_switch() as usize;
-                let r = tree.radix_half();
-                let sw_cfg = ms_dcsim::SwitchConfig {
-                    num_queues: ports,
-                    num_quadrants: 1,
-                    quadrant_bytes: opts.buffer_bytes,
-                    dedicated_per_queue: Bytes(2 * u64::from(cfg.rack.mss)),
-                    ecn_threshold: cfg.rack.switch.ecn_threshold,
-                    policy: opts.policy,
-                };
-                let nodes = (0..tree.num_switches())
-                    .map(|ord| {
-                        let id = tree.switch_at(ord);
-                        let mut switch = SharedBufferSwitch::new(sw_cfg.clone());
-                        switch.set_queue_id_base(ms_telemetry::qid::qid_base(
-                            id.tier.code(),
-                            id.index,
-                        ));
-                        let links = (0..tree.ports_per_switch())
-                            .map(|port| {
-                                if tree.is_host_port(id, port) {
-                                    Link::new(cfg.rack.server_link_bps, cfg.rack.server_link_delay)
-                                } else {
-                                    Link::new(opts.link_bps(), opts.link_latency())
-                                }
-                            })
-                            .collect();
-                        debug_assert!(r >= 1);
-                        PlaneSwitch {
-                            id,
-                            switch,
-                            links,
-                            draining: vec![false; ports],
+    fn build_mesh(cfg: &RackSimConfig) -> (Vec<PlaneSwitch>, Option<(FatTree, EcmpHash)>) {
+        let host_link = || Link::new(cfg.rack.server_link_bps, cfg.rack.server_link_delay);
+        let Some(TopologySpec::FatTree { opts, ecmp_seed }) = cfg.topology else {
+            let ports = cfg.rack.switch.num_queues;
+            let tor = PlaneSwitch {
+                id: SwitchId {
+                    tier: Tier::Tor,
+                    index: 0,
+                },
+                switch: SharedBufferSwitch::new(cfg.rack.switch.clone()),
+                links: (0..ports).map(|_| host_link()).collect(),
+                draining: vec![false; ports],
+            };
+            return (vec![tor], None);
+        };
+        let tree = FatTree::new(opts);
+        assert_eq!(
+            cfg.rack.num_servers,
+            tree.num_hosts() as usize,
+            "fat-tree topology requires num_servers == k^3/4 hosts"
+        );
+        let ports = tree.ports_per_switch() as usize;
+        let sw_cfg = ms_dcsim::SwitchConfig {
+            num_queues: ports,
+            num_quadrants: 1,
+            quadrant_bytes: opts.buffer_bytes,
+            dedicated_per_queue: Bytes(2 * u64::from(cfg.rack.mss)),
+            ecn_threshold: cfg.rack.switch.ecn_threshold,
+            policy: opts.policy,
+        };
+        let nodes = (0..tree.num_switches())
+            .map(|ord| {
+                let id = tree.switch_at(ord);
+                let mut switch = SharedBufferSwitch::new(sw_cfg.clone());
+                switch.set_queue_id_base(ms_telemetry::qid::qid_base(id.tier.code(), id.index));
+                let links = (0..tree.ports_per_switch())
+                    .map(|port| {
+                        if tree.is_host_port(id, port) {
+                            host_link()
+                        } else {
+                            Link::new(opts.link_bps(), opts.link_latency())
                         }
                     })
                     .collect();
-                Plane::Tree(TreePlane {
-                    tree,
-                    ecmp: EcmpHash::new(ecmp_seed),
-                    nodes,
-                })
-            }
-        }
+                PlaneSwitch {
+                    id,
+                    switch,
+                    links,
+                    draining: vec![false; ports],
+                }
+            })
+            .collect();
+        (nodes, Some((tree, EcmpHash::new(ecmp_seed))))
     }
 
     /// Installs a NIC-level random drop injector on `server` (fault
@@ -549,33 +512,22 @@ impl RackSim {
     /// them — the firmware-bug signature Millisampler helped isolate
     /// ("packet loss although utilization was low", §4.2).
     pub(crate) fn inject_nic_drops(&mut self, server: usize, seed: u64, probability: f64) {
-        self.nic_drops.insert(
-            server,
-            ms_dcsim::fault::DropInjector::new(seed, probability),
-        );
+        self.nic_drops[server] = Some(ms_dcsim::fault::DropInjector::new(seed, probability));
     }
 
-    /// Packets discarded at the degenerate trunk's FIFO so far (zero
-    /// for fat-tree regions, whose fabric drops land in real switch
-    /// buffers — see [`RackSim::tier_discard_bytes`]).
+    /// Packets discarded at the trunk's FIFO so far (zero without a
+    /// trunk: fat-tree fabric drops land in real switch buffers — see
+    /// [`RackSim::tier_discard_bytes`]).
     pub fn fabric_drops(&self) -> u64 {
-        match &self.plane {
-            Some(Plane::Trunk(t)) => t.drops,
-            _ => 0,
-        }
+        self.trunk.as_ref().map_or(0, |t| t.drops)
     }
 
-    /// Per-tier `[ToR, agg, spine]` discard bytes of a fat-tree plane;
-    /// the single-rack/trunk case reports the legacy ToR in slot 0.
+    /// Per-tier `[ToR, agg, spine]` discard bytes of the mesh; a single
+    /// rack's ToR reports in slot 0.
     pub fn tier_discard_bytes(&self) -> [u64; 3] {
         let mut tiers = [0u64; 3];
-        match &self.plane {
-            Some(Plane::Tree(tp)) => {
-                for node in &tp.nodes {
-                    tiers[usize::from(node.id.tier.code())] += node.switch.total_discard_bytes();
-                }
-            }
-            _ => tiers[0] = self.switch.total_discard_bytes(),
+        for node in &self.nodes {
+            tiers[usize::from(node.id.tier.code())] += node.switch.total_discard_bytes();
         }
         tiers
     }
@@ -657,7 +609,7 @@ impl RackSim {
     pub(crate) fn enable_chatter(&mut self, server: usize, pool: u64, pkts_per_sec: u64) {
         assert!(pool > 0 && pkts_per_sec > 0);
         let gap = Ns(1_000_000_000 / pkts_per_sec.max(1));
-        self.chatter.insert(server, (pool, gap));
+        self.chatter[server] = Some((pool, gap));
         // Stagger the first packet deterministically per server.
         let first = Ns(self.rng.gen_range(gap.as_nanos().max(1)));
         self.q
@@ -665,7 +617,7 @@ impl RackSim {
     }
 
     fn handle_chatter(&mut self, server: usize, now: Ns) {
-        let Some(&(pool, gap)) = self.chatter.get(&server) else {
+        let Some((pool, gap)) = self.chatter[server] else {
             return;
         };
         // A keepalive from one of the server's persistent connections.
@@ -674,8 +626,10 @@ impl RackSim {
         let which = self.rng.gen_range(pool);
         let flow = FlowId(0x4000_0000_0000_0000 | ((server as u64) << 32) | which);
         let pkt = Packet::data(flow, 30_000 + server as NodeId, server as NodeId, 0, 200);
-        self.q
-            .schedule(now + self.cfg.rack.fabric_delay, Ev::TorArrive { pkt });
+        self.q.schedule(
+            now + self.cfg.rack.fabric_delay,
+            Ev::SwArrive { sw: 0, pkt },
+        );
         let next = Ns((self.rng.exp(gap.as_nanos() as f64)).max(1.0) as u64);
         // simlint: allow(non-monotonic-schedule): the exponential gap is clamped to >= 1.0 before the u64 conversion, so `now + next` is strictly in the future regardless of float rounding
         self.q.schedule(now + next, Ev::Chatter { server });
@@ -704,7 +658,7 @@ impl RackSim {
 
     /// Subscribes a server to a rack-local multicast group (Fig. 3 tool).
     pub(crate) fn join_multicast(&mut self, group: u32, server: usize) {
-        self.switch.join_multicast(group, server);
+        self.nodes[0].switch.join_multicast(group, server);
     }
 
     /// Schedules a paced multicast burst at `at` (validation tooling).
@@ -738,41 +692,30 @@ impl RackSim {
         self.q.schedule(at, Ev::StartTopoFlow { spec });
     }
 
-    /// Ground-truth switch discard bytes so far (all switches: the
-    /// legacy ToR plus every fat-tree plane switch).
+    /// Ground-truth switch discard bytes so far, over the whole mesh.
     pub fn switch_discards(&self) -> u64 {
-        self.total_switch_discards()
+        self.nodes
+            .iter()
+            .map(|n| n.switch.total_discard_bytes())
+            .sum()
     }
 
-    fn total_switch_discards(&self) -> u64 {
-        let mut total = self.switch.total_discard_bytes();
-        if let Some(Plane::Tree(tp)) = &self.plane {
-            for node in &tp.nodes {
-                total += node.switch.total_discard_bytes();
-            }
-        }
-        total
-    }
-
-    fn total_switch_ingress(&self) -> u64 {
-        let mut total = self.switch.total_ingress_bytes();
-        if let Some(Plane::Tree(tp)) = &self.plane {
-            for node in &tp.nodes {
-                total += node.switch.total_ingress_bytes();
-            }
-        }
-        total
+    fn switch_ingress(&self) -> u64 {
+        self.nodes
+            .iter()
+            .map(|n| n.switch.total_ingress_bytes())
+            .sum()
     }
 
     /// Attaches an occupancy probe to `server`'s ToR egress queue (see
     /// [`SharedBufferSwitch::probe_queue_depth`]).
     pub(crate) fn probe_queue_depth(&mut self, server: usize) {
-        self.switch.probe_queue_depth(server);
+        self.nodes[0].switch.probe_queue_depth(server);
     }
 
     /// The probed queue's `(time, occupancy)` admission samples.
     pub fn depth_samples(&self) -> &[(Ns, Bytes)] {
-        self.switch.depth_samples()
+        self.nodes[0].switch.depth_samples()
     }
 
     /// Attaches a telemetry hub to the whole stack: the ToR switch traces
@@ -787,11 +730,8 @@ impl RackSim {
     /// read `hub.borrow().metrics` after [`RackSim::finalize_metrics`].
     pub(crate) fn attach_telemetry(&mut self, cfg: TelemetryConfig) -> SharedTelemetry {
         let hub = Telemetry::shared(cfg);
-        self.switch.set_telemetry(hub.clone());
-        if let Some(Plane::Tree(tp)) = &mut self.plane {
-            for node in &mut tp.nodes {
-                node.switch.set_telemetry(hub.clone());
-            }
+        for node in &mut self.nodes {
+            node.switch.set_telemetry(hub.clone());
         }
         for (server, filter) in self.filters.iter_mut().enumerate() {
             // simlint: allow(cast-truncation): server indices are < rack size
@@ -822,15 +762,6 @@ impl RackSim {
     /// call this only from relaxed crates (bench, examples).
     pub fn set_profile_clock(&mut self, clock: fn() -> u64) {
         self.profile.set_clock(clock);
-    }
-
-    /// Switches the dispatch loop's profiler bracket on (the default)
-    /// or off. Off selects a monomorphized loop with no per-event
-    /// profiler work at all — the denominator the hook-overhead bench
-    /// (`incast_loss --profile`) measures against. Dynamics are
-    /// unaffected either way; off merely leaves the counters at zero.
-    pub fn set_profiler_enabled(&mut self, enabled: bool) {
-        self.profile_enabled = enabled;
     }
 
     /// Per-cause drop-forensic counts `[self-burst, cross-contention,
@@ -878,8 +809,8 @@ impl RackSim {
                     .checked_div(now_ns)
                     .unwrap_or(0),
             ),
-            ("switch.ingress_bytes", self.total_switch_ingress()),
-            ("switch.discard_bytes", self.total_switch_discards()),
+            ("switch.ingress_bytes", self.switch_ingress()),
+            ("switch.discard_bytes", self.switch_discards()),
             ("sim.flows_started", self.flows_started),
             ("sim.conns_completed", self.conns_completed),
             ("sim.fabric_drops", self.fabric_drops()),
@@ -893,15 +824,9 @@ impl RackSim {
             m.set_gauge(id, value);
         }
         let h = m.histogram("switch.queue_max_occupancy");
-        if let Some(Plane::Tree(tp)) = &self.plane {
-            for node in &tp.nodes {
-                for queue in 0..node.switch.config().num_queues {
-                    m.observe(h, node.switch.queue_stats(queue).max_occupancy.as_u64());
-                }
-            }
-        } else {
-            for queue in 0..self.cfg.rack.num_servers {
-                m.observe(h, self.switch.queue_stats(queue).max_occupancy.as_u64());
+        for node in &self.nodes {
+            for queue in 0..node.switch.config().num_queues {
+                m.observe(h, node.switch.queue_stats(queue).max_occupancy.as_u64());
             }
         }
     }
@@ -947,8 +872,17 @@ impl RackSim {
 
     // ----- internal plumbing -------------------------------------------
 
-    fn record_host(&mut self, server: usize, now: Ns, dir: Direction, pkt: &Packet) {
-        let host = &self.hosts[server];
+    /// Records `pkt` at `server`'s tc hook. Takes the two per-host tables
+    /// rather than `&mut self` so a caller may hold a flow borrowed.
+    fn record_host(
+        hosts: &[Host],
+        filters: &mut [TcFilter],
+        server: usize,
+        now: Ns,
+        dir: Direction,
+        pkt: &Packet,
+    ) {
+        let host = &hosts[server];
         if host.is_stalled(now) {
             return; // §4.6: stalled kernels blind the sampler
         }
@@ -961,60 +895,46 @@ impl RackSim {
             retx_bit: pkt.retx_bit,
             flow_hash: pkt.flow.hash64(),
         };
-        self.filters[server].record(cpu, local, &meta);
+        filters[server].record(cpu, local, &meta);
     }
 
-    /// Pushes sender-emitted packets onto the fabric path toward the
-    /// ToR. Legacy flows originate at abstract off-region NICs (the
-    /// per-flow `src_link`); fat-tree flows originate at a real host —
-    /// its shared uplink serializes all of the host's connections, and
-    /// its tc filter records the egress.
+    /// Pushes sender-emitted packets through the flow's pacer and source
+    /// link into the mesh. Remote sources own their NIC and enter at
+    /// node 0 (behind the trunk stage, if any); host sources share the
+    /// host's uplink, which serializes all of the host's connections,
+    /// and its tc filter records the egress.
     fn send_from_source(&mut self, flow: u64, pkts: Vec<Packet>, now: Ns) {
-        let topo_src = self.flows.get(&flow).and_then(|s| s.topo_src);
-        if let Some(src) = topo_src {
-            let tor = match &self.plane {
-                Some(Plane::Tree(tp)) => tp.tree.switch_ord(tp.tree.tor_of(src)),
-                _ => unreachable!("topo flow without a fat-tree plane"),
-            };
-            let src = src as usize;
-            for pkt in pkts {
-                let release = {
-                    let Some(state) = self.flows.get_mut(&flow) else {
-                        return;
-                    };
-                    match &mut state.pacer {
-                        Some(p) => p.release_at(now, pkt.size),
-                        None => now,
-                    }
-                };
-                self.record_host(src, release, Direction::Egress, &pkt);
-                self.hosts[src].note_tx(pkt.size);
-                let (_dep, arrive) = self.hosts[src].uplink_mut().transmit(release, pkt.size);
-                self.q.schedule(arrive, Ev::SwArrive { sw: tor, pkt });
-            }
-            return;
-        }
-        let has_fabric = self.plane.is_some();
         let Some(state) = self.flows.get_mut(&flow) else {
             return;
+        };
+        // The mesh switch this source feeds; `None` is the trunk stage.
+        let entry = match state.source {
+            Source::Host { tor, .. } => Some(tor),
+            Source::Remote(_) if self.trunk.is_some() => None,
+            Source::Remote(_) => Some(0),
         };
         for pkt in pkts {
             let release = match &mut state.pacer {
                 Some(p) => p.release_at(now, pkt.size),
                 None => now,
             };
-            let (_dep, arrive) = state.src_link.transmit(release, pkt.size);
-            if has_fabric {
-                self.q.schedule(arrive, Ev::SwArrive { sw: 0, pkt });
-            } else {
-                self.q.schedule(arrive, Ev::TorArrive { pkt });
-            }
+            let link = match &mut state.source {
+                Source::Remote(link) => link,
+                Source::Host { host, .. } => {
+                    let src = *host as usize;
+                    Self::record_host(&self.hosts, &mut self.filters, src, release, Egress, &pkt);
+                    self.hosts[src].note_tx(pkt.size);
+                    self.hosts[src].uplink_mut()
+                }
+            };
+            let (_dep, arrive) = link.transmit(release, pkt.size);
+            let ev = match entry {
+                Some(sw) => Ev::SwArrive { sw, pkt },
+                None => Ev::TrunkArrive { pkt },
+            };
+            self.q.schedule(arrive, ev);
         }
     }
-
-    /// Sentinel queue id for drops that happen before the ToR (the fabric
-    /// hop's shared FIFO); real ToR queues are `< num_servers`.
-    const FABRIC_QUEUE: u32 = 0xFFFF;
 
     /// Records an off-switch drop (fabric FIFO overflow, NIC fault
     /// injection): a `PacketDrop` trace event, plus — when forensics
@@ -1035,8 +955,9 @@ impl RackSim {
         };
         let mut tr = hub.borrow_mut();
         let ns = now.as_nanos();
-        if tr.forensics.capacity() > 0 {
-            // Pack the preceding bus events *before* this drop lands.
+        // With forensics on, pack the preceding bus events *before* this
+        // drop lands.
+        let recent_kinds = (tr.forensics.capacity() > 0).then(|| {
             let mut recent = 0u64;
             for i in 0..8 {
                 match tr.bus.recent(i) {
@@ -1044,12 +965,15 @@ impl RackSim {
                     None => break,
                 }
             }
-            tr.bus.record(TraceEvent::PacketDrop {
-                ns,
-                queue,
-                size: pkt.size,
-                reason,
-            });
+            recent
+        });
+        tr.bus.record(TraceEvent::PacketDrop {
+            ns,
+            queue,
+            size: pkt.size,
+            reason,
+        });
+        if let Some(recent_kinds) = recent_kinds {
             tr.bus.record(TraceEvent::ForensicDrop {
                 ns,
                 queue,
@@ -1071,44 +995,19 @@ impl RackSim {
                 self_bytes: 0,
                 other_bytes: 0,
                 ecn_on: false,
-                recent_kinds: recent,
+                recent_kinds,
             });
-        } else {
-            tr.bus.record(TraceEvent::PacketDrop {
-                ns,
-                queue,
-                size: pkt.size,
-                reason,
-            });
-        }
-    }
-
-    fn handle_sw_arrive(&mut self, sw: u32, pkt: Packet, now: Ns) {
-        if matches!(self.plane, Some(Plane::Trunk(_))) {
-            self.handle_trunk_arrive(pkt, now);
-        } else {
-            self.handle_tree_arrive(sw, pkt, now);
-        }
-    }
-
-    fn handle_sw_drain(&mut self, sw: u32, port: u32, now: Ns) {
-        if matches!(self.plane, Some(Plane::Trunk(_))) {
-            self.handle_trunk_drain(now);
-        } else {
-            self.handle_tree_drain(sw, port, now);
         }
     }
 
     fn handle_trunk_arrive(&mut self, pkt: Packet, now: Ns) {
-        let Some(Plane::Trunk(trunk)) = &mut self.plane else {
-            unreachable!("trunk event without trunk plane");
-        };
+        let trunk = self.trunk.as_mut().expect("trunk event without a trunk");
         if trunk.occupancy + Bytes(u64::from(pkt.size)) > trunk.cfg.buffer_bytes {
             trunk.drops += 1;
             let occupancy = trunk.occupancy.as_u64();
             let limit = trunk.cfg.buffer_bytes.as_u64();
             self.note_offswitch_drop(
-                Self::FABRIC_QUEUE,
+                ms_telemetry::qid::OFFSWITCH_QID,
                 &pkt,
                 DropReason::SharedBufferFull,
                 occupancy,
@@ -1122,52 +1021,69 @@ impl RackSim {
         if !trunk.draining {
             trunk.draining = true;
             let at = trunk.link.idle_at().max(now);
-            self.q.schedule(at, Ev::SwDrain { sw: 0, port: 0 });
+            self.q.schedule(at, Ev::TrunkDrain);
         }
     }
 
     fn handle_trunk_drain(&mut self, now: Ns) {
-        let Some(Plane::Trunk(trunk)) = &mut self.plane else {
-            unreachable!("trunk event without trunk plane");
+        let trunk = self.trunk.as_mut().expect("trunk event without a trunk");
+        let Some(pkt) = trunk.fifo.pop_front() else {
+            trunk.draining = false;
+            return;
         };
-        match trunk.fifo.pop_front() {
-            Some(pkt) => {
-                trunk.occupancy -= Bytes(u64::from(pkt.size));
-                let (departed, arrived) = trunk.link.transmit(now, pkt.size);
-                self.q.schedule(arrived, Ev::TorArrive { pkt });
-                self.q.schedule(departed, Ev::SwDrain { sw: 0, port: 0 });
-            }
-            None => {
-                trunk.draining = false;
-            }
-        }
+        trunk.occupancy -= Bytes(u64::from(pkt.size));
+        let (departed, arrived) = trunk.link.transmit(now, pkt.size);
+        self.q.schedule(arrived, Ev::SwArrive { sw: 0, pkt });
+        self.q.schedule(departed, Ev::TrunkDrain);
     }
 
-    /// One fat-tree switch hop: route toward the destination host, pick
-    /// the egress port (ECMP over equal-cost uplinks, salted by the
-    /// switch ordinal so consecutive tiers decorrelate), and offer the
-    /// packet to that port's shared-buffer queue. Hot path: integer
-    /// arithmetic only, drops are silent here (the switch records the
-    /// forensic; transport recovers end to end).
-    fn handle_tree_arrive(&mut self, sw: u32, pkt: Packet, now: Ns) {
-        let Some(Plane::Tree(tp)) = &mut self.plane else {
-            unreachable!("tree event without tree plane");
+    /// One switch hop: pick the egress port — in a routed tree the
+    /// route toward the destination host, ECMP over equal-cost uplinks
+    /// salted by the switch ordinal so consecutive tiers decorrelate; in
+    /// a single rack the destination server's own port — and offer the
+    /// packet to that port's shared-buffer queue. A multicast packet is
+    /// replicated into every member queue instead. Hot path: integer
+    /// arithmetic only.
+    fn arrive(&mut self, sw: u32, pkt: Packet, now: Ns) {
+        debug_assert_ne!(pkt.kind, PacketKind::Ack, "ACKs bypass switch ingress");
+        if pkt.kind == PacketKind::Multicast {
+            let members = self.nodes[sw as usize]
+                .switch
+                .multicast_members(pkt.dst)
+                .to_vec();
+            for queue in members {
+                let mut copy = pkt;
+                copy.dst = queue as NodeId;
+                self.offer(sw, copy.dst, copy, now);
+            }
+            return;
+        }
+        let port = match &self.router {
+            None => pkt.dst,
+            Some((tree, ecmp)) => {
+                let hops = tree.route(self.nodes[sw as usize].id, pkt.dst);
+                if hops.count == 1 {
+                    hops.base_port
+                } else {
+                    let choice = ecmp.pick(
+                        pkt.flow.0,
+                        u64::from(pkt.src),
+                        u64::from(pkt.dst),
+                        u64::from(sw),
+                        hops.count,
+                    );
+                    hops.port(choice)
+                }
+            }
         };
-        let node_id = tp.nodes[sw as usize].id;
-        let hops = tp.tree.route(node_id, pkt.dst);
-        let port = if hops.count == 1 {
-            hops.base_port
-        } else {
-            let choice = tp.ecmp.pick(
-                pkt.flow.0,
-                u64::from(pkt.src),
-                u64::from(pkt.dst),
-                u64::from(sw),
-                hops.count,
-            );
-            hops.port(choice)
-        };
-        let node = &mut tp.nodes[sw as usize];
+        self.offer(sw, port, pkt, now);
+    }
+
+    /// Offers `pkt` to egress queue `port` of switch `sw` and wakes the
+    /// port's drain if it was idle. Drops are silent here (the switch
+    /// records the forensic; transport recovers end to end).
+    fn offer(&mut self, sw: u32, port: u32, pkt: Packet, now: Ns) {
+        let node = &mut self.nodes[sw as usize];
         let p = port as usize;
         if node.switch.try_enqueue(p, pkt, now).accepted() && !node.draining[p] {
             node.draining[p] = true;
@@ -1176,30 +1092,29 @@ impl RackSim {
         }
     }
 
-    fn handle_tree_drain(&mut self, sw: u32, port: u32, now: Ns) {
-        let Some(Plane::Tree(tp)) = &mut self.plane else {
-            unreachable!("tree event without tree plane");
-        };
-        let node = &mut tp.nodes[sw as usize];
+    /// Pulls the next packet of egress queue `port` onto its link and
+    /// hands it to whatever hangs off the far end: the next switch of a
+    /// routed tree, or a host.
+    fn drain(&mut self, sw: u32, port: u32, now: Ns) {
+        let node = &mut self.nodes[sw as usize];
         let p = port as usize;
-        match node.switch.dequeue(p, now) {
-            Some(pkt) => {
-                let (departed, arrived) = node.links[p].transmit(now, pkt.size);
-                match tp.tree.hop_target(node.id, port) {
-                    HopTarget::Host(_) => {
-                        self.q.schedule(arrived, Ev::HostDeliver { pkt });
-                    }
-                    HopTarget::Switch { switch, .. } => {
-                        let next = tp.tree.switch_ord(switch);
-                        self.q.schedule(arrived, Ev::SwArrive { sw: next, pkt });
-                    }
-                }
-                self.q.schedule(departed, Ev::SwDrain { sw, port });
-            }
-            None => {
-                node.draining[p] = false;
-            }
-        }
+        let Some(pkt) = node.switch.dequeue(p, now) else {
+            node.draining[p] = false;
+            return;
+        };
+        let (departed, arrived) = node.links[p].transmit(now, pkt.size);
+        let onward = match &self.router {
+            Some((tree, _)) => match tree.hop_target(node.id, port) {
+                HopTarget::Switch { switch, .. } => Ev::SwArrive {
+                    sw: tree.switch_ord(switch),
+                    pkt,
+                },
+                HopTarget::Host(_) => Ev::HostDeliver { pkt },
+            },
+            None => Ev::HostDeliver { pkt },
+        };
+        self.q.schedule(arrived, onward);
+        self.q.schedule(departed, Ev::SwDrain { sw, port });
     }
 
     fn handle_alpha_tune(&mut self, now: Ns) {
@@ -1210,8 +1125,9 @@ impl RackSim {
         // few queues are active, grant each a large share (high α, absorb
         // bursts); as contention rises, fall back toward fair small
         // shares (low α, stability).
-        let s_max = (0..self.cfg.rack.switch.num_quadrants)
-            .map(|q| self.switch.active_queues(q))
+        let tor = &mut self.nodes[0].switch;
+        let s_max = (0..tor.config().num_quadrants)
+            .map(|q| tor.active_queues(q))
             .max()
             .unwrap_or(0);
         let alpha = (4.0 / (1.0 + s_max as f64)).clamp(0.25, 4.0);
@@ -1219,11 +1135,10 @@ impl RackSim {
         // is actually running Dynamic Thresholds (retuning α under FB or
         // delay-driven sharing would silently convert the policy).
         if matches!(
-            self.switch.config().policy,
+            tor.config().policy,
             ms_dcsim::BufferPolicySpec::DtAlpha { .. }
         ) {
-            self.switch
-                .set_policy(ms_dcsim::BufferPolicySpec::DtAlpha { alpha });
+            tor.set_policy(ms_dcsim::BufferPolicySpec::DtAlpha { alpha });
         }
         self.q.schedule(now + period, Ev::AlphaTune);
     }
@@ -1250,7 +1165,41 @@ impl RackSim {
             });
     }
 
-    fn start_flow(&mut self, spec: &FlowSpec, now: Ns) {
+    /// Starts the connections of one flow group delivering to
+    /// `spec.dst_server`. With `src_host` both endpoints are region
+    /// hosts of the fat-tree; without it every connection gets its own
+    /// abstract off-region machine.
+    fn start_flow(&mut self, src_host: Option<u32>, spec: &FlowSpec, now: Ns) {
+        let dst_node = spec.dst_server as NodeId;
+        let fabric_delay = self.cfg.rack.fabric_delay;
+        // The source every connection starts from, and the static delay
+        // of the uncongested ACK path back to it.
+        let (source, ack_delay) = match (src_host, &self.router) {
+            (None, _) => {
+                // §3: in-region traffic runs DCTCP across tens of µs; the
+                // smaller inter-region share runs Cubic across a WAN-scale
+                // RTT. A Cubic algorithm choice implies an inter-region
+                // sender, so its fabric delay is three orders larger.
+                let delay = if spec.algorithm == CcAlgorithm::Cubic {
+                    fabric_delay * 500 // ~10 ms one way
+                } else {
+                    fabric_delay
+                };
+                let nic = Link::new(self.cfg.rack.remote_nic_bps, delay);
+                (Source::Remote(nic), fabric_delay)
+            }
+            (Some(host), Some((tree, _))) => {
+                // The reverse walk's remaining links at the tree's
+                // per-link latency.
+                let links = tree.path_links(host, dst_node);
+                let tor = tree.switch_ord(tree.tor_of(host));
+                (
+                    Source::Host { host, tor },
+                    tree.opts().link_latency() * u64::from(links.saturating_sub(1)),
+                )
+            }
+            (Some(_), None) => panic!("topology flows require a fat-tree topology"),
+        };
         self.flows_started += 1;
         let conns = spec.connections.max(1);
         let per_conn = (spec.total_bytes / conns as u64).max(1);
@@ -1258,10 +1207,12 @@ impl RackSim {
             let id = self.next_flow;
             self.next_flow += 1;
             let flow = FlowId(id);
-            // Each connection gets its own fabric-side source node+NIC
-            // (incast peers are distinct machines).
-            let src_node: NodeId = 10_000 + id as NodeId;
-            let dst_node = spec.dst_server as NodeId;
+            // Each remote connection gets its own fabric-side source
+            // node+NIC (incast peers are distinct machines).
+            let src_node = match source {
+                Source::Host { host, .. } => host,
+                Source::Remote(_) => 10_000 + id as NodeId,
+            };
             let sender_cfg = SenderConfig {
                 algorithm: spec.algorithm,
                 ..self.sender_cfg.clone()
@@ -1282,31 +1233,20 @@ impl RackSim {
                     Bytes(2 * u64::from(self.cfg.rack.mss)),
                 )
             });
-            // §3: in-region traffic runs DCTCP across tens of µs; the
-            // smaller inter-region share runs Cubic across a WAN-scale
-            // RTT. A Cubic algorithm choice implies an inter-region
-            // sender, so its fabric delay is three orders larger.
-            let delay = if spec.algorithm == CcAlgorithm::Cubic {
-                self.cfg.rack.fabric_delay * 500 // ~10 ms one way
-            } else {
-                self.cfg.rack.fabric_delay
-            };
-            let src_link = Link::new(self.cfg.rack.remote_nic_bps, delay);
             self.flows.insert(
                 id,
                 FlowState {
                     sender,
                     receiver,
-                    src_link,
+                    source: source.clone(),
                     pacer,
-                    topo_src: None,
-                    ack_delay: self.cfg.rack.fabric_delay,
+                    ack_delay,
                     sender_timer: TimerSlot::default(),
                     receiver_timer: TimerSlot::default(),
                 },
             );
-            // Tiny per-connection stagger: distinct machines never fire in
-            // the same nanosecond.
+            // Tiny per-connection stagger: distinct machines (or
+            // sockets) never fire in the same nanosecond.
             let stagger = Ns(self.rng.gen_range(20_000)); // 0-20us
             let start = now + stagger;
             let pkts = {
@@ -1319,131 +1259,11 @@ impl RackSim {
         }
     }
 
-    /// Starts the connections of a host-to-host fat-tree flow. Mirrors
-    /// [`RackSim::start_flow`] except both endpoints are region hosts:
-    /// the source host's shared uplink serializes all its connections,
-    /// and the ACK path's static delay is the reverse walk's remaining
-    /// links at the tree's per-link latency.
-    fn start_topo_flow(&mut self, spec: &TopoFlowSpec, now: Ns) {
-        let ack_delay = match &self.plane {
-            Some(Plane::Tree(tp)) => {
-                let links = tp.tree.path_links(spec.src_host, spec.dst_host);
-                tp.tree.opts().link_latency() * u64::from(links.saturating_sub(1))
-            }
-            _ => panic!("topology flows require a fat-tree topology"),
-        };
-        self.flows_started += 1;
-        let conns = spec.connections.max(1);
-        let per_conn = (spec.total_bytes / u64::from(conns)).max(1);
-        for _c in 0..conns {
-            let id = self.next_flow;
-            self.next_flow += 1;
-            let flow = FlowId(id);
-            let src_node: NodeId = spec.src_host;
-            let dst_node: NodeId = spec.dst_host;
-            let sender_cfg = SenderConfig {
-                algorithm: spec.algorithm,
-                ..self.sender_cfg.clone()
-            };
-            let mut sender = Sender::new(flow, src_node, dst_node, &sender_cfg);
-            if let Some(hub) = &self.telemetry {
-                sender.set_telemetry(hub.clone());
-            }
-            sender.push(per_conn);
-            sender.close();
-            let mut receiver = Receiver::new(flow, dst_node, src_node);
-            if let Some(hub) = &self.telemetry {
-                receiver.set_telemetry(hub.clone());
-            }
-            let pacer = spec.paced_bps.or(self.default_pacing).map(|rate| {
-                Pacer::new(
-                    Bps((rate.as_u64() / u64::from(conns)).max(1_000_000)),
-                    Bytes(2 * u64::from(self.cfg.rack.mss)),
-                )
-            });
-            // Unused on the topo egress path (the host uplink is the
-            // NIC), but kept at host rate so introspection agrees.
-            let src_link = Link::new(
-                self.cfg.rack.server_link_bps,
-                self.cfg.rack.server_link_delay,
-            );
-            self.flows.insert(
-                id,
-                FlowState {
-                    sender,
-                    receiver,
-                    src_link,
-                    pacer,
-                    topo_src: Some(spec.src_host),
-                    ack_delay,
-                    sender_timer: TimerSlot::default(),
-                    receiver_timer: TimerSlot::default(),
-                },
-            );
-            // Same per-connection stagger as legacy flows: distinct
-            // sockets never fire in the same nanosecond.
-            let stagger = Ns(self.rng.gen_range(20_000)); // 0-20us
-            let start = now + stagger;
-            let pkts = {
-                let state = self.flows.get_mut(&id).unwrap();
-                state.sender.poll_send(start)
-            };
-            self.send_from_source(id, pkts, start);
-            self.sync_sender_timer(id);
-        }
-    }
-
-    fn handle_tor_arrive(&mut self, pkt: Packet, now: Ns) {
-        match pkt.kind {
-            PacketKind::Multicast => {
-                // Replicate into every member queue.
-                let members: Vec<usize> = self.switch.multicast_members(pkt.dst).to_vec();
-                for queue in members {
-                    let mut copy = pkt;
-                    copy.dst = queue as NodeId;
-                    if self.switch.try_enqueue(queue, copy, now).accepted() {
-                        self.kick_drain(queue, now);
-                    }
-                }
-            }
-            PacketKind::Data => {
-                let queue = pkt.dst as usize;
-                debug_assert!(queue < self.cfg.rack.num_servers);
-                if self.switch.try_enqueue(queue, pkt, now).accepted() {
-                    self.kick_drain(queue, now);
-                }
-                // Drops are silent at the switch; transport recovers.
-            }
-            PacketKind::Ack => unreachable!("ACKs do not traverse the ToR ingress path"),
-        }
-    }
-
-    fn kick_drain(&mut self, queue: usize, now: Ns) {
-        if !self.draining[queue] {
-            self.draining[queue] = true;
-            let at = self.tor_links[queue].idle_at().max(now);
-            self.q.schedule(at, Ev::TorDrain { queue });
-        }
-    }
-
-    fn handle_tor_drain(&mut self, queue: usize, now: Ns) {
-        match self.switch.dequeue(queue, now) {
-            Some(pkt) => {
-                let (departed, arrived) = self.tor_links[queue].transmit(now, pkt.size);
-                self.q.schedule(arrived, Ev::HostDeliver { pkt });
-                self.q.schedule(departed, Ev::TorDrain { queue });
-            }
-            None => {
-                self.draining[queue] = false;
-            }
-        }
-    }
-
     fn handle_host_deliver(&mut self, pkt: Packet, now: Ns) {
         let server = pkt.dst as usize;
         // NIC-level fault injection: the packet vanishes before the kernel
         // (and thus the tc filter) ever sees it.
-        if let Some(inj) = self.nic_drops.get_mut(&server) {
+        if let Some(inj) = &mut self.nic_drops[server] {
             if inj.should_drop() {
                 self.note_offswitch_drop(
                     // simlint: allow(cast-truncation): server indices are < rack size
@@ -1469,7 +1289,7 @@ impl RackSim {
         if let Some(w) = &mut self.pcap {
             let _ = w.write_packet(now, &pkt);
         }
-        self.record_host(server, now, Direction::Ingress, &pkt);
+        Self::record_host(&self.hosts, &mut self.filters, server, now, Ingress, &pkt);
         self.hosts[server].note_rx(pkt.size);
         if pkt.kind == PacketKind::Multicast {
             return; // validation traffic has no transport above it
@@ -1541,7 +1361,7 @@ impl RackSim {
     }
 
     fn emit_ack(&mut self, server: usize, ack: Packet, now: Ns) {
-        self.record_host(server, now, Direction::Egress, &ack);
+        Self::record_host(&self.hosts, &mut self.filters, server, now, Egress, &ack);
         self.hosts[server].note_tx(ack.size);
         let (_dep, arrive_at_tor) = self.hosts[server].uplink_mut().transmit(now, ack.size);
         // Reverse path: ToR → fabric → source, uncongested. The static
@@ -1624,7 +1444,7 @@ impl RackSim {
         let flow = FlowId(u64::MAX - group as u64);
         let pkt = Packet::multicast(flow, 20_000 + group, group, size);
         let at = release + self.cfg.rack.fabric_delay;
-        self.q.schedule(at, Ev::TorArrive { pkt });
+        self.q.schedule(at, Ev::SwArrive { sw: 0, pkt });
         if remaining > 1 {
             self.q.schedule(
                 release.max(now),
@@ -1677,9 +1497,9 @@ impl RackSim {
     fn step(&mut self, now: Ns, ev: Ev) {
         match ev {
             Ev::Gen { idx } => self.handle_gen(idx, now),
-            Ev::StartFlow { spec } => self.start_flow(&spec, now),
-            Ev::TorArrive { pkt } => self.handle_tor_arrive(pkt, now),
-            Ev::TorDrain { queue } => self.handle_tor_drain(queue, now),
+            Ev::StartFlow { spec } => self.start_flow(None, &spec, now),
+            Ev::SwArrive { sw, pkt } => self.arrive(sw, pkt, now),
+            Ev::SwDrain { sw, port } => self.drain(sw, port, now),
             Ev::HostDeliver { pkt } => self.handle_host_deliver(pkt, now),
             Ev::SourceDeliver { pkt } => self.handle_source_deliver(pkt, now),
             Ev::SenderTimer { flow } => self.handle_sender_timer(flow.0, now),
@@ -1693,9 +1513,19 @@ impl RackSim {
             Ev::Chatter { server } => self.handle_chatter(server, now),
             Ev::GroFlush { server, gen } => self.handle_gro_flush(server, gen, now),
             Ev::AlphaTune => self.handle_alpha_tune(now),
-            Ev::SwArrive { sw, pkt } => self.handle_sw_arrive(sw, pkt, now),
-            Ev::SwDrain { sw, port } => self.handle_sw_drain(sw, port, now),
-            Ev::StartTopoFlow { spec } => self.start_topo_flow(&spec, now),
+            Ev::TrunkArrive { pkt } => self.handle_trunk_arrive(pkt, now),
+            Ev::TrunkDrain => self.handle_trunk_drain(now),
+            Ev::StartTopoFlow { spec } => {
+                let as_flow = FlowSpec {
+                    dst_server: spec.dst_host as usize,
+                    connections: spec.connections,
+                    total_bytes: spec.total_bytes,
+                    algorithm: spec.algorithm,
+                    paced_bps: spec.paced_bps,
+                    task: spec.task,
+                };
+                self.start_flow(Some(spec.src_host), &as_flow, now);
+            }
             Ev::AgentEnable { server } => self.handle_agent_enable(server, now),
             Ev::AgentCollect { server } => self.handle_agent_collect(server, now),
             Ev::EnableSamplers => {
@@ -1707,37 +1537,56 @@ impl RackSim {
         }
     }
 
-    /// Runs the simulation until `deadline` (events past it stay queued).
-    pub fn run_until(&mut self, deadline: Ns) {
-        match (self.profile_enabled, self.profile.has_clock()) {
-            (false, _) => self.run_until_inner::<false, false>(deadline),
-            (true, false) => self.run_until_inner::<true, false>(deadline),
-            (true, true) => self.run_until_inner::<true, true>(deadline),
+    /// The profiler kind id of an event (index into [`EV_KINDS`]). Mesh
+    /// dispatches count as the `switch.Tor*` pair when the mesh is one
+    /// rack's ToR and as the `fabric.Sw*` pair when it is a routed
+    /// fat-tree; the trunk stage always counts as `fabric.Sw*`.
+    fn ev_kind(&self, ev: &Ev) -> usize {
+        match ev {
+            Ev::Gen { .. } => 0,
+            Ev::StartFlow { .. } => 1,
+            Ev::SwArrive { .. } if self.router.is_none() => 2,
+            Ev::SwDrain { .. } if self.router.is_none() => 3,
+            Ev::HostDeliver { .. } => 4,
+            Ev::SourceDeliver { .. } => 5,
+            Ev::SenderTimer { .. } => 6,
+            Ev::ReceiverTimer { .. } => 7,
+            Ev::McastSend { .. } => 8,
+            Ev::Chatter { .. } => 9,
+            Ev::GroFlush { .. } => 10,
+            Ev::AlphaTune => 11,
+            Ev::SwArrive { .. } | Ev::TrunkArrive { .. } => 12,
+            Ev::SwDrain { .. } | Ev::TrunkDrain => 13,
+            Ev::EnableSamplers => 14,
+            Ev::AgentEnable { .. } => 15,
+            Ev::AgentCollect { .. } => 16,
+            Ev::StartTopoFlow { .. } => 17,
         }
     }
 
-    /// The dispatch loop, monomorphized over the profiler bracket: the
-    /// `PROFILED = false` variant compiles to the bare pre-profiler
-    /// loop, and the usual `CLOCKED = false` variant pays one counter
-    /// increment per event — no clock match, no wall column write. One
-    /// source for all three: the bench's hook-overhead measurement
-    /// (`incast_loss --profile`) times the variants against each other,
-    /// and hand-copied loops would drift.
-    fn run_until_inner<const PROFILED: bool, const CLOCKED: bool>(&mut self, deadline: Ns) {
+    /// Runs the simulation until `deadline` (events past it stay queued).
+    pub fn run_until(&mut self, deadline: Ns) {
+        if self.profile.has_clock() {
+            self.run_until_inner::<true>(deadline);
+        } else {
+            self.run_until_inner::<false>(deadline);
+        }
+    }
+
+    /// The dispatch loop, monomorphized over the profiler's clock: the
+    /// usual `CLOCKED = false` variant pays one counter increment per
+    /// event — no clock match, no wall column write.
+    fn run_until_inner<const CLOCKED: bool>(&mut self, deadline: Ns) {
         while let Some((now, ev)) = self.q.pop_until(deadline) {
-            if PROFILED {
-                let kind = ev_kind(&ev);
-                if CLOCKED {
-                    let t0 = self.profile.clock_now();
-                    self.step(now, ev);
-                    let wall = self.profile.clock_now().saturating_sub(t0);
-                    self.profile.record_dispatch(kind, wall);
-                } else {
-                    self.step(now, ev);
-                    self.profile.record_count(kind);
-                }
+            let kind = self.ev_kind(&ev);
+            if CLOCKED {
+                let t0 = self.profile.clock_now();
+                self.step(now, ev);
+                let wall = self.profile.clock_now().saturating_sub(t0);
+                self.profile.record_dispatch(kind, wall);
             } else {
                 self.step(now, ev);
+                self.profile.record_count(kind);
             }
             if self.q.events_processed() > self.event_budget {
                 panic!(
@@ -1770,9 +1619,8 @@ impl RackSim {
 
         RackSimReport {
             rack_run,
-            switch_discard_bytes: self.total_switch_discards(),
-            switch_ingress_bytes: self.total_switch_ingress(),
-            minute_bins: self.switch.minute_bins().to_vec(),
+            switch_discard_bytes: self.switch_discards(),
+            switch_ingress_bytes: self.switch_ingress(),
             flows_started: self.flows_started,
             conns_completed: self.conns_completed,
             events: self.q.events_processed(),
@@ -2324,31 +2172,38 @@ mod tests {
         );
     }
 
-    /// A k=4 fat tree (16 hosts) with every host outside pod 0 incasting
-    /// on host 0. Fabric links run below the 12.5 Gbps host links and the
-    /// switch buffers are small, so the 12-uplink convergence overflows
-    /// spine and agg queues, not just the victim's ToR port.
-    fn tree_incast(seed: u64, ecmp_seed: u64) -> ScenarioBuilder {
-        let mut b = ScenarioBuilder::new(16, seed);
+    /// An idle k-ary fat tree whose fabric links run below the 12.5 Gbps
+    /// host links, with small switch buffers.
+    fn tree_k(k: u32, seed: u64, ecmp_seed: u64) -> ScenarioBuilder {
+        let mut b = ScenarioBuilder::new((k * k * k / 4) as usize, seed);
         b.buckets(200)
             .warmup(Ns::from_millis(20))
             .topology(TopologySpec::fat_tree(
                 FatTreeOpts {
-                    k: 4,
+                    k,
                     link_gbps: 10,
                     buffer_bytes: Bytes(512 << 10),
                     ..FatTreeOpts::default()
                 },
                 ecmp_seed,
             ));
-        for src in 4..16u32 {
+        b
+    }
+
+    /// Every host outside pod 0 of a [`tree_k`] incasts on host 0
+    /// (`conns` connections carrying `bytes` per source), so the
+    /// convergence overflows queues above the victim's ToR port, not
+    /// just that port.
+    fn tree_incast_k(k: u32, conns: u32, bytes: u64, seed: u64, ecmp_seed: u64) -> ScenarioBuilder {
+        let mut b = tree_k(k, seed, ecmp_seed);
+        for src in k * k / 4..k * k * k / 4 {
             b.topo_flow_at(
                 Ns::from_millis(30),
                 TopoFlowSpec {
                     src_host: src,
                     dst_host: 0,
-                    connections: 16,
-                    total_bytes: 8_000_000,
+                    connections: conns,
+                    total_bytes: bytes,
                     algorithm: CcAlgorithm::Dctcp,
                     paced_bps: None,
                     task: 1,
@@ -2356,6 +2211,12 @@ mod tests {
             );
         }
         b
+    }
+
+    /// The k=4 incast (16 hosts, 12 sources): the 12-uplink convergence
+    /// overflows spine and agg queues.
+    fn tree_incast(seed: u64, ecmp_seed: u64) -> ScenarioBuilder {
+        tree_incast_k(4, 16, 8_000_000, seed, ecmp_seed)
     }
 
     #[test]
@@ -2445,5 +2306,83 @@ mod tests {
         // A different ECMP seed re-paths 192 connections: the contention
         // pattern (and therefore the run) must change.
         assert_ne!(run(5), run(6));
+    }
+
+    /// Cross-pod incast at arity `k`: every connection is delivered, the
+    /// forensic bytes of each tier equal the per-tier discard ledger, and
+    /// the same seeds reproduce the run. The window is 24 s of (mostly
+    /// idle) sim time because the transport recovers a fully lost first
+    /// flight one backed-off RTO per segment, up to its 1 s ceiling.
+    fn check_cross_pod_incast(k: u32, conns: u32, bytes: u64) {
+        let run = || {
+            let mut b = tree_incast_k(k, conns, bytes, 44, 7);
+            b.forensics().interval(Ns::from_millis(10)).buckets(2400);
+            let mut sim = b.build();
+            let report = sim.run_sync_window(0);
+            let mut by_tier = [0u64; 3];
+            {
+                let hub = sim.telemetry().expect("forensics attaches a hub").borrow();
+                assert_eq!(hub.forensics.shed(), 0, "store sized for the run");
+                for f in hub.forensics.records() {
+                    by_tier[ms_telemetry::qid::qid_tier(f.queue) as usize] += u64::from(f.size);
+                }
+            }
+            (
+                sim.tier_discard_bytes(),
+                by_tier,
+                report.conns_completed,
+                report.events,
+                report.rack_run.map(|r| r.servers[0].in_bytes.clone()),
+            )
+        };
+        let first = run();
+        let (tiers, by_tier, completed, ..) = &first;
+        let sources = u64::from(k * k * k / 4 - k * k / 4);
+        assert_eq!(*completed, sources * u64::from(conns), "k={k}");
+        assert!(
+            tiers.iter().sum::<u64>() > 0,
+            "k={k} incast is sized to drop"
+        );
+        assert_eq!(tiers, by_tier, "k={k} forensic bytes per tier");
+        assert_eq!(first, run(), "k={k} same seeds, same run");
+    }
+
+    #[test]
+    fn fat_tree_k2_two_hosts_one_spine() {
+        check_cross_pod_incast(2, 64, 16_000_000);
+    }
+
+    #[test]
+    fn fat_tree_k6_fifty_four_hosts() {
+        check_cross_pod_incast(6, 2, 400_000);
+    }
+
+    #[test]
+    fn fat_tree_k6_intra_rack_flow_stays_under_its_tor() {
+        // Hosts 0..3 share ToR (0, 0) at k = 6.
+        let mut b = tree_k(6, 45, 3);
+        b.topo_flow_at(
+            Ns::from_millis(30),
+            TopoFlowSpec {
+                src_host: 2,
+                dst_host: 0,
+                connections: 2,
+                total_bytes: 2_000_000,
+                algorithm: CcAlgorithm::Dctcp,
+                paced_bps: None,
+                task: 1,
+            },
+        );
+        let mut sim = b.build();
+        let report = sim.run_sync_window(0);
+        assert_eq!(report.conns_completed, 2);
+        for (ord, node) in sim.nodes.iter().enumerate() {
+            let admitted = node.switch.total_ingress_bytes();
+            if ord == 0 {
+                assert!(admitted >= 2_000_000, "ToR 0 carried {admitted} bytes");
+            } else {
+                assert_eq!(admitted, 0, "{:?} saw traffic", node.id);
+            }
+        }
     }
 }

@@ -20,17 +20,17 @@
 //! ground-truth discard counter (exits non-zero on any mismatch — this
 //! is the CI forensics smoke gate).
 //!
-//! With `--profile <path>` the showcase runs under four instrumentations
-//! (bare loop / stock hooks / telemetry attached / wall clock injected
-//! into the deterministic engine profiler), cross-checks that dispatch
-//! counts are identical, and writes a `BENCH_profile.json` overhead
-//! artifact plus a collapsed-stack flamegraph text (`<path>.folded`,
-//! `inferno`/`flamegraph.pl` format).
+//! With `--profile <path>` the showcase runs once with a wall clock
+//! injected into the deterministic engine profiler and writes the
+//! per-kind dispatch table (counts and wall nanoseconds) plus a
+//! collapsed-stack flamegraph text (`<path>.folded`,
+//! `inferno`/`flamegraph.pl` format). Overhead figures live in `perf/`
+//! (`trace_overhead_pct`, `telemetry.attached_overhead_pct`).
 
 use ms_dcsim::Ns;
 use ms_telemetry::{DropCause, TelemetryConfig};
 use ms_transport::CcAlgorithm;
-use ms_workload::{FlowSpec, RackSim, ScenarioBuilder};
+use ms_workload::{FlowSpec, ScenarioBuilder};
 
 fn incast(dst: usize, conns: u32, total: u64) -> FlowSpec {
     FlowSpec {
@@ -161,140 +161,21 @@ fn wall_clock_ns() -> u64 {
     (start.elapsed().as_nanos()) as u64
 }
 
-/// How a profiled showcase run is instrumented.
-#[derive(Clone, Copy, PartialEq)]
-enum ProfiledAs {
-    /// Telemetry detached AND the dispatch loop's profiler bracket
-    /// compiled out (`set_profiler_enabled(false)` selects the bare
-    /// monomorphized loop): the pre-observability engine, and the
-    /// denominator for the detached-hook overhead figure.
-    Unhooked,
-    /// Telemetry detached, profiler clock off — every telemetry hook
-    /// takes its single disabled branch, the profiler counts sim-time
-    /// dispatches. This is how every normal run executes.
-    Stock,
-    /// Telemetry attached (ring + forensics): every hook records.
-    Traced,
-    /// Telemetry detached, wall clock injected into the profiler.
-    Clocked,
-}
-
-/// Runs a batch of `batch` showcase runs under `mode` and returns the
-/// last sim plus the wall time of the whole batch. A single run is only
-/// ~20 ms — too short to time stably on a shared machine — so the batch
-/// is the timing unit.
-fn timed_batch(mode: ProfiledAs, batch: usize) -> (RackSim, f64) {
-    let started = std::time::Instant::now();
-    let mut last = None;
-    for _ in 0..batch {
-        let mut scenario = showcase(42);
-        if mode == ProfiledAs::Traced {
-            scenario.forensics();
-        }
-        let mut sim = scenario.build();
-        if mode == ProfiledAs::Clocked {
-            sim.set_profile_clock(wall_clock_ns);
-        }
-        if mode == ProfiledAs::Unhooked {
-            sim.set_profiler_enabled(false);
-        }
-        sim.run_sync_window(0);
-        last = Some(sim);
-    }
-    (last.expect("batch >= 1"), started.elapsed().as_secs_f64())
-}
-
-/// Profiles the showcase and writes `BENCH_profile.json` + a
-/// collapsed-stack flamegraph text next to it.
+/// Runs the showcase once with a wall clock injected into the engine
+/// profiler and writes the per-kind dispatch table (`<path>`) plus the
+/// collapsed-stack flamegraph text (`<path>.folded`).
 fn run_profile(path: &str) {
-    const REPS: usize = 5;
-    const BATCH: usize = 25;
-    const MODES: [ProfiledAs; 4] = [
-        ProfiledAs::Unhooked,
-        ProfiledAs::Stock,
-        ProfiledAs::Traced,
-        ProfiledAs::Clocked,
-    ];
-    // One warmup batch per mode (pages the code, settles the allocator),
-    // then the modes interleave rep-major so slow drift hits all four
-    // equally. Each timing unit is a ~0.5 s batch (a single run is only
-    // ~20 ms — below the machine's noise floor), and each mode takes the
-    // minimum batch mean: scheduler noise is strictly additive, so the
-    // minimum is the best estimator of the true floor on a shared box.
-    let mut walls = [[0.0f64; REPS]; 4];
-    let mut sims = MODES.map(|m| timed_batch(m, 1).0);
-    for rep in 0..REPS {
-        for (i, mode) in MODES.into_iter().enumerate() {
-            let (sim, wall) = timed_batch(mode, BATCH);
-            walls[i][rep] = wall / BATCH as f64;
-            sims[i] = sim;
-        }
-    }
-    let best = |w: &[f64; REPS]| w.iter().copied().fold(f64::INFINITY, f64::min);
-    let [unhooked_wall, baseline_wall, traced_wall, clocked_wall] = [
-        best(&walls[0]),
-        best(&walls[1]),
-        best(&walls[2]),
-        best(&walls[3]),
-    ];
-    let [_, baseline_sim, traced_sim, sim] = &sims;
+    let mut sim = showcase(42).build();
+    sim.set_profile_clock(wall_clock_ns);
+    sim.run_sync_window(0);
     let profile = sim.profile();
-
-    // Determinism cross-check: neither wall-time accounting nor
-    // telemetry attachment may perturb dispatch. All three profiled
-    // variants saw the identical event stream, so the sim-time counters
-    // (everything before the "wall" section of the JSON) are
-    // byte-identical. (The unhooked variant leaves its counters at
-    // zero by construction, so it sits out this comparison.)
-    let dispatch_part = |json: &str| json.split(",\"wall\"").next().map(String::from);
-    assert_eq!(
-        dispatch_part(&baseline_sim.profile().counts_json()),
-        dispatch_part(&profile.counts_json()),
-        "profiler clock changed the event stream"
-    );
-    assert_eq!(
-        dispatch_part(&traced_sim.profile().counts_json()),
-        dispatch_part(&profile.counts_json()),
-        "telemetry attachment changed the event stream"
-    );
-
-    // The acceptance figure: a stock run (hooks compiled in, telemetry
-    // detached, profiler counting) vs the bare pre-observability loop.
-    let detached_hook_overhead_pct =
-        (baseline_wall - unhooked_wall) / unhooked_wall.max(1e-9) * 100.0;
-    let telemetry_overhead_pct = (traced_wall - baseline_wall) / baseline_wall.max(1e-9) * 100.0;
-    let profiler_clock_overhead_pct =
-        (clocked_wall - baseline_wall) / baseline_wall.max(1e-9) * 100.0;
-    let json = format!(
-        "{{\n  \"bench\": \"profile\",\n  \"seed\": 42,\n  \"reps\": {REPS},\n  \
-         \"batch\": {BATCH},\n  \
-         \"total_dispatches\": {},\n  \"dispatch_wall_ns\": {},\n  \
-         \"unhooked_wall_ms\": {:.3},\n  \
-         \"baseline_wall_ms\": {:.3},\n  \"traced_wall_ms\": {:.3},\n  \
-         \"clocked_wall_ms\": {:.3},\n  \
-         \"detached_hook_overhead_pct\": {detached_hook_overhead_pct:.2},\n  \
-         \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n  \
-         \"profiler_clock_overhead_pct\": {profiler_clock_overhead_pct:.2},\n  \
-         \"counts\": {}}}\n",
-        profile.total_dispatches(),
-        profile.total_wall_ns(),
-        unhooked_wall * 1e3,
-        baseline_wall * 1e3,
-        traced_wall * 1e3,
-        clocked_wall * 1e3,
-        profile.counts_json(),
-    );
-    std::fs::write(path, &json).expect("write profile artifact");
+    std::fs::write(path, profile.counts_json()).expect("write profile artifact");
     let folded = format!("{path}.folded");
     std::fs::write(&folded, profile.collapsed_stacks()).expect("write collapsed stacks");
     println!(
-        "profiled {} dispatches: baseline {:.1} ms, detached hooks {:+.2}%, \
-         telemetry attach {:+.2}%, profiler clock {:+.2}%",
+        "profiled {} dispatches in {:.1} ms of handler wall time",
         profile.total_dispatches(),
-        baseline_wall * 1e3,
-        detached_hook_overhead_pct,
-        telemetry_overhead_pct,
-        profiler_clock_overhead_pct
+        profile.total_wall_ns() as f64 / 1e6
     );
     println!("wrote {path} and {folded} (feed the latter to inferno/flamegraph.pl)");
 }
