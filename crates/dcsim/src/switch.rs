@@ -671,20 +671,11 @@ impl SharedBufferSwitch {
     }
 
     /// Pops the head-of-line packet of `queue` at time `now`, releasing its
-    /// buffer space. The timestamp only feeds telemetry (occupancy tracks
-    /// and idle-pull events); admission accounting is time-independent.
+    /// buffer space; `None`, silently, if the queue is empty. The timestamp
+    /// only feeds telemetry (occupancy tracks); admission accounting is
+    /// time-independent.
     pub fn dequeue(&mut self, queue: usize, now: Ns) -> Option<Packet> {
         let quadrant = self.cfg.quadrant_of(queue);
-        if self.queues[queue].fifo.is_empty() {
-            if let Some(tr) = &self.telemetry {
-                tr.borrow_mut().bus.record(TraceEvent::DequeueIdle {
-                    ns: now.as_nanos(),
-                    // simlint: allow(cast-truncation): queue index < num_queues
-                    queue: self.queue_id_base + queue as u32,
-                });
-            }
-            return None;
-        }
         let q = &mut self.queues[queue];
         let occ_before = q.occupancy();
         let Buffered { pkt, pool } = q.fifo.pop_front()?;
@@ -1192,7 +1183,13 @@ mod tests {
             }
         }
         sw.dequeue(0, Ns(i + 1));
-        sw.dequeue(3, Ns(i + 2)); // empty queue: idle pull
+        let traced = hub.borrow().bus.recorded();
+        assert_eq!(sw.dequeue(3, Ns(i + 2)), None);
+        assert_eq!(
+            hub.borrow().bus.recorded(),
+            traced,
+            "an empty pull is silent"
+        );
 
         let hub = hub.borrow();
         let mut enqueues = Vec::new();
@@ -1200,7 +1197,6 @@ mod tests {
         let mut marks = 0;
         let mut crossings_up = 0;
         let mut dequeues = 0;
-        let mut idles = 0;
         for ev in hub.bus.iter() {
             match *ev {
                 TraceEvent::PacketEnqueue { ns, occupancy, .. } => {
@@ -1213,10 +1209,6 @@ mod tests {
                 TraceEvent::EcnMark { .. } => marks += 1,
                 TraceEvent::ThresholdCross { up: true, .. } => crossings_up += 1,
                 TraceEvent::Dequeue { .. } => dequeues += 1,
-                TraceEvent::DequeueIdle { queue, .. } => {
-                    assert_eq!(queue, 3);
-                    idles += 1;
-                }
                 _ => {}
             }
         }
@@ -1227,7 +1219,6 @@ mod tests {
         assert!(marks > 0, "ECN threshold 20k must mark");
         assert_eq!(crossings_up, 1, "occupancy crossed the ECN threshold once");
         assert_eq!(dequeues, 1);
-        assert_eq!(idles, 1);
     }
 
     #[test]

@@ -141,13 +141,6 @@ pub enum TraceEvent {
         /// Queue occupancy *after* the dequeue.
         occupancy: Bytes,
     },
-    /// A drain found its queue empty (the egress link went idle).
-    DequeueIdle {
-        /// Sim time (ns).
-        ns: u64,
-        /// Egress queue index.
-        queue: u32,
-    },
     /// A GRO/LRO super-segment was flushed to the kernel receive path.
     WindowFlush {
         /// Sim time (ns).
@@ -273,7 +266,6 @@ impl TraceEvent {
             | TraceEvent::EcnMark { ns, .. }
             | TraceEvent::ThresholdCross { ns, .. }
             | TraceEvent::Dequeue { ns, .. }
-            | TraceEvent::DequeueIdle { ns, .. }
             | TraceEvent::WindowFlush { ns, .. }
             | TraceEvent::CwndChange { ns, .. }
             | TraceEvent::RtoFired { ns, .. }
@@ -299,7 +291,6 @@ impl TraceEvent {
             TraceEvent::EcnMark { .. } => "ecn-mark",
             TraceEvent::ThresholdCross { .. } => "threshold-cross",
             TraceEvent::Dequeue { .. } => "dequeue",
-            TraceEvent::DequeueIdle { .. } => "dequeue-idle",
             TraceEvent::WindowFlush { .. } => "window-flush",
             TraceEvent::CwndChange { .. } => "cwnd-change",
             TraceEvent::RtoFired { .. } => "rto-fired",
@@ -318,7 +309,9 @@ impl TraceEvent {
     }
 
     /// Stable one-byte kind code, used to pack the forensic flight
-    /// recorder's `recent_kinds` field. Zero is reserved for "no event".
+    /// recorder's `recent_kinds` field. Zero is reserved for "no event";
+    /// 6 was `DequeueIdle` (a drain finding its queue empty, which no
+    /// longer happens) and stays retired so stored records keep reading.
     pub fn kind_code(&self) -> u8 {
         match self {
             TraceEvent::PacketEnqueue { .. } => 1,
@@ -326,7 +319,6 @@ impl TraceEvent {
             TraceEvent::EcnMark { .. } => 3,
             TraceEvent::ThresholdCross { .. } => 4,
             TraceEvent::Dequeue { .. } => 5,
-            TraceEvent::DequeueIdle { .. } => 6,
             TraceEvent::WindowFlush { .. } => 7,
             TraceEvent::CwndChange { .. } => 8,
             TraceEvent::RtoFired { .. } => 9,
@@ -360,7 +352,7 @@ pub struct TraceBus {
 }
 
 /// Filler for unwritten slots (never observable through `iter`).
-const FILLER: TraceEvent = TraceEvent::DequeueIdle { ns: 0, queue: 0 };
+const FILLER: TraceEvent = TraceEvent::RtoFired { ns: 0, flow: 0 };
 
 impl TraceBus {
     /// Allocates a ring of `capacity` events. All allocation happens here;
@@ -577,34 +569,33 @@ mod tests {
                 size: 0,
                 occupancy: Bytes::ZERO,
             },
-            TraceEvent::DequeueIdle { ns: 6, queue: 0 },
             TraceEvent::WindowFlush {
-                ns: 7,
+                ns: 6,
                 host: 0,
                 bytes: 0,
             },
             TraceEvent::CwndChange {
-                ns: 8,
+                ns: 7,
                 flow: 0,
                 cwnd: Bytes::ZERO,
             },
-            TraceEvent::RtoFired { ns: 9, flow: 0 },
-            TraceEvent::SamplerWindowClose { ns: 10, host: 0 },
-            TraceEvent::SamplerWindowOpen { ns: 11, host: 0 },
-            TraceEvent::FlowSpanStart { ns: 12, flow: 0 },
-            TraceEvent::FlowSpanEnd { ns: 13, flow: 0 },
-            TraceEvent::BurstSpanStart { ns: 14, flow: 0 },
-            TraceEvent::BurstSpanEnd { ns: 15, flow: 0 },
+            TraceEvent::RtoFired { ns: 8, flow: 0 },
+            TraceEvent::SamplerWindowClose { ns: 9, host: 0 },
+            TraceEvent::SamplerWindowOpen { ns: 10, host: 0 },
+            TraceEvent::FlowSpanStart { ns: 11, flow: 0 },
+            TraceEvent::FlowSpanEnd { ns: 12, flow: 0 },
+            TraceEvent::BurstSpanStart { ns: 13, flow: 0 },
+            TraceEvent::BurstSpanEnd { ns: 14, flow: 0 },
             TraceEvent::RecoverySpanStart {
-                ns: 16,
+                ns: 15,
                 flow: 0,
                 rto: false,
             },
-            TraceEvent::RecoverySpanEnd { ns: 17, flow: 0 },
-            TraceEvent::HolSpanStart { ns: 18, flow: 0 },
-            TraceEvent::HolSpanEnd { ns: 19, flow: 0 },
+            TraceEvent::RecoverySpanEnd { ns: 16, flow: 0 },
+            TraceEvent::HolSpanStart { ns: 17, flow: 0 },
+            TraceEvent::HolSpanEnd { ns: 18, flow: 0 },
             TraceEvent::ForensicDrop {
-                ns: 20,
+                ns: 19,
                 queue: 0,
                 flow: 0,
                 cause: DropCause::CrossContention,
@@ -623,6 +614,8 @@ mod tests {
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), events.len(), "kind codes must be distinct");
+        assert!(!codes.contains(&6), "6 was DequeueIdle and stays retired");
+        assert_eq!(codes.last(), Some(&20), "the other codes kept their values");
     }
 
     #[test]

@@ -112,10 +112,9 @@ fn queue_track(queue: u32) -> String {
 /// Serializes the trace ring as Chrome/Perfetto trace-event JSON.
 ///
 /// Occupancy and cwnd become counter tracks; drops, marks, crossings,
-/// flushes, RTOs, and sampler closes become instant events. `DequeueIdle`
-/// events carry no state change and are skipped (they still show up in
-/// [`summary`] counts). Output depends only on the event stream, so two
-/// identical runs produce byte-identical files.
+/// flushes, RTOs, and sampler closes become instant events. Output depends
+/// only on the event stream, so two identical runs produce byte-identical
+/// files.
 pub fn write_perfetto<W: Write>(w: &mut W, bus: &TraceBus, meta: &PerfettoMeta) -> io::Result<()> {
     writeln!(w, "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
     write!(
@@ -178,7 +177,6 @@ pub fn write_perfetto<W: Write>(w: &mut W, bus: &TraceBus, meta: &PerfettoMeta) 
                 );
                 write_instant(w, &mut first, ns, u64::from(queue), name, &args)?;
             }
-            TraceEvent::DequeueIdle { .. } => {}
             TraceEvent::WindowFlush { ns, host, bytes } => {
                 let args = format!("\"host\":{host},\"bytes\":{bytes}");
                 write_instant(w, &mut first, ns, 100 + u64::from(host), "gro-flush", &args)?;
@@ -505,10 +503,6 @@ mod tests {
             size: 1500,
             occupancy: Bytes::ZERO,
         });
-        bus.record(TraceEvent::DequeueIdle {
-            ns: 2_600,
-            queue: 2,
-        });
         bus.record(TraceEvent::CwndChange {
             ns: 3_000,
             flow: 7,
@@ -540,8 +534,6 @@ mod tests {
         assert!(text.contains("drop:dynamic-threshold-reject"));
         assert!(text.contains("\"ph\":\"C\""));
         assert!(text.contains("\"ph\":\"i\""));
-        // Dequeue-idle events carry no track state and are skipped.
-        assert!(!text.contains("dequeue-idle"));
     }
 
     #[test]
@@ -613,9 +605,8 @@ mod tests {
     fn summary_counts_kinds_and_top_queues() {
         let bus = sample_bus();
         let text = summary(&bus, 3);
-        assert!(text.contains("10 events recorded"));
+        assert!(text.contains("9 events recorded"));
         assert!(text.contains("packet-drop"));
-        assert!(text.contains("dequeue-idle"), "summary counts every kind");
         assert!(text.contains("top queues by drops:"));
         assert!(text.contains("queue 2"));
     }

@@ -10,8 +10,9 @@
 //!
 //! The `GOLDEN` fingerprints were first captured at the commit
 //! immediately before the refactor, on the pre-`BufferPolicy` code, and
-//! re-captured once since, on an unchanged simulator, when the hashed
-//! fields changed (see below).
+//! re-captured twice since, each time on an unchanged simulator: when
+//! the hashed fields changed (see below), and when the switch stopped
+//! tracing `DequeueIdle` (last paragraph).
 //! They cover dyadic α (0.25, 1.0, 2.0 — where integer math is
 //! trivially exact) and the α-tuner path (α = 4/(1+s), non-dyadic
 //! values like 4/3 — where the threshold must emulate the f64
@@ -30,6 +31,14 @@
 //! unchanged simulator immediately before the three planes were merged
 //! into one switch mesh. That merge renamed handlers, not schedules, so
 //! it had to leave every row of both tables as captured.
+//!
+//! `TraceEvent::DequeueIdle` — a drain popping on an empty queue — was
+//! deleted ahead of the change that stopped scheduling such drains
+//! (DESIGN.md §2.1.2). Perfetto export always skipped it, but it sat in
+//! the ring, so it showed in the `recent_kinds` flight record of drops
+//! that follow an idle port: the fat-tree and GRO/NIC-drop rows moved
+//! (with `recent_kinds` masked, all eight rows matched the parent) and
+//! no `EVENTS` row did.
 
 use ms_analysis::analyze_run;
 use ms_dcsim::{Bps, Bytes, Ns};
@@ -273,7 +282,7 @@ const GOLDEN: &[Case] = &[
     (
         "k=4 cross-pod incast",
         tree_cross_pod,
-        0xfc3f_7b03_7a1f_2f3c,
+        0xc064_fd25_d296_057c,
     ),
     (
         "chatter + multicast",
@@ -283,7 +292,7 @@ const GOLDEN: &[Case] = &[
     (
         "gro + nic drops + stall",
         gro_nic_drops_stall,
-        0xcd68_6d09_0865_edbf,
+        0x2bef_bf46_5c9f_81f5,
     ),
 ];
 
