@@ -34,6 +34,18 @@ grep -q '"monotonic"' BENCH_simlint.json
 grep -q '"channels"' BENCH_simlint.json
 grep -q '"lp"' BENCH_simlint.json
 
+echo "==> bench ledger (BENCH_history.jsonl: one line per merged PR)"
+# The trajectory the north star asks for: every line names its commit and
+# the host's core count and covers all eight benchmark workloads.
+test -s BENCH_history.jsonl
+for key in commit host_cores region_day incast_storm incast_storm_traced \
+    bulk_stream udp_floor fat_tree_shuffle fleet_lake lake_scan; do
+    if grep -qv "\"$key\"" BENCH_history.jsonl; then
+        echo "a BENCH_history.jsonl line lacks \"$key\""
+        exit 1
+    fi
+done
+
 echo "==> clippy"
 # clippy may be absent on minimal toolchains; the simlint + test gates
 # still hold there, so degrade loudly rather than fail the run.

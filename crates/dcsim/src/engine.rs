@@ -22,6 +22,15 @@
 //! timer, re-pushed lazily when it pops before the wanted deadline, under a
 //! `(deadline, seq)` key reserved when the deadline was set so the firing
 //! keeps the tie-break position an eager `schedule` would have given it.
+//!
+//! [`DrainSlot`] makes the same move for the drain of a FIFO output (a
+//! switch port, a trunk): no heap entry while the output is idle. The
+//! queue remembers the `(at, seq)` of the event it is dispatching, so a
+//! slot can ask whether a key it reserved but never pushed has already
+//! passed ([`EventQueue::has_popped`]) and whether anything else is due
+//! before time moves ([`EventQueue::pending_now`]); a packet arriving at an
+//! idle output on a quiet instant is then one dispatch, not three, and
+//! every event that survives keeps its exact `(at, seq)`.
 
 use crate::time::Ns;
 use std::cmp::Reverse;
@@ -54,6 +63,9 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(Key, EventSlot<E>)>>,
     next_seq: u64,
     now: Ns,
+    /// Tie-break number of the most recently popped event: with `now`,
+    /// the key of the event being dispatched.
+    now_seq: u64,
     popped: u64,
     depth_high_water: usize,
 }
@@ -93,6 +105,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: Ns::ZERO,
+            now_seq: 0,
             popped: 0,
             depth_high_water: 0,
         }
@@ -172,6 +185,7 @@ impl<E> EventQueue<E> {
         let Reverse((key, EventSlot(event))) = self.heap.pop()?;
         debug_assert!(key.at >= self.now, "event queue went backwards");
         self.now = key.at;
+        self.now_seq = key.seq;
         self.popped += 1;
         Some((key.at, event))
     }
@@ -187,6 +201,21 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Ns> {
         self.heap.peek().map(|Reverse((key, _))| key.at)
+    }
+
+    /// Whether an event keyed `(at, seq)` would have popped by now: the key
+    /// orders at or before that of the event being dispatched. For a key
+    /// taken with [`EventQueue::reserve_seq`] and never pushed, this says
+    /// whether pushing it now would be too late.
+    pub fn has_popped(&self, at: Ns, seq: u64) -> bool {
+        self.popped > 0 && (at, seq) <= (self.now, self.now_seq)
+    }
+
+    /// Whether another event is due at `now`, i.e. would pop before time
+    /// advances. When none is, an event `schedule`d for `now` would be the
+    /// very next pop, so its handler may run in place of the push.
+    pub fn pending_now(&self) -> bool {
+        self.peek_time() == Some(self.now)
     }
 }
 
@@ -274,6 +303,114 @@ impl TimerSlot {
             }
             None => false,
         }
+    }
+}
+
+/// The drain of one FIFO output — a switch port, a trunk — holding no heap
+/// entry while the output is idle.
+///
+/// The owner keeps the packets and the link; a *pull* takes the head packet
+/// and occupies the link until `departed`. Scheduled eagerly, a packet that
+/// meets an idle output costs three dispatches: its arrival, a wake-up
+/// drain at the same instant, and after the pull a trailing drain at
+/// `departed` that finds nothing. The slot drops the last two:
+///
+/// - **Park.** A pull that empties the queue pushes nothing. The slot
+///   reserves the tie-break number where the trailing drain would have been
+///   pushed and remembers `(departed, seq)`. The next admitted packet pushes
+///   the drain under that very key if the key has not passed yet, and
+///   otherwise finds the output idle — as the trailing drain would have
+///   left it.
+/// - **Inline.** A packet admitted to an idle output reserves the number
+///   its wake-up would have taken. If nothing else is due at `now` the
+///   wake-up would be the next pop, so the owner pulls in place; if
+///   something is, the wake-up is pushed under the reserved number.
+///
+/// No event is reordered: every `seq` is reserved where the eager scheme
+/// pushed, and a drain that does pull runs under the `(at, seq)` it always
+/// had. A busy output is untouched — each pull that leaves packets behind
+/// `schedule`s the next drain at `departed`. The heap holds at most one
+/// entry per slot.
+///
+/// The owner's side: after admitting a packet call [`DrainSlot::admit`];
+/// once the handler has admitted everything it will (a multicast admits to
+/// many outputs, and every copy must be queued before any is pulled, as the
+/// wake-ups would all have popped after the handler), call
+/// [`DrainSlot::wake`] and pull if it says so. Pull when the slot's event
+/// pops. After every pull call [`DrainSlot::pulled`]. Only the slot's pulls
+/// may use the link: an idle slot takes the link to be free.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrainSlot(Drain);
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Drain {
+    /// Nothing queued, nothing pushed, link free.
+    #[default]
+    Idle,
+    /// The last pull emptied the queue; the trailing drain keyed
+    /// `(at, seq)` was not pushed. Once that key has passed this is `Idle`.
+    Parked { at: Ns, seq: u64 },
+    /// A packet was admitted on an idle output in this handler; `wake`
+    /// has yet to pull it or push the wake-up under `seq`.
+    Woken { seq: u64 },
+    /// The slot's entry is in the heap, or is the event being dispatched.
+    Queued,
+}
+
+impl DrainSlot {
+    /// A packet was admitted to the output's queue. `event` builds the
+    /// drain payload and runs only if an entry has to be pushed.
+    pub fn admit<E>(&mut self, q: &mut EventQueue<E>, event: impl FnOnce() -> E) {
+        match self.0 {
+            Drain::Queued | Drain::Woken { .. } => {}
+            Drain::Parked { at, seq } if !q.has_popped(at, seq) => {
+                q.schedule_keyed(at, seq, event());
+                self.0 = Drain::Queued;
+            }
+            Drain::Idle | Drain::Parked { .. } => {
+                self.0 = Drain::Woken {
+                    seq: q.reserve_seq(),
+                };
+            }
+        }
+    }
+
+    /// Settles a wake-up reserved by [`DrainSlot::admit`]: returns `true`
+    /// if the owner must pull now, and otherwise has pushed the wake-up (or
+    /// found none reserved).
+    pub fn wake<E>(&mut self, q: &mut EventQueue<E>, event: impl FnOnce() -> E) -> bool {
+        let Drain::Woken { seq } = self.0 else {
+            return false;
+        };
+        if q.pending_now() {
+            q.schedule_keyed(q.now(), seq, event());
+            self.0 = Drain::Queued;
+            false
+        } else {
+            self.0 = Drain::Idle;
+            true
+        }
+    }
+
+    /// Accounts for a pull that keeps the link busy until `departed`;
+    /// `more` says whether the queue still holds a packet. The absolute
+    /// time comes first, as in [`EventQueue::schedule`].
+    pub fn pulled<E>(
+        &mut self,
+        departed: Ns,
+        q: &mut EventQueue<E>,
+        more: bool,
+        event: impl FnOnce() -> E,
+    ) {
+        self.0 = if more {
+            q.schedule(departed, event());
+            Drain::Queued
+        } else {
+            Drain::Parked {
+                at: departed,
+                seq: q.reserve_seq(),
+            }
+        };
     }
 }
 
@@ -669,6 +806,407 @@ mod tests {
         assert!(
             lazy_pops * 10 < eager_pops * 9,
             "{lazy_pops} vs {eager_pops}"
+        );
+    }
+
+    #[test]
+    fn queue_knows_the_dispatching_key_and_what_else_is_due() {
+        let mut q = EventQueue::new();
+        assert!(!q.has_popped(Ns::ZERO, 0), "nothing has popped yet");
+        q.schedule(Ns(10), "a"); // seq 0
+        let parked = q.reserve_seq(); // seq 1, never pushed
+        q.schedule(Ns(10), "b"); // seq 2
+        q.schedule(Ns(20), "c");
+        assert!(!q.pending_now(), "now is 0, the first event is at 10");
+        q.pop();
+        assert!(q.has_popped(Ns(9), 99) && q.has_popped(Ns(10), 0));
+        assert!(
+            !q.has_popped(Ns(10), parked),
+            "a is dispatching: 1 is ahead"
+        );
+        assert!(q.pending_now(), "b is due at this instant");
+        q.pop();
+        assert!(
+            q.has_popped(Ns(10), parked),
+            "b is dispatching: 1 is behind"
+        );
+        assert!(!q.has_popped(Ns(11), 0) && !q.pending_now());
+    }
+
+    /// A queue whose clock a just-popped event has moved to `now`.
+    fn queue_at(now: u64) -> EventQueue<&'static str> {
+        let mut q = EventQueue::new();
+        q.schedule(Ns(now), "driver");
+        q.pop();
+        q
+    }
+
+    fn drain_order(q: &mut EventQueue<&'static str>) -> Vec<(Ns, &'static str)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn idle_slot_on_a_quiet_instant_pulls_inline() {
+        let mut q = queue_at(10);
+        let mut slot = DrainSlot::default();
+        slot.admit(&mut q, || "drain");
+        assert!(slot.wake(&mut q, || "drain"), "the owner pulls now");
+        assert!(q.is_empty(), "nothing was pushed");
+        assert_eq!(q.reserve_seq(), 2, "the wake-up's number was taken");
+        assert!(!slot.wake(&mut q, || "drain"), "one wake-up, one pull");
+    }
+
+    #[test]
+    fn idle_slot_on_a_tie_pushes_the_wake_up_under_its_reserved_number() {
+        let mut q = queue_at(10);
+        q.schedule(Ns(10), "tie");
+        let mut slot = DrainSlot::default();
+        slot.admit(&mut q, || "drain");
+        // Pushed by the same handler after the admission, as a multicast
+        // does for its next copy: it must still pop after the wake-up.
+        q.schedule(Ns(10), "later");
+        slot.admit(&mut q, || "drain");
+        assert!(!slot.wake(&mut q, || "drain"), "something else is due");
+        let order = drain_order(&mut q);
+        assert_eq!(
+            order,
+            vec![(Ns(10), "tie"), (Ns(10), "drain"), (Ns(10), "later")]
+        );
+    }
+
+    #[test]
+    fn parked_slot_pushes_the_drain_under_the_parked_key() {
+        let mut q = queue_at(10);
+        let mut slot = DrainSlot::default();
+        slot.pulled(Ns(20), &mut q, false, || "drain");
+        assert!(q.is_empty(), "an emptying pull pushes nothing");
+        q.schedule(Ns(20), "after"); // where the trailing drain was: behind it
+        q.schedule(Ns(15), "driver");
+        q.pop();
+        slot.admit(&mut q, || "drain");
+        assert_eq!(q.len(), 2, "the drain is queued");
+        assert!(!slot.wake(&mut q, || "drain"));
+        slot.admit(&mut q, || "drain");
+        assert_eq!(q.len(), 2, "a busy output takes packets without pushing");
+        assert_eq!(
+            drain_order(&mut q),
+            vec![(Ns(20), "drain"), (Ns(20), "after")]
+        );
+    }
+
+    #[test]
+    fn parked_key_that_passed_at_an_earlier_instant_leaves_the_slot_idle() {
+        let mut q = queue_at(10);
+        let mut slot = DrainSlot::default();
+        slot.pulled(Ns(20), &mut q, false, || "drain");
+        q.schedule(Ns(30), "driver");
+        q.pop();
+        slot.admit(&mut q, || "drain");
+        assert!(q.is_empty(), "not pushed into the past");
+        assert!(slot.wake(&mut q, || "drain"));
+    }
+
+    #[test]
+    fn parked_key_at_now_is_compared_with_the_dispatching_seq() {
+        for arrival_first in [true, false] {
+            let mut q = queue_at(10);
+            let mut slot = DrainSlot::default();
+            if arrival_first {
+                q.schedule(Ns(20), "arrival");
+            }
+            slot.pulled(Ns(20), &mut q, false, || "drain");
+            if !arrival_first {
+                q.schedule(Ns(20), "arrival");
+            }
+            q.schedule(Ns(20), "after");
+            assert_eq!(q.pop(), Some((Ns(20), "arrival")));
+            slot.admit(&mut q, || "drain");
+            if arrival_first {
+                // The parked key is still ahead: the drain runs under it.
+                assert!(!slot.wake(&mut q, || "drain"));
+                assert_eq!(
+                    drain_order(&mut q),
+                    vec![(Ns(20), "drain"), (Ns(20), "after")]
+                );
+            } else {
+                // It has passed: idle, and `after` forces a fresh wake-up.
+                assert!(!slot.wake(&mut q, || "drain"));
+                assert_eq!(
+                    drain_order(&mut q),
+                    vec![(Ns(20), "after"), (Ns(20), "drain")]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn busy_slot_chains_one_drain_per_pull() {
+        let mut q = queue_at(10);
+        let mut slot = DrainSlot::default();
+        slot.pulled(Ns(20), &mut q, true, || "drain");
+        assert_eq!(q.len(), 1);
+        slot.admit(&mut q, || "drain");
+        assert!(!slot.wake(&mut q, || "drain"));
+        assert_eq!(q.len(), 1, "one entry however many packets wait");
+        assert_eq!(q.pop(), Some((Ns(20), "drain")));
+        slot.pulled(Ns(30), &mut q, false, || "drain");
+        assert!(q.is_empty());
+    }
+
+    /// Events of the drain-equivalence harness.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum DEv {
+        /// Drives the script: each pop schedules a few arrivals.
+        Tick,
+        /// An unrelated event, there to expose tie order.
+        Noise(u32),
+        /// Packets `id..id + copies` reach ports `port..port + copies`
+        /// in one handler (`copies > 1` is a multicast).
+        Arrive {
+            port: usize,
+            copies: usize,
+            id: u32,
+        },
+        Drain(usize),
+        /// A pulled packet reaches the far end of `port`'s link.
+        Onward {
+            port: usize,
+            id: u32,
+        },
+    }
+
+    /// What the harness needs of a drain implementation.
+    trait DrainImpl: Default {
+        /// A packet joined the port's queue; the link frees at `free_at`.
+        fn admit(&mut self, q: &mut EventQueue<DEv>, free_at: Ns, port: usize);
+        /// End of the admitting handler: must the port pull now?
+        fn wake(&mut self, q: &mut EventQueue<DEv>, port: usize) -> bool;
+        fn pulled(&mut self, q: &mut EventQueue<DEv>, departed: Ns, more: bool, port: usize);
+        /// The port's drain popped on an empty queue.
+        fn popped_empty(&mut self);
+    }
+
+    /// The scheme `DrainSlot` replaced: a flag, a wake-up `schedule`d when
+    /// an idle port admits, a drain `schedule`d after every pull, the flag
+    /// cleared by the trailing pop that finds nothing.
+    #[derive(Default)]
+    struct EagerDrain {
+        draining: bool,
+    }
+
+    impl DrainImpl for EagerDrain {
+        fn admit(&mut self, q: &mut EventQueue<DEv>, free_at: Ns, port: usize) {
+            if !self.draining {
+                self.draining = true;
+                q.schedule(free_at.max(q.now()), DEv::Drain(port));
+            }
+        }
+        fn wake(&mut self, _: &mut EventQueue<DEv>, _: usize) -> bool {
+            false
+        }
+        fn pulled(&mut self, q: &mut EventQueue<DEv>, departed: Ns, _: bool, port: usize) {
+            q.schedule(departed, DEv::Drain(port));
+        }
+        fn popped_empty(&mut self) {
+            self.draining = false;
+        }
+    }
+
+    impl DrainImpl for DrainSlot {
+        fn admit(&mut self, q: &mut EventQueue<DEv>, _: Ns, port: usize) {
+            DrainSlot::admit(self, q, || DEv::Drain(port));
+        }
+        fn wake(&mut self, q: &mut EventQueue<DEv>, port: usize) -> bool {
+            DrainSlot::wake(self, q, || DEv::Drain(port))
+        }
+        fn pulled(&mut self, q: &mut EventQueue<DEv>, departed: Ns, more: bool, port: usize) {
+            DrainSlot::pulled(self, departed, q, more, || DEv::Drain(port));
+        }
+        fn popped_empty(&mut self) {
+            panic!("a drain the slot pushed found nothing to pull");
+        }
+    }
+
+    const PORTS: usize = 4;
+
+    /// One output of the harness: a FIFO, a link and the drain under test.
+    #[derive(Default)]
+    struct Port<D> {
+        fifo: std::collections::VecDeque<u32>,
+        free_at: Ns,
+        drain: D,
+        /// Drain entries of this port in the heap.
+        live: usize,
+    }
+
+    struct Harness<D> {
+        q: EventQueue<DEv>,
+        ports: Vec<Port<D>>,
+        /// Arrivals, pulls, onward deliveries and noise, in handler order.
+        seen: Vec<(Ns, &'static str, usize, u32)>,
+        max_live: usize,
+        /// Admissions that pushed an entry (with the slot: under a parked
+        /// key), wake-ups that pushed one, and wake-ups pulled in place.
+        pushed_at_admit: u32,
+        pushed_at_wake: u32,
+        inlined: u32,
+    }
+
+    impl<D: DrainImpl> Harness<D> {
+        /// Runs `f` on a port's drain and books the heap entries it pushed.
+        fn with_drain<R>(
+            &mut self,
+            port: usize,
+            f: impl FnOnce(&mut D, &mut EventQueue<DEv>, Ns) -> R,
+        ) -> R {
+            let p = &mut self.ports[port];
+            let before = self.q.len();
+            let r = f(&mut p.drain, &mut self.q, p.free_at);
+            p.live += self.q.len() - before;
+            self.max_live = self.max_live.max(p.live);
+            r
+        }
+
+        fn admit(&mut self, port: usize, id: u32) {
+            self.seen.push((self.q.now(), "arrive", port, id));
+            self.ports[port].fifo.push_back(id);
+            let live = self.ports[port].live;
+            self.with_drain(port, |d, q, free_at| d.admit(q, free_at, port));
+            self.pushed_at_admit += u32::from(self.ports[port].live > live);
+        }
+
+        fn wake(&mut self, port: usize) {
+            let live = self.ports[port].live;
+            if self.with_drain(port, |d, q, _| d.wake(q, port)) {
+                self.inlined += 1;
+                self.pull(port);
+            } else {
+                self.pushed_at_wake += u32::from(self.ports[port].live > live);
+            }
+        }
+
+        /// Sizes and latencies are a few nanoseconds, some latencies zero,
+        /// so departures, deliveries and arrivals keep colliding.
+        fn pull(&mut self, port: usize) {
+            let now = self.q.now();
+            let p = &mut self.ports[port];
+            let Some(id) = p.fifo.pop_front() else {
+                p.drain.popped_empty();
+                return;
+            };
+            assert!(p.free_at <= now, "pulled onto a busy link");
+            let departed = now + Ns(1 + u64::from(id % 3));
+            p.free_at = departed;
+            let more = !p.fifo.is_empty();
+            self.seen.push((now, "pull", port, id));
+            let arrived = departed + Ns(port as u64 % 3);
+            self.q.schedule(arrived, DEv::Onward { port, id });
+            self.with_drain(port, |d, q, _| d.pulled(q, departed, more, port));
+        }
+    }
+
+    /// Drives `D` through a seeded script of unicast and multicast
+    /// arrivals, two-hop forwarding and unrelated events on a time axis
+    /// coarse enough that most instants hold several events, with idle
+    /// gaps long enough for parked keys to pass.
+    fn drive_drains<D: DrainImpl>(seed: u64) -> (Harness<D>, u64) {
+        let mut rng = SimRng::new(seed);
+        let mut h = Harness::<D> {
+            q: EventQueue::new(),
+            ports: (0..PORTS).map(|_| Port::default()).collect(),
+            seen: Vec::new(),
+            max_live: 0,
+            pushed_at_admit: 0,
+            pushed_at_wake: 0,
+            inlined: 0,
+        };
+        let (mut next_id, mut noise, mut ticks) = (0u32, 0u32, 0u32);
+        h.q.schedule(Ns(1), DEv::Tick);
+        while let Some((now, ev)) = h.q.pop() {
+            match ev {
+                DEv::Noise(n) => h.seen.push((now, "noise", 0, n)),
+                DEv::Drain(port) => {
+                    h.ports[port].live -= 1;
+                    h.pull(port);
+                }
+                DEv::Arrive { port, copies, id } => {
+                    // Every copy is queued before any port is woken.
+                    for c in 0..copies {
+                        h.admit(port + c, id + c as u32);
+                    }
+                    // Sometimes the handler pushes for this instant before
+                    // it settles the wake-ups: they were reserved first.
+                    if id % 3 == 0 {
+                        h.q.schedule(now, DEv::Noise(1_000_000 + id));
+                    }
+                    for c in 0..copies {
+                        h.wake(port + c);
+                    }
+                }
+                DEv::Onward { port, id } => {
+                    h.seen.push((now, "onward", port, id));
+                    // Half the packets take a second hop, admitted by the
+                    // handler of their delivery as a fabric switch does.
+                    if port + 1 < PORTS && id % 2 == 0 {
+                        h.admit(port + 1, id);
+                        h.wake(port + 1);
+                    }
+                }
+                DEv::Tick => {
+                    for _ in 0..=rng.gen_range(3) {
+                        let at = now + Ns(rng.gen_range(5));
+                        if rng.gen_range(4) == 0 {
+                            noise += 1;
+                            h.q.schedule(at, DEv::Noise(noise));
+                            continue;
+                        }
+                        let copies = if rng.gen_range(4) == 0 { PORTS } else { 1 };
+                        let port = rng.gen_range((PORTS - copies + 1) as u64) as usize;
+                        let id = next_id;
+                        next_id += copies as u32;
+                        h.q.schedule(at, DEv::Arrive { port, copies, id });
+                    }
+                    ticks += 1;
+                    if ticks < 600 {
+                        let gap = if rng.gen_range(3) == 0 { 60 } else { 6 };
+                        h.q.schedule(now + Ns(rng.gen_range(gap)), DEv::Tick);
+                    }
+                }
+            }
+        }
+        assert!(h.ports.iter().all(|p| p.fifo.is_empty() && p.live == 0));
+        let pops = h.q.events_processed();
+        (h, pops)
+    }
+
+    #[test]
+    fn drain_slot_pulls_exactly_where_eager_draining_does() {
+        let (mut slot_pops, mut eager_pops) = (0, 0);
+        for seed in 0..64 {
+            let (eager, e_pops) = drive_drains::<EagerDrain>(0xd4a1_0000 + seed);
+            let (slot, s_pops) = drive_drains::<DrainSlot>(0xd4a1_0000 + seed);
+            let first_diff = slot.seen.iter().zip(&eager.seen).position(|(a, b)| a != b);
+            if let Some(i) = first_diff {
+                panic!(
+                    "seed {seed}: record {i} is {:?} with the slot, {:?} eagerly",
+                    slot.seen[i], eager.seen[i]
+                );
+            }
+            assert_eq!(slot.seen.len(), eager.seen.len(), "seed {seed}");
+            assert_eq!(slot.max_live, 1, "seed {seed}: one heap entry per port");
+            let pulls = slot.seen.iter().filter(|r| r.1 == "pull").count();
+            assert!(pulls > 500, "seed {seed}: {pulls} pulls prove little");
+            // Every path of the slot is taken often: the drain pushed under
+            // a parked key, the wake-up pushed on a tie, the pull in place.
+            for taken in [slot.pushed_at_admit, slot.pushed_at_wake, slot.inlined] {
+                assert!(taken > 100, "seed {seed}: a path taken {taken} times");
+            }
+            slot_pops += s_pops;
+            eager_pops += e_pops;
+        }
+        assert!(
+            slot_pops * 10 < eager_pops * 9,
+            "{slot_pops} vs {eager_pops}"
         );
     }
 

@@ -9,8 +9,9 @@
 //!
 //! * [`time::Ns`] — nanosecond simulation time,
 //! * [`engine::EventQueue`] — a deterministic event queue with FIFO
-//!   tie-breaking for simultaneous events, and [`engine::TimerSlot`], the
-//!   one-heap-entry re-armable timer built on it,
+//!   tie-breaking for simultaneous events, with [`engine::TimerSlot`], the
+//!   one-heap-entry re-armable timer, and [`engine::DrainSlot`], the port
+//!   drain that holds no entry while its output is idle, built on it,
 //! * [`packet::Packet`] — segment metadata (no payload bytes are simulated),
 //! * [`link::Link`] — rate + propagation-delay links with serialization,
 //! * [`switch::SharedBufferSwitch`] — a shared-memory ToR switch with
@@ -49,7 +50,7 @@ pub mod switch;
 pub mod time;
 pub mod topology;
 
-pub use engine::{EventQueue, TimerSlot};
+pub use engine::{DrainSlot, EventQueue, TimerSlot};
 pub use host::{Host, HostId};
 pub use link::Link;
 /// Re-exported from `ms-telemetry`: the drop taxonomy shared by

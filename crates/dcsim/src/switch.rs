@@ -43,10 +43,6 @@ use std::collections::VecDeque;
 /// the dropping flow's own share vs competing flows'.
 const ARRIVAL_WINDOW: usize = 32;
 
-/// Number of preceding trace-bus events packed into a forensic record's
-/// `recent_kinds` flight recorder (one kind code per byte of a `u64`).
-const RECENT_KINDS: usize = 8;
-
 /// Static configuration of the shared-memory switch.
 #[derive(Debug, Clone)]
 pub struct SwitchConfig {
@@ -580,13 +576,7 @@ impl SharedBufferSwitch {
                     if self.forensics_on {
                         // Pack the flight recorder *before* the drop event
                         // lands on the bus: "the preceding N events".
-                        let mut recent = 0u64;
-                        for i in 0..RECENT_KINDS {
-                            match tr.bus.recent(i) {
-                                Some(ev) => recent |= u64::from(ev.kind_code()) << (8 * i),
-                                None => break,
-                            }
-                        }
+                        let recent = tr.bus.recent_kinds();
                         let flow = pkt.flow.0;
                         let (self_bytes, other_bytes, competing) =
                             self.arrival_shares(quadrant, flow);

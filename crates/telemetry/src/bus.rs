@@ -443,6 +443,20 @@ impl TraceBus {
         Some(&self.ring[idx])
     }
 
+    /// Kind codes of the eight newest events, one per byte, newest in the
+    /// low byte: the flight record a drop forensic keeps of what preceded
+    /// it (`DropForensic::recent_kinds`). Call it before recording the drop.
+    pub fn recent_kinds(&self) -> u64 {
+        let mut packed = 0u64;
+        for i in 0..8 {
+            match self.recent(i) {
+                Some(ev) => packed |= u64::from(ev.kind_code()) << (8 * i),
+                None => break,
+            }
+        }
+        packed
+    }
+
     /// Forgets all held events (counters keep accumulating).
     pub fn clear(&mut self) {
         self.head = 0;
@@ -630,5 +644,8 @@ mod tests {
         }
         assert_eq!(bus.recent(4), None);
         assert_eq!(TraceBus::with_capacity(0).recent(0), None);
+        // Four `RtoFired` (code 9) held, one per byte from the low end.
+        assert_eq!(bus.recent_kinds(), 0x0909_0909);
+        assert_eq!(TraceBus::with_capacity(0).recent_kinds(), 0);
     }
 }

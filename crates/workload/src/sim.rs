@@ -29,8 +29,8 @@ use ms_dcsim::link::Pacer;
 use ms_dcsim::packet::{NodeId, PacketKind};
 use ms_dcsim::Direction::{Egress, Ingress};
 use ms_dcsim::{
-    Bps, Bytes, Direction, EngineProfile, EventQueue, FlowId, Host, Link, Ns, Packet, RackConfig,
-    SharedBufferSwitch, SimRng, TimerSlot,
+    Bps, Bytes, Direction, DrainSlot, EngineProfile, EventQueue, FlowId, Host, Link, Ns, Packet,
+    RackConfig, SharedBufferSwitch, SimRng, TimerSlot,
 };
 use ms_telemetry::{
     DropCause, DropForensic, DropReason, PerfettoMeta, SharedTelemetry, Telemetry, TelemetryConfig,
@@ -353,13 +353,13 @@ struct TrunkState {
     fifo: std::collections::VecDeque<Packet>,
     occupancy: Bytes,
     link: Link,
-    draining: bool,
+    drain: DrainSlot,
     /// Packets dropped at the fabric hop.
     drops: u64,
 }
 
 /// One switch of the mesh: the shared-buffer ASIC plus one egress link
-/// and drain flag per port.
+/// and drain slot per port.
 #[derive(Debug)]
 struct PlaneSwitch {
     /// Tier + index (cached inverse of the flat ordinal).
@@ -368,7 +368,7 @@ struct PlaneSwitch {
     /// Per-port egress links (host-facing ports run at server rate, all
     /// inter-switch ports at the tree's link rate).
     links: Vec<Link>,
-    draining: Vec<bool>,
+    drains: Vec<DrainSlot>,
 }
 
 impl RackSim {
@@ -409,7 +409,7 @@ impl RackSim {
                 fifo: std::collections::VecDeque::new(),
                 occupancy: Bytes::ZERO,
                 link: Link::new(fc.rate_bps, Ns::from_micros(5)),
-                draining: false,
+                drain: DrainSlot::default(),
                 drops: 0,
             }),
             _ => None,
@@ -463,7 +463,7 @@ impl RackSim {
                 },
                 switch: SharedBufferSwitch::new(cfg.rack.switch.clone()),
                 links: (0..ports).map(|_| host_link()).collect(),
-                draining: vec![false; ports],
+                drains: vec![DrainSlot::default(); ports],
             };
             return (vec![tor], None);
         };
@@ -500,7 +500,7 @@ impl RackSim {
                     id,
                     switch,
                     links,
-                    draining: vec![false; ports],
+                    drains: vec![DrainSlot::default(); ports],
                 }
             })
             .collect();
@@ -864,12 +864,6 @@ impl RackSim {
         self.hosts[server].set_stall(from, to);
     }
 
-    /// Direct read access to a host's sampler output (for examples/tests).
-    pub fn read_filter(&self, server: usize) -> Option<millisampler::HostSeries> {
-        // simlint: allow(cast-truncation): server indices are < rack size
-        self.filters[server].read(server as u32)
-    }
-
     // ----- internal plumbing -------------------------------------------
 
     /// Records `pkt` at `server`'s tc hook. Takes the two per-host tables
@@ -957,16 +951,7 @@ impl RackSim {
         let ns = now.as_nanos();
         // With forensics on, pack the preceding bus events *before* this
         // drop lands.
-        let recent_kinds = (tr.forensics.capacity() > 0).then(|| {
-            let mut recent = 0u64;
-            for i in 0..8 {
-                match tr.bus.recent(i) {
-                    Some(ev) => recent |= u64::from(ev.kind_code()) << (8 * i),
-                    None => break,
-                }
-            }
-            recent
-        });
+        let recent_kinds = (tr.forensics.capacity() > 0).then(|| tr.bus.recent_kinds());
         tr.bus.record(TraceEvent::PacketDrop {
             ns,
             queue,
@@ -1018,23 +1003,24 @@ impl RackSim {
         }
         trunk.occupancy += Bytes(u64::from(pkt.size));
         trunk.fifo.push_back(pkt);
-        if !trunk.draining {
-            trunk.draining = true;
-            let at = trunk.link.idle_at().max(now);
-            self.q.schedule(at, Ev::TrunkDrain);
+        trunk.drain.admit(&mut self.q, || Ev::TrunkDrain);
+        if trunk.drain.wake(&mut self.q, || Ev::TrunkDrain) {
+            self.handle_trunk_drain(now);
         }
     }
 
     fn handle_trunk_drain(&mut self, now: Ns) {
         let trunk = self.trunk.as_mut().expect("trunk event without a trunk");
         let Some(pkt) = trunk.fifo.pop_front() else {
-            trunk.draining = false;
+            debug_assert!(false, "trunk drain with nothing to pull");
+            trunk.drain = DrainSlot::default();
             return;
         };
         trunk.occupancy -= Bytes(u64::from(pkt.size));
         let (departed, arrived) = trunk.link.transmit(now, pkt.size);
         self.q.schedule(arrived, Ev::SwArrive { sw: 0, pkt });
-        self.q.schedule(departed, Ev::TrunkDrain);
+        let (slot, more) = (&mut trunk.drain, !trunk.fifo.is_empty());
+        slot.pulled(departed, &mut self.q, more, || Ev::TrunkDrain);
     }
 
     /// One switch hop: pick the egress port — in a routed tree the
@@ -1047,14 +1033,21 @@ impl RackSim {
     fn arrive(&mut self, sw: u32, pkt: Packet, now: Ns) {
         debug_assert_ne!(pkt.kind, PacketKind::Ack, "ACKs bypass switch ingress");
         if pkt.kind == PacketKind::Multicast {
-            let members = self.nodes[sw as usize]
-                .switch
-                .multicast_members(pkt.dst)
-                .to_vec();
-            for queue in members {
-                let mut copy = pkt;
-                copy.dst = queue as NodeId;
-                self.offer(sw, copy.dst, copy, now);
+            // Every copy is queued before any port is woken: admission
+            // sees the occupancy, and the pulls the order, they always had.
+            let member = |sim: &Self, i: usize| {
+                let members = sim.nodes[sw as usize].switch.multicast_members(pkt.dst);
+                members.get(i).map(|&queue| queue as NodeId)
+            };
+            let mut copies = 0;
+            while let Some(dst) = member(self, copies) {
+                self.offer(sw, dst, Packet { dst, ..pkt }, now);
+                copies += 1;
+            }
+            for i in 0..copies {
+                if let Some(dst) = member(self, i) {
+                    self.wake(sw, dst, now);
+                }
             }
             return;
         }
@@ -1077,18 +1070,26 @@ impl RackSim {
             }
         };
         self.offer(sw, port, pkt, now);
+        self.wake(sw, port, now);
     }
 
-    /// Offers `pkt` to egress queue `port` of switch `sw` and wakes the
-    /// port's drain if it was idle. Drops are silent here (the switch
+    /// Offers `pkt` to egress queue `port` of switch `sw`; the caller
+    /// follows with [`RackSim::wake`]. Drops are silent here (the switch
     /// records the forensic; transport recovers end to end).
     fn offer(&mut self, sw: u32, port: u32, pkt: Packet, now: Ns) {
         let node = &mut self.nodes[sw as usize];
         let p = port as usize;
-        if node.switch.try_enqueue(p, pkt, now).accepted() && !node.draining[p] {
-            node.draining[p] = true;
-            let at = node.links[p].idle_at().max(now);
-            self.q.schedule(at, Ev::SwDrain { sw, port });
+        if node.switch.try_enqueue(p, pkt, now).accepted() {
+            node.drains[p].admit(&mut self.q, || Ev::SwDrain { sw, port });
+        }
+    }
+
+    /// Starts an idle port that [`RackSim::offer`] just fed: pulls here
+    /// and now when its wake-up would be the next event anyway.
+    fn wake(&mut self, sw: u32, port: u32, now: Ns) {
+        let slot = &mut self.nodes[sw as usize].drains[port as usize];
+        if slot.wake(&mut self.q, || Ev::SwDrain { sw, port }) {
+            self.drain(sw, port, now);
         }
     }
 
@@ -1099,7 +1100,8 @@ impl RackSim {
         let node = &mut self.nodes[sw as usize];
         let p = port as usize;
         let Some(pkt) = node.switch.dequeue(p, now) else {
-            node.draining[p] = false;
+            debug_assert!(false, "mesh drain with nothing to pull");
+            node.drains[p] = DrainSlot::default();
             return;
         };
         let (departed, arrived) = node.links[p].transmit(now, pkt.size);
@@ -1114,7 +1116,8 @@ impl RackSim {
             None => Ev::HostDeliver { pkt },
         };
         self.q.schedule(arrived, onward);
-        self.q.schedule(departed, Ev::SwDrain { sw, port });
+        let more = node.switch.queue_len(p) > 0;
+        node.drains[p].pulled(departed, &mut self.q, more, || Ev::SwDrain { sw, port });
     }
 
     fn handle_alpha_tune(&mut self, now: Ns) {
@@ -1298,8 +1301,9 @@ impl RackSim {
         let Some(state) = self.flows.get_mut(&flow) else {
             return; // flow already torn down (late duplicate)
         };
+        let ack_delay = state.ack_delay;
         if let Some(ack) = state.receiver.on_data(now, &pkt) {
-            self.emit_ack(server, ack, now);
+            self.emit_ack(server, ack, ack_delay, now);
         }
         self.sync_receiver_timer(flow);
     }
@@ -1360,18 +1364,14 @@ impl RackSim {
         }
     }
 
-    fn emit_ack(&mut self, server: usize, ack: Packet, now: Ns) {
+    /// Sends `ack` up `server`'s uplink, then over the uncongested reverse
+    /// path (ToR → fabric → source) in its flow's static `ack_delay`.
+    fn emit_ack(&mut self, server: usize, ack: Packet, ack_delay: Ns, now: Ns) {
         Self::record_host(&self.hosts, &mut self.filters, server, now, Egress, &ack);
         self.hosts[server].note_tx(ack.size);
         let (_dep, arrive_at_tor) = self.hosts[server].uplink_mut().transmit(now, ack.size);
-        // Reverse path: ToR → fabric → source, uncongested. The static
-        // delay is per-flow (fat-tree flows walk their real hop count).
-        let delay = self
-            .flows
-            .get(&ack.flow.0)
-            .map_or(self.cfg.rack.fabric_delay, |s| s.ack_delay);
         self.q
-            .schedule(arrive_at_tor + delay, Ev::SourceDeliver { pkt: ack });
+            .schedule(arrive_at_tor + ack_delay, Ev::SourceDeliver { pkt: ack });
     }
 
     fn handle_source_deliver(&mut self, ack: Packet, now: Ns) {
@@ -1406,21 +1406,18 @@ impl RackSim {
     }
 
     fn handle_receiver_timer(&mut self, flow: u64, now: Ns) {
-        let (server, ack) = {
-            let Some(state) = self.flows.get_mut(&flow) else {
-                return;
-            };
-            let fires = state
-                .receiver_timer
-                .on_pop(&mut self.q, || Ev::ReceiverTimer { flow: FlowId(flow) });
-            if !fires {
-                return;
-            }
-            let server = state.sender.dst() as usize;
-            (server, state.receiver.on_timer(now))
+        let Some(state) = self.flows.get_mut(&flow) else {
+            return;
         };
-        if let Some(ack) = ack {
-            self.emit_ack(server, ack, now);
+        let fires = state
+            .receiver_timer
+            .on_pop(&mut self.q, || Ev::ReceiverTimer { flow: FlowId(flow) });
+        if !fires {
+            return;
+        }
+        let (server, ack_delay) = (state.sender.dst() as usize, state.ack_delay);
+        if let Some(ack) = state.receiver.on_timer(now) {
+            self.emit_ack(server, ack, ack_delay, now);
         }
         self.sync_receiver_timer(flow);
     }
@@ -2132,10 +2129,7 @@ mod tests {
         let mut sim = b.build();
         let report = sim.run_sync_window(0);
         assert_eq!(report.conns_completed, 2);
-        let count = |event: &str| {
-            let kind = EV_KINDS.iter().position(|&(_, ev)| ev == event).unwrap();
-            sim.profile().count(kind)
-        };
+        let count = dispatches(&sim);
         let timers = count("SenderTimer") + count("ReceiverTimer");
         let delivered = count("HostDeliver");
         assert!(delivered > 1_000, "{delivered} packets delivered");
@@ -2145,6 +2139,77 @@ mod tests {
         );
         let depth = sim.q.depth_high_water();
         assert!(depth < 1_000, "heap grew to {depth} entries");
+    }
+
+    /// Dispatch counts of `sim` by profiler event name.
+    fn dispatches(sim: &RackSim) -> impl Fn(&str) -> u64 + '_ {
+        |event| {
+            let kind = EV_KINDS.iter().position(|&(_, ev)| ev == event).unwrap();
+            sim.profile().count(kind)
+        }
+    }
+
+    #[test]
+    fn packet_on_an_idle_port_costs_one_switch_dispatch() {
+        // Keepalives 125 µs apart per server meet an empty queue on a free
+        // link: the arrival pulls in place and the trailing drain is
+        // parked, so a packet is Chatter → TorArrive → HostDeliver.
+        let mut b = quick(37);
+        for server in 0..8 {
+            b.chatter(server, 40, 8_000);
+        }
+        let mut sim = b.build();
+        let report = sim.run_sync_window(0);
+        let count = dispatches(&sim);
+        let delivered = count("HostDeliver");
+        assert!(delivered > 10_000, "{delivered} packets delivered");
+        assert_eq!(report.switch_discard_bytes, 0);
+        // Admitted = delivered, but for packets on a wire as the window
+        // closes (one per port at most, at this load).
+        let admitted = report.switch_ingress_bytes / 200;
+        assert!((delivered..=delivered + 8).contains(&admitted));
+        let drains = count("TorDrain");
+        assert!(
+            drains * 100 <= delivered,
+            "{drains} drain dispatches for {delivered} packets on idle ports"
+        );
+        // Three per packet; the slack is drains, the chatter events and
+        // arrivals of packets still under way, and EnableSamplers.
+        let total = sim.profile().total_dispatches();
+        assert!(
+            (3 * delivered..=3 * delivered + drains + 17).contains(&total),
+            "{total} dispatches for {delivered} packets"
+        );
+    }
+
+    #[test]
+    fn saturated_port_keeps_one_drain_per_packet() {
+        // 100 datagrams released at twice the downlink rate into one port.
+        // The pacer's burst allowance lets the first two go together, so
+        // the first arrival has a tie at its instant and pushes its
+        // wake-up; every later packet waits for the drain its
+        // predecessor's pull scheduled; the last pull parks.
+        let mut b = quick(38);
+        b.join_multicast(9, 5).multicast_burst(
+            Ns::from_millis(30),
+            9,
+            100,
+            1500,
+            Bps(25_000_000_000),
+        );
+        let mut sim = b.build();
+        let report = sim.run_sync_window(0);
+        let count = dispatches(&sim);
+        assert_eq!(count("HostDeliver"), 100);
+        assert_eq!(count("TorArrive"), 100);
+        assert_eq!(count("TorDrain"), 100);
+        assert_eq!(
+            report.switch_ingress_bytes,
+            100 * 1500,
+            "admitted = delivered"
+        );
+        assert_eq!(report.switch_discard_bytes, 0);
+        assert!(sim.nodes[0].switch.queue_stats(5).max_occupancy > Bytes(30_000));
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //! the ring, so it showed in the `recent_kinds` flight record of drops
 //! that follow an idle port: the fat-tree and GRO/NIC-drop rows moved
 //! (with `recent_kinds` masked, all eight rows matched the parent) and
-//! no `EVENTS` row did.
+//! no `EVENTS` row did. The drain change itself (`dcsim::DrainSlot`) then
+//! lowered every `EVENTS` row and touched no `GOLDEN` row.
 
 use ms_analysis::analyze_run;
 use ms_dcsim::{Bps, Bytes, Ns};
@@ -300,14 +301,14 @@ const GOLDEN: &[Case] = &[
 /// case, in the same order: how many engine dispatches and of which
 /// kinds, not behaviour.
 const EVENTS: &[(u64, u64)] = &[
-    (46_550, 0xd083_6263_6378_09a0),
-    (58_304, 0xa8da_e01d_520c_4c10),
-    (28_407, 0xcaac_699a_43a8_74d7),
-    (65_809, 0xc07f_abd4_8bd9_333f),
-    (60_332, 0xb635_a57c_9c05_2fc9),
-    (201_954, 0x1882_b2d7_ed89_6ec6),
-    (72_661, 0x5536_a3e2_adf2_2be5),
-    (21_614, 0xed00_9da4_c6fc_3876),
+    (45_912, 0x6503_5d9e_b998_1b70),
+    (57_632, 0x0a73_615c_5aa5_a480),
+    (27_891, 0x7e5d_9b62_b84f_e8cb),
+    (65_117, 0xbd58_6f1f_34c7_abec),
+    (50_832, 0x7deb_4224_e65f_16d3),
+    (164_645, 0x581d_3fc2_7056_6eef),
+    (40_318, 0xb5e2_a0eb_7732_3386),
+    (15_663, 0x8cf5_f2c0_e52d_c721),
 ];
 
 #[test]
