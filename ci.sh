@@ -93,6 +93,21 @@ cargo run -q --release -p ms-fleet --bin fleet -- \
     --csv "$FLEET_CSV" --bench "$FLEET_BENCH"
 rm -f "$FLEET_CSV" "$FLEET_BENCH"
 
+echo "==> repro smoke (three exhibits, thread-count byte-identity)"
+# The exhibit binary end to end on a 6-rack region: the CSVs it writes
+# must not depend on how many workers ran the sweep.
+REPRO_TMP="${TMPDIR:-/tmp}/ms_repro_smoke"
+rm -rf "$REPRO_TMP"
+cargo run -q --release -p ms-bench --bin repro -- \
+    --racks 6 --servers 8 --buckets 120 --threads 1 \
+    --out "$REPRO_TMP/A" table1 fig9 table2 > /dev/null
+cargo run -q --release -p ms-bench --bin repro -- \
+    --racks 6 --servers 8 --buckets 120 --threads 2 \
+    --out "$REPRO_TMP/B" table1 fig9 table2 > /dev/null
+diff -r "$REPRO_TMP/A" "$REPRO_TMP/B"
+test -s "$REPRO_TMP/A/table2.csv"
+rm -rf "$REPRO_TMP"
+
 echo "==> lake smoke (writer determinism + query fidelity + compression bench)"
 LAKE_TMP="${TMPDIR:-/tmp}/ms_lake_smoke"
 rm -rf "$LAKE_TMP"

@@ -77,7 +77,6 @@ impl Opts {
             hours,
             scenario: self.scenario(),
             seed: self.seed,
-            loss_slack: 5,
             threads: self.threads,
         }
     }

@@ -5,13 +5,16 @@
 //! microbenchmarks:
 //!
 //! * [`sweep`] — runs whole-region SyncMillisampler sweeps (every rack ×
-//!   selected hours), in parallel across std scoped worker threads,
+//!   selected hours) as cells of the `ms-fleet` runner: described with
+//!   `rack_spec_for`, run by `ms_fleet::run_cell` on `ms_fleet::run_pool`,
 //!   deterministically regardless of thread count.
 //! * [`report`] — row/CSV formatting helpers so every experiment both
 //!   prints the paper-style series and leaves a machine-readable file
 //!   under `results/`.
-//! * [`micro`] — the dependency-free wall-clock harness behind the
-//!   `benches/` targets (the workspace builds offline, so no Criterion).
+//! * [`micro`] — the dependency-free wall-clock harness behind
+//!   `repro perf` and the `ablations` bench target (the workspace builds
+//!   offline, so no Criterion). Per-layer timings with a history live in
+//!   the benchmark package, `perf/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

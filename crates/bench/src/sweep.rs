@@ -1,9 +1,11 @@
-//! Region-scale sweeps: every rack × selected hours, in parallel.
+//! Region-scale sweeps: every rack × selected hours, as cells of the
+//! `ms-fleet` runner ([`run_cell`] on [`run_pool`]).
 
 use ms_analysis::dataset::RackHourObservation;
-use ms_analysis::{analyze_run, RackCategory, RunOutcome};
+use ms_analysis::RackCategory;
+use ms_fleet::{run_cell, run_pool, FleetCell, FleetConfig};
 use ms_workload::placement::{build_region, RackClass, RegionKind, RegionSpec};
-use ms_workload::scenario::{rack_sim_for, ScenarioConfig};
+use ms_workload::scenario::{rack_spec_for, ScenarioConfig};
 use std::collections::BTreeSet;
 
 /// Configuration of a sweep.
@@ -20,9 +22,6 @@ pub struct SweepConfig {
     pub scenario: ScenarioConfig,
     /// Experiment seed.
     pub seed: u64,
-    /// Loss-association slack in buckets (§8 methodology; 5 × 1 ms covers
-    /// the 4 ms min-RTO).
-    pub loss_slack: usize,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
 }
@@ -35,27 +34,8 @@ impl Default for SweepConfig {
             hours: vec![7],
             scenario: ScenarioConfig::default(),
             seed: 42,
-            loss_slack: 5,
             threads: 0,
         }
-    }
-}
-
-impl SweepConfig {
-    /// Effective worker thread count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
-    }
-
-    /// Server link rate used by the analyses.
-    pub fn link_bps(&self) -> ms_workload::Bps {
-        ms_workload::Bps(12_500_000_000)
     }
 }
 
@@ -118,69 +98,41 @@ impl RegionData {
 /// value in it) is independent of thread count.
 pub fn sweep_region(kind: RegionKind, cfg: &SweepConfig) -> RegionData {
     let spec = build_region(kind, cfg.racks, cfg.servers, cfg.seed);
-    let link = cfg.link_bps();
 
-    let mut cells: Vec<(u32, usize)> = Vec::new();
-    for rack in 0..cfg.racks as u32 {
+    let mut keys: Vec<(u32, usize)> = Vec::new();
+    let mut cells: Vec<FleetCell> = Vec::new();
+    for rack in &spec.racks {
         for &hour in &cfg.hours {
-            cells.push((rack, hour));
+            keys.push((rack.rack_id, hour));
+            cells.push(FleetCell {
+                label: format!("rack{}-h{hour}", rack.rack_id),
+                spec: rack_spec_for(rack, &spec.diurnal, hour, 0, &cfg.scenario),
+            });
         }
     }
 
-    let (tx, rx) = std::sync::mpsc::channel::<RackHourObservation>();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let threads = cfg.effective_threads();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cells = &cells;
-            let spec = &spec;
-            let next = &next;
-            scope.spawn(move || {
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let (rack_id, hour) = cells[i];
-                    let rack_spec = &spec.racks[rack_id as usize];
-                    let mut sim = rack_sim_for(rack_spec, &spec.diurnal, hour, 0, &cfg.scenario);
-                    let report = sim.run_sync_window(rack_id);
-                    let analysis = match &report.rack_run {
-                        Some(run) => analyze_run(run, link, cfg.loss_slack),
-                        None => {
-                            // A silent rack: an empty analysis.
-                            let empty = millisampler::AlignedRackRun {
-                                rack: rack_id,
-                                start: ms_dcsim::Ns::ZERO,
-                                interval: cfg.scenario.interval,
-                                servers: Vec::new(),
-                            };
-                            analyze_run(&empty, link, cfg.loss_slack)
-                        }
-                    };
-                    let outcome = RunOutcome::from_analysis(
-                        &analysis,
-                        report.switch_ingress_bytes,
-                        report.switch_discard_bytes,
-                        report.flows_started,
-                        report.conns_completed,
-                        report.events,
-                    );
-                    let _ = tx.send(RackHourObservation {
-                        rack_id,
-                        hour,
-                        analysis,
-                        outcome,
-                    });
-                }
-            });
-        }
-        drop(tx);
+    let fleet = FleetConfig {
+        jobs: cfg.threads,
+        ..FleetConfig::default()
+    };
+    let runs = run_pool(&cells, &fleet, |_, idx| {
+        let run = run_cell(&cells[idx].spec, keys[idx].0, &fleet);
+        (run.analysis, run.outcome)
     });
-
-    let mut obs: Vec<RackHourObservation> = rx.into_iter().collect();
+    let mut obs: Vec<RackHourObservation> = keys
+        .iter()
+        .zip(runs)
+        .map(|(&(rack_id, hour), run)| {
+            let (analysis, outcome) =
+                run.unwrap_or_else(|message| panic!("rack {rack_id} hour {hour}: {message}"));
+            RackHourObservation {
+                rack_id,
+                hour,
+                analysis,
+                outcome,
+            }
+        })
+        .collect();
     obs.sort_by_key(|o| (o.rack_id, o.hour));
 
     RegionData {
@@ -206,7 +158,6 @@ mod tests {
                 ..ScenarioConfig::default()
             },
             seed: 7,
-            loss_slack: 5,
             threads: 2,
         }
     }

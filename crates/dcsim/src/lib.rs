@@ -24,9 +24,10 @@
 //!   steering across simulated CPUs, and a host clock with injectable skew,
 //! * [`fault`] — fault injection (random drop, NIC stalls) in the style of
 //!   smoltcp's example fault injectors,
-//! * [`topology::RackConfig`] — the numeric rack configuration from §3 of
-//!   the paper (12.5 Gbps server links, 16 MB buffer in four 4 MB quadrants,
-//!   ~3.6 MB shared per quadrant, α = 1, 120 KB ECN threshold).
+//! * [`SwitchConfig::meta_tor`] and the constants beside it — the numeric
+//!   deployment of §3 of the paper (12.5 Gbps server links, four CPUs per
+//!   server, 16 MB buffer in four 4 MB quadrants, ~3.6 MB shared per
+//!   quadrant, α = 1, 120 KB ECN threshold).
 //!
 //! The simulator is *sans-io* in spirit: this crate owns no main loop.
 //! Higher layers (`ms-transport`, `ms-workload`) pull events from the queue
@@ -42,13 +43,11 @@ pub mod fault;
 pub mod host;
 pub mod link;
 pub mod packet;
-pub mod pcap;
 pub mod policy;
 pub mod profile;
 pub mod rng;
 pub mod switch;
 pub mod time;
-pub mod topology;
 
 pub use engine::{DrainSlot, EventQueue, TimerSlot};
 pub use host::{Host, HostId};
@@ -64,6 +63,8 @@ pub use policy::{
 };
 pub use profile::EngineProfile;
 pub use rng::SimRng;
-pub use switch::{EnqueueOutcome, SharedBufferSwitch, SwitchConfig};
+pub use switch::{
+    EnqueueOutcome, SharedBufferSwitch, SwitchConfig, CPUS_PER_SERVER, FABRIC_DELAY,
+    REMOTE_NIC_BPS, SERVER_LINK_BPS, SERVER_LINK_DELAY,
+};
 pub use time::Ns;
-pub use topology::RackConfig;

@@ -35,13 +35,24 @@ use crate::packet::{EcnCodepoint, Packet};
 use crate::policy::{ActivePolicy, BufferPolicySpec, QueueCtx, SharedCtx};
 use crate::time::Ns;
 use ms_telemetry::{DropCause, DropForensic, DropReason, SharedTelemetry, TraceEvent};
-use ms_units::Bytes;
+use ms_units::{Bps, Bytes};
 use std::collections::VecDeque;
 
 /// Arrivals remembered per quadrant for drop attribution (§8): the
 /// forensic capture scans this window to split recent ingress bytes into
 /// the dropping flow's own share vs competing flows'.
 const ARRIVAL_WINDOW: usize = 32;
+
+/// Simulated CPUs per server (per-CPU Millisampler counters), §3.
+pub const CPUS_PER_SERVER: usize = 4;
+/// Server link rate, §3: a 50 Gbps NIC shared by four servers.
+pub const SERVER_LINK_BPS: Bps = Bps(12_500_000_000);
+/// Server link propagation delay.
+pub const SERVER_LINK_DELAY: Ns = Ns::from_micros(1);
+/// NIC rate of a remote (fabric-side) sender.
+pub const REMOTE_NIC_BPS: Bps = Bps(25_000_000_000);
+/// One-way fabric latency between a remote sender and the ToR.
+pub const FABRIC_DELAY: Ns = Ns::from_micros(20);
 
 /// Static configuration of the shared-memory switch.
 #[derive(Debug, Clone)]
@@ -778,6 +789,26 @@ mod tests {
         // Paper: "about 3.6MB" shared per 4MB quadrant.
         let shared = cfg.shared_capacity().as_u64();
         assert!((3_500_000..=3_800_000).contains(&shared), "shared {shared}");
+    }
+
+    #[test]
+    fn meta_defaults_match_paper() {
+        let cfg = SwitchConfig::meta_tor(32);
+        assert_eq!(SERVER_LINK_BPS, Bps(12_500_000_000));
+        assert_eq!(cfg.policy, BufferPolicySpec::DtAlpha { alpha: 1.0 });
+        assert_eq!(cfg.ecn_threshold, Bytes::from_kib(120));
+        assert_eq!(cfg.quadrant_bytes, Bytes::from_mib(4));
+    }
+
+    #[test]
+    fn one_ms_of_buffer_close_to_max_queue_share() {
+        // §5: switch buffers ~1ms/queue. Max per-queue share at α=1 is
+        // ~1.8MB; 1ms at 12.5Gbps is ~1.56MB: same order, slightly less.
+        let cfg = SwitchConfig::meta_tor(32);
+        let per_ms = Ns::from_millis(1).bytes_at_rate(SERVER_LINK_BPS).as_u64();
+        let max_share = (cfg.shared_capacity() / 2).as_u64();
+        assert!(per_ms as f64 / max_share as f64 > 0.7);
+        assert!((per_ms as f64 / max_share as f64) < 1.3);
     }
 
     #[test]

@@ -15,161 +15,100 @@
 //! the same cells pushed through the same [`SweepAggregate`] without
 //! touching disk, for bit-for-bit comparison with
 //! [`ms_lake::lake_sweep_aggregate`] over the compacted lake.
+//!
+//! Both run their cells with [`run_cell`] on [`run_pool`], like every
+//! other sweep.
 
 use crate::grid::FleetCell;
-use crate::runner::{panic_message, FleetConfig, ShardQueue};
-use ms_analysis::{analyze_run, BurstRow, RunOutcome, SweepAggregate};
-use ms_lake::{CellRows, LakeError, LakeManifest, LakeWriter};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::runner::{pool_workers, run_cell, run_pool, FleetConfig};
+use ms_analysis::{BurstRow, RunAnalysis, SweepAggregate};
+use ms_lake::{CellRows, LakeError, LakeManifest, LakeWriter, ShardWriter};
+use std::sync::{Mutex, PoisonError};
 
-/// Simulates one cell and flattens everything it produces into the
-/// lake's row shapes. Panics inside the simulation are the caller's
-/// concern (wrap in `catch_unwind`).
-fn run_cell_rows(idx: u64, cell: &FleetCell, cfg: &FleetConfig) -> CellRows {
-    let mut sim = cell.spec.build();
-    let report = sim.run_sync_window(0);
-    // Harvest the drop-forensics blackbox before the sim goes away; the
-    // store is empty (capacity 0) unless the spec asked for forensics.
-    let forensics = sim
-        .telemetry()
-        .map(|hub| hub.borrow().forensics.records().to_vec())
-        .unwrap_or_default();
-    match report.rack_run {
-        Some(run) => {
-            let analysis = analyze_run(&run, cfg.link_bps, cfg.loss_slack);
-            let mut outcome = RunOutcome::from_analysis(
-                &analysis,
-                report.switch_ingress_bytes,
-                report.switch_discard_bytes,
-                report.flows_started,
-                report.conns_completed,
-                report.events,
-            );
-            outcome.policy = cell.spec.policy.kind();
-            let bursts = analysis
-                .bursts
-                .iter()
-                // simlint: allow(cast-truncation): grids are far below u32::MAX cells
-                .map(|cb| BurstRow::from_classified(idx as u32, cb))
-                .collect();
-            CellRows {
-                cell: idx,
-                label: cell.label.clone(),
-                outcome: Some(Ok(outcome)),
-                bursts,
-                series: run.servers,
-                forensics,
-            }
-        }
-        None => {
-            // A silent rack still reports its ground-truth counters.
-            let mut o = RunOutcome::empty();
-            o.switch_ingress_bytes = report.switch_ingress_bytes;
-            o.switch_discard_bytes = report.switch_discard_bytes;
-            o.flows_started = report.flows_started;
-            o.conns_completed = report.conns_completed;
-            o.events = report.events;
-            o.policy = cell.spec.policy.kind();
-            CellRows {
-                cell: idx,
-                label: cell.label.clone(),
-                outcome: Some(Ok(o)),
-                bursts: Vec::new(),
-                series: Vec::new(),
-                forensics,
-            }
-        }
-    }
+/// The lake's `bursts` rows of cell `idx`.
+fn burst_rows(idx: usize, analysis: &RunAnalysis) -> Vec<BurstRow> {
+    analysis
+        .bursts
+        .iter()
+        // simlint: allow(cast-truncation): grids are far below u32::MAX cells
+        .map(|cb| BurstRow::from_classified(idx as u32, cb))
+        .collect()
 }
 
 /// Runs every cell, streaming results into per-worker shards of
 /// `writer`'s lake, then compacts. Returns the compacted manifest.
 ///
-/// Cell panics become failed outcome rows (the sweep continues); shard
-/// I/O errors abort the sweep. The compacted segments depend only on
-/// the cells — never on `jobs` or completion order.
+/// Each pool worker appends to the shard of its own index, so encoding
+/// and writing stay on the worker threads and the locks are never
+/// contended. Cell panics become failed outcome rows (the sweep
+/// continues); a shard I/O error fails the sweep. The compacted
+/// segments depend only on the cells — never on `jobs` or completion
+/// order.
 pub fn run_fleet_to_lake(
     cells: &[FleetCell],
     cfg: &FleetConfig,
     writer: &LakeWriter,
 ) -> Result<LakeManifest, LakeError> {
-    let workers = cfg.effective_jobs().min(cells.len()).max(1);
-    let queue = ShardQueue::new(cells.len(), workers);
-    let done = AtomicUsize::new(0);
-    let total = cells.len();
-    let io_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| -> Result<(), LakeError> {
-        for worker in 0..workers {
-            let shard = writer.shard_writer(worker)?;
-            let queue = &queue;
-            let done = &done;
-            let io_errors = &io_errors;
-            scope.spawn(move || {
-                let mut shard = shard;
-                while let Some(idx) = queue.next(worker) {
-                    let cell = &cells[idx];
-                    let rows =
-                        catch_unwind(AssertUnwindSafe(|| run_cell_rows(idx as u64, cell, cfg)))
-                            .unwrap_or_else(|payload| {
-                                CellRows::failed(idx as u64, &cell.label, panic_message(payload))
-                            });
-                    let failed = matches!(rows.outcome, Some(Err(_)));
-                    if let Err(e) = shard.append(&rows) {
-                        let mut errs = io_errors
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        errs.push(format!("worker {worker}: {e}"));
-                        return;
-                    }
-                    if cfg.progress {
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        let status = if failed { "FAILED" } else { "ok" };
-                        eprintln!("[fleet] {finished}/{total} {} {status}", cell.label);
-                    }
-                }
-                if let Err(e) = shard.finish() {
-                    let mut errs = io_errors
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    errs.push(format!("worker {worker}: {e}"));
-                }
-            });
+    let shards = (0..pool_workers(cells.len(), cfg))
+        .map(|worker| writer.shard_writer(worker).map(Mutex::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    let appended = run_pool(cells, cfg, |worker, idx| {
+        let cell = &cells[idx];
+        let rows = {
+            let run = run_cell(&cell.spec, 0, cfg);
+            CellRows {
+                cell: idx as u64,
+                label: cell.label.clone(),
+                bursts: burst_rows(idx, &run.analysis),
+                outcome: Some(Ok(run.outcome)),
+                series: run.series,
+                forensics: run.forensics,
+            }
+        };
+        let mut shard = shards[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        shard.append(&rows)
+    });
+    let mut shards: Vec<ShardWriter> = shards
+        .into_iter()
+        .map(|shard| shard.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect();
+    for (idx, result) in appended.into_iter().enumerate() {
+        match result {
+            Ok(written) => written?,
+            // A panicked cell's failure row is a few bytes; compaction
+            // orders records by cell, so any shard may carry it.
+            Err(message) => {
+                shards[0].append(&CellRows::failed(idx as u64, &cells[idx].label, message))?;
+            }
         }
-        Ok(())
-    })?;
-
-    let errs = io_errors
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if !errs.is_empty() {
-        return Err(LakeError::Invalid(format!(
-            "shard write failed: {}",
-            errs.join("; ")
-        )));
+    }
+    for shard in shards {
+        shard.finish()?;
     }
     writer.compact()
 }
 
 /// The in-memory twin of a lake-backed sweep: runs the same cells
-/// serially and folds their rows straight into a [`SweepAggregate`] —
-/// no disk, no segments. Exists so tests can assert the out-of-core
-/// query result equals the in-memory fold bit for bit.
+/// through the same pool and folds their rows, in cell order, straight
+/// into a [`SweepAggregate`] — no disk, no segments. Exists so tests can
+/// assert the out-of-core query result equals the in-memory fold bit
+/// for bit.
 pub fn run_fleet_in_memory_aggregate(cells: &[FleetCell], cfg: &FleetConfig) -> SweepAggregate {
+    let rows = run_pool(cells, cfg, |_, idx| {
+        let run = run_cell(&cells[idx].spec, 0, cfg);
+        (run.outcome, burst_rows(idx, &run.analysis))
+    });
     let mut agg = SweepAggregate::new();
-    for (idx, cell) in cells.iter().enumerate() {
-        match catch_unwind(AssertUnwindSafe(|| run_cell_rows(idx as u64, cell, cfg))) {
-            Ok(rows) => match rows.outcome {
-                Some(Ok(o)) => {
-                    agg.add_outcome(&o);
-                    for b in &rows.bursts {
-                        agg.add_burst(b);
-                    }
+    for row in rows {
+        match row {
+            Ok((outcome, bursts)) => {
+                agg.add_outcome(&outcome);
+                for b in &bursts {
+                    agg.add_burst(b);
                 }
-                Some(Err(_)) | None => agg.add_failed_cell(),
-            },
+            }
             Err(_) => agg.add_failed_cell(),
         }
     }

@@ -1,22 +1,25 @@
 //! # ms-fleet — parallel multi-rack sweep runner
 //!
-//! Shards independent `RackSim` runs — a seed × α × placement ×
-//! CC-algorithm grid of [`ScenarioSpec`]s — across `std::thread`
-//! workers behind a work-stealing shard queue, then merges the per-run
-//! [`RunOutcome`]s deterministically in grid order. The merged report
-//! is byte-identical regardless of thread count: `--jobs 1` ≡
-//! `--jobs N`.
+//! One road from spec to rows: [`run_cell`] is the single place a
+//! [`ScenarioSpec`] is built, run, analysed and flattened, and
+//! [`run_pool`] the single worker pool every sweep runs its cells on —
+//! independent `RackSim` runs sharded across `std::thread` workers
+//! behind a work-stealing shard queue, results slotted in cell order.
+//! Whatever a sweep keeps per cell, its output is byte-identical
+//! regardless of thread count: `--jobs 1` ≡ `--jobs N`.
 //!
 //! The crate is dependency-free like the rest of the workspace: workers
 //! are scoped `std::thread`s, the queue is `Mutex<VecDeque>` shards,
-//! results travel over `std::sync::mpsc` as codec-encoded `RunOutcome`
-//! bytes, and a panicking cell becomes a failure row instead of tearing
-//! down the sweep.
+//! values travel over one `std::sync::mpsc` channel, and a panicking
+//! cell becomes a failure row instead of tearing down the sweep.
 //!
-//! For sweeps too large to buffer, [`run_fleet_to_lake`] streams every
-//! cell's full rows (outcome, classified bursts, raw series) into an
-//! `ms-lake` columnar lake instead of holding a [`FleetReport`]; the
-//! compacted segments are byte-identical across thread counts.
+//! [`run_fleet`] keeps each cell's [`RunOutcome`] — a seed × α ×
+//! placement × CC-algorithm grid merged into a [`FleetReport`] in grid
+//! order. For sweeps too large to buffer, [`run_fleet_to_lake`] streams
+//! every cell's full rows (outcome, classified bursts, raw series) into
+//! an `ms-lake` columnar lake instead; the compacted segments are
+//! byte-identical across thread counts. `ms-bench`'s region sweep keeps
+//! the analysis and the outcome.
 //!
 //! ```
 //! use ms_fleet::{run_fleet, FleetConfig, FleetGrid};
@@ -42,4 +45,4 @@ pub mod runner;
 pub use grid::{cc_label, cc_parse, FleetCell, FleetGrid, PlacementKind, TopoPoint};
 pub use lake_run::{run_fleet_in_memory_aggregate, run_fleet_to_lake};
 pub use merge::{CellFailure, CellResult, FleetReport};
-pub use runner::{run_fleet, FleetConfig};
+pub use runner::{run_cell, run_fleet, run_pool, CellRun, FleetConfig};

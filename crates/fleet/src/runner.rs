@@ -1,25 +1,27 @@
-//! The parallel executor: work-stealing shard queue, per-cell panic
-//! capture, and the deterministic result merge.
+//! The one road a sweep cell takes — [`run_cell`] — and the one worker
+//! pool every sweep runs on — [`run_pool`].
 //!
-//! Every cell is an independent simulation, so the runner is
+//! Every cell is an independent simulation, so the pool is
 //! embarrassingly parallel: cells are dealt round-robin onto per-worker
 //! deques; a worker pops its own deque from the front and, when empty,
 //! steals from the back of its siblings (classic Chase-Lev shape on
 //! `std` mutexes — the queue holds cell *indices*, so steals move 8
 //! bytes, never scenarios). Workers rebuild each `RackSim` from the
 //! cell's [`ScenarioSpec`] locally, which keeps runs bit-deterministic
-//! no matter which worker executes them, and send back `(index, encoded
-//! RunOutcome)`. The merge slots results by index, so aggregate output
-//! order is grid order — byte-identical whether `jobs` is 1 or 16.
+//! no matter which worker executes them, and send back `(index, value)`.
+//! Results are slotted by index, so aggregate output order is grid
+//! order — byte-identical whether `jobs` is 1 or 16.
 //!
 //! A panicking cell (e.g. an invalid spec) is caught with
-//! `catch_unwind`, converted into a [`CellFailure`], and reported in
-//! place; the other N−1 cells are unaffected.
+//! `catch_unwind` and handed back as its message in place; the other
+//! N−1 cells are unaffected.
 
 use crate::grid::FleetCell;
 use crate::merge::{CellFailure, CellResult, FleetReport};
-use ms_analysis::{analyze_run, RunOutcome};
-use ms_workload::Bps;
+use millisampler::{AlignedRackRun, HostSeries};
+use ms_analysis::{analyze_run, RunAnalysis, RunOutcome};
+use ms_dcsim::{Ns, SERVER_LINK_BPS};
+use ms_workload::{Bps, DropForensic, ScenarioSpec};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,7 +44,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             jobs: 0,
-            link_bps: Bps(12_500_000_000),
+            link_bps: SERVER_LINK_BPS,
             loss_slack: 5,
             progress: false,
         }
@@ -129,38 +131,59 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Simulates one cell and returns its outcome in canonical codec bytes
-/// (the schema asserted byte-identical across thread counts).
-fn run_cell(cell: &FleetCell, cfg: &FleetConfig) -> Vec<u8> {
-    let report = cell.spec.build().run_sync_window(0);
-    let mut outcome = match &report.rack_run {
-        Some(run) => {
-            let analysis = analyze_run(run, cfg.link_bps, cfg.loss_slack);
-            RunOutcome::from_analysis(
-                &analysis,
-                report.switch_ingress_bytes,
-                report.switch_discard_bytes,
-                report.flows_started,
-                report.conns_completed,
-                report.events,
-            )
-        }
-        None => {
-            // A silent rack still reports its ground-truth counters.
-            let mut o = RunOutcome::empty();
-            o.switch_ingress_bytes = report.switch_ingress_bytes;
-            o.switch_discard_bytes = report.switch_discard_bytes;
-            o.flows_started = report.flows_started;
-            o.conns_completed = report.conns_completed;
-            o.events = report.events;
-            o
-        }
-    };
-    outcome.policy = cell.spec.policy.kind();
-    outcome.encode()
+/// Everything one simulated cell hands back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellRun {
+    /// The §6–8 analysis of the sampled window.
+    pub analysis: RunAnalysis,
+    /// Ground truth plus analysis scalars, stamped with the spec's policy.
+    pub outcome: RunOutcome,
+    /// Raw per-host series (empty for a silent rack).
+    pub series: Vec<HostSeries>,
+    /// Classified drop forensics (empty unless the spec captures them).
+    pub forensics: Vec<DropForensic>,
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The single place a cell runs: builds the simulation `spec` describes,
+/// runs its sync window as rack `rack_id`, analyses what the samplers
+/// saw and flattens it. A silent rack analyses the empty run, so its
+/// outcome is the five ground-truth counters over all-zero scalars.
+/// Panics (an invalid spec, a runaway workload) are the caller's to
+/// catch — [`run_pool`] does.
+pub fn run_cell(spec: &ScenarioSpec, rack_id: u32, cfg: &FleetConfig) -> CellRun {
+    let mut sim = spec.build();
+    let report = sim.run_sync_window(rack_id);
+    // Harvest the drop-forensics blackbox before the sim goes away; the
+    // store is empty (capacity 0) unless the spec asked for forensics.
+    let forensics = sim
+        .telemetry()
+        .map(|hub| hub.borrow().forensics.records().to_vec())
+        .unwrap_or_default();
+    let run = report.rack_run.unwrap_or_else(|| AlignedRackRun {
+        rack: rack_id,
+        start: Ns::ZERO,
+        interval: spec.sampler.interval,
+        servers: Vec::new(),
+    });
+    let analysis = analyze_run(&run, cfg.link_bps, cfg.loss_slack);
+    let mut outcome = RunOutcome::from_analysis(
+        &analysis,
+        report.switch_ingress_bytes,
+        report.switch_discard_bytes,
+        report.flows_started,
+        report.conns_completed,
+        report.events,
+    );
+    outcome.policy = spec.policy.kind();
+    CellRun {
+        analysis,
+        outcome,
+        series: run.servers,
+        forensics,
+    }
+}
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -170,32 +193,42 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs every cell and merges the results in grid order.
+/// Workers [`run_pool`] starts for `cells` cells.
+pub(crate) fn pool_workers(cells: usize, cfg: &FleetConfig) -> usize {
+    cfg.effective_jobs().min(cells).max(1)
+}
+
+/// Runs `work(worker, idx)` once per cell on scoped worker threads and
+/// returns the values in cell order; a cell whose `work` panicked holds
+/// the panic message instead. `worker` is below [`pool_workers`] and
+/// names the one thread that calls with it, so per-worker state indexed
+/// by it is never contended.
 ///
-/// The returned [`FleetReport`] depends only on the cells — never on
-/// `jobs`, completion order, or wall-clock — so its CSV/JSON renderings
-/// are byte-identical across thread counts.
-pub fn run_fleet(cells: &[FleetCell], cfg: &FleetConfig) -> FleetReport {
-    let workers = cfg.effective_jobs().min(cells.len()).max(1);
+/// The result depends only on the cells and `work` — never on `jobs`,
+/// completion order, or wall-clock.
+pub fn run_pool<T, F>(cells: &[FleetCell], cfg: &FleetConfig, work: F) -> Vec<Result<T, String>>
+where
+    T: Send,
+    F: Fn(usize, usize) -> T + Sync,
+{
+    let workers = pool_workers(cells.len(), cfg);
     let queue = ShardQueue::new(cells.len(), workers);
     let done = AtomicUsize::new(0);
     let total = cells.len();
-    let (tx, rx) = mpsc::channel::<(usize, Result<Vec<u8>, String>)>();
+    let (tx, rx) = mpsc::channel::<(usize, Result<T, String>)>();
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
             let tx = tx.clone();
-            let queue = &queue;
-            let done = &done;
+            let (queue, done, work) = (&queue, &done, &work);
             scope.spawn(move || {
                 while let Some(idx) = queue.next(worker) {
-                    let cell = &cells[idx];
-                    let result = catch_unwind(AssertUnwindSafe(|| run_cell(cell, cfg)))
-                        .map_err(panic_message);
+                    let result =
+                        catch_unwind(AssertUnwindSafe(|| work(worker, idx))).map_err(panic_message);
                     if cfg.progress {
                         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                         let status = if result.is_ok() { "ok" } else { "FAILED" };
-                        eprintln!("[fleet] {finished}/{total} {} {status}", cell.label);
+                        eprintln!("[fleet] {finished}/{total} {} {status}", cells[idx].label);
                     }
                     let _ = tx.send((idx, result));
                 }
@@ -204,36 +237,35 @@ pub fn run_fleet(cells: &[FleetCell], cfg: &FleetConfig) -> FleetReport {
         drop(tx);
     });
 
-    let mut slots: Vec<Option<Result<Vec<u8>, String>>> = vec![None; cells.len()];
+    let mut slots: Vec<Option<Result<T, String>>> = (0..cells.len()).map(|_| None).collect();
     for (idx, result) in rx {
         slots[idx] = Some(result);
     }
+    // The scope joined every worker, and each index is dealt exactly
+    // once and always answered.
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every cell is answered"))
+        .collect()
+}
 
+/// Runs every cell and merges the outcomes in grid order.
+///
+/// The returned [`FleetReport`] depends only on the cells — never on
+/// `jobs`, completion order, or wall-clock — so its CSV/JSON renderings
+/// are byte-identical across thread counts.
+pub fn run_fleet(cells: &[FleetCell], cfg: &FleetConfig) -> FleetReport {
+    let outcomes = run_pool(cells, cfg, |_, idx| {
+        run_cell(&cells[idx].spec, 0, cfg).outcome
+    });
     let results = cells
         .iter()
-        .zip(slots)
-        .map(|(cell, slot)| {
-            let outcome = match slot {
-                Some(Ok(bytes)) => match RunOutcome::decode(&bytes) {
-                    Ok(o) => Ok(o),
-                    Err(e) => Err(CellFailure {
-                        message: format!("outcome decode failed: {e:?}"),
-                    }),
-                },
-                Some(Err(message)) => Err(CellFailure { message }),
-                // Unreachable: scope joins every worker, each index is
-                // dealt exactly once and always answered.
-                None => Err(CellFailure {
-                    message: String::from("cell produced no result"),
-                }),
-            };
-            CellResult {
-                label: cell.label.clone(),
-                outcome,
-            }
+        .zip(outcomes)
+        .map(|(cell, outcome)| CellResult {
+            label: cell.label.clone(),
+            outcome: outcome.map_err(|message| CellFailure { message }),
         })
         .collect();
-
     FleetReport { results }
 }
 

@@ -37,12 +37,16 @@ pub use diurnal::Diurnal;
 /// Re-exported from `ms-units` via `ms-dcsim`: the rate and volume
 /// newtypes used throughout scenario specs.
 pub use ms_dcsim::{Bps, Bytes};
+/// Re-exported from `ms-telemetry`: the record type of the forensics a
+/// [`RackSim`]'s telemetry hub captures, so sweep runners can carry
+/// them without a dependency of their own.
+pub use ms_telemetry::DropForensic;
 /// Re-exported from `ms-topo`: fat-tree construction options consumed by
 /// [`TopologySpec::fat_tree`] and region-host addressing helpers.
 pub use ms_topo::{FatTree, FatTreeOpts, HostAddr};
 pub use placement::{RackClass, RackSpec, RegionKind, RegionSpec, TaskInstance};
-pub use scenario::{rack_sim_for, rack_spec_for, ScenarioConfig};
-pub use sim::{RackSim, RackSimConfig, RackSimReport, TopologySpec};
+pub use scenario::{rack_spec_for, ScenarioConfig};
+pub use sim::{RackSim, RackSimReport, TopologySpec};
 pub use spec::{
     AgentSpec, ChatterSpec, GenSpec, McastBurstSpec, NicDropSpec, ScenarioBuilder, ScenarioSpec,
     ScheduledFlow, ScheduledTopoFlow, StallSpec,

@@ -5,11 +5,9 @@
 //! jitter), builds the rack-shared ML step clock, and describes one
 //! generator per task instance — all as a declarative [`ScenarioSpec`]
 //! that sweeps can clone, serialize, and ship across worker threads.
-//! [`rack_sim_for`] is the convenience wrapper that builds it on the spot.
 
 use crate::diurnal::Diurnal;
 use crate::placement::RackSpec;
-use crate::sim::RackSim;
 use crate::spec::{GenSpec, ScenarioSpec};
 use crate::tasks::{MlPhase, TaskKind};
 use millisampler::RunConfig;
@@ -139,17 +137,6 @@ pub fn rack_spec_for(
     scenario
 }
 
-/// Builds the simulation for one `(rack, hour, run)` cell.
-pub fn rack_sim_for(
-    spec: &RackSpec,
-    diurnal: &Diurnal,
-    hour: usize,
-    run_idx: u64,
-    cfg: &ScenarioConfig,
-) -> RackSim {
-    rack_spec_for(spec, diurnal, hour, run_idx, cfg).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +182,7 @@ mod tests {
             warmup: Ns::from_millis(10),
             ..ScenarioConfig::default()
         };
-        let mut sim = rack_sim_for(spec, &region.diurnal, 7, 0, &cfg);
+        let mut sim = rack_spec_for(spec, &region.diurnal, 7, 0, &cfg).build();
         let report = sim.run_sync_window(spec.rack_id);
         assert!(report.flows_started > 0);
         assert!(report.rack_run.is_some());

@@ -22,7 +22,13 @@
 //!
 //! The loop is fully deterministic: `BTreeMap` flow tables, FIFO-stable
 //! event ordering, and every random decision drawn from seeded forks.
+//!
+//! A [`RackSim`] is built from a [`ScenarioSpec`] and nothing else
+//! ([`ScenarioSpec::build`]); after construction it only runs and is
+//! read out. The §3 deployment numbers no scenario varies (link rates,
+//! CPUs per server, fabric delay) are `ms_dcsim` constants.
 
+use crate::spec::ScenarioSpec;
 use crate::tasks::{FlowSpec, TaskGen, TaskKind, TopoFlowSpec, WorkItem};
 use millisampler::{AlignedRackRun, PacketMeta, RunConfig, SyncCoordinator, TcFilter};
 use ms_dcsim::link::Pacer;
@@ -30,7 +36,8 @@ use ms_dcsim::packet::{NodeId, PacketKind};
 use ms_dcsim::Direction::{Egress, Ingress};
 use ms_dcsim::{
     Bps, Bytes, Direction, DrainSlot, EngineProfile, EventQueue, FlowId, Host, Link, Ns, Packet,
-    RackConfig, SharedBufferSwitch, SimRng, TimerSlot,
+    SharedBufferSwitch, SimRng, SwitchConfig, TimerSlot, CPUS_PER_SERVER, FABRIC_DELAY,
+    REMOTE_NIC_BPS, SERVER_LINK_BPS, SERVER_LINK_DELAY,
 };
 use ms_telemetry::{
     DropCause, DropForensic, DropReason, PerfettoMeta, SharedTelemetry, Telemetry, TelemetryConfig,
@@ -69,8 +76,8 @@ impl Default for GroConfig {
 /// An explicit fabric hop between the senders and the ToR: a single
 /// shared FIFO drained at the trunk rate. When the aggregate offered rate
 /// exceeds the trunk, queueing here smooths bursts *before* the rack —
-/// the emergent version of the §8.1 fabric-smoothing effect (the pacer in
-/// [`RackSim::set_fabric_smoothing`] is the parametric version). It is a
+/// the emergent version of the §8.1 fabric-smoothing effect (the pacer of
+/// [`ScenarioSpec::fabric_smoothing_bps`] is the parametric version). It is a
 /// stage in front of the switch mesh, not a switch: no ECN, and its
 /// drops are off-switch ([`RackSim::fabric_drops`]), outside
 /// `switch_discard_bytes`.
@@ -126,43 +133,15 @@ impl TopologySpec {
     }
 }
 
-/// Configuration of one rack simulation.
-#[derive(Debug, Clone)]
-pub struct RackSimConfig {
-    /// Topology and switch parameters.
-    pub rack: RackConfig,
-    /// Millisampler run configuration for the sync window.
-    pub sampler: RunConfig,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Maximum absolute host clock offset (uniform in ±this).
-    pub max_clock_skew: Ns,
-    /// Traffic warm-up before samplers enable (lets cwnds converge).
-    pub warmup: Ns,
-    /// Receive-side coalescing (off by default; §4.6 artifact study).
-    pub gro: Option<GroConfig>,
-    /// Upstream fabric topology: none (senders hit the ToR directly),
-    /// the trunk stage, or a full fat-tree region.
-    pub topology: Option<TopologySpec>,
-    /// Contention-driven DT α retuning period (off by default; §9 probe).
-    pub alpha_tune_period: Option<Ns>,
-}
-
-impl RackSimConfig {
-    /// Paper-like defaults on a rack of `num_servers`.
-    pub fn new(num_servers: usize, seed: u64) -> Self {
-        RackSimConfig {
-            rack: RackConfig::meta_defaults(num_servers),
-            sampler: RunConfig::one_ms(),
-            seed,
-            // NTP with interleaved mode achieves sub-ms sync (§4.5).
-            max_clock_skew: Ns::from_micros(300),
-            warmup: Ns::from_millis(150),
-            gro: None,
-            topology: None,
-            alpha_tune_period: None,
-        }
-    }
+/// The spec values the event handlers read, copied out at construction.
+#[derive(Debug, Clone, Copy)]
+struct SimParams {
+    num_servers: usize,
+    mss: u32,
+    sampler: RunConfig,
+    warmup: Ns,
+    gro: Option<GroConfig>,
+    alpha_tune_period: Option<Ns>,
 }
 
 /// Aggregate outcome of one simulated sync window.
@@ -281,7 +260,7 @@ struct FlowState {
 
 /// A full rack simulation.
 pub struct RackSim {
-    cfg: RackSimConfig,
+    cfg: SimParams,
     q: EventQueue<Ev>,
     rng: SimRng,
     /// The switch mesh by flat switch ordinal: `[ToR]` for a single
@@ -320,8 +299,6 @@ pub struct RackSim {
     gro_gen: u64,
     /// Per-host user-space agents (agent mode): scheduler + on-host store.
     agents: Vec<Option<AgentState>>,
-    /// Optional pcap capture of all host-delivered packets.
-    pcap: Option<ms_dcsim::pcap::PcapWriter<Box<dyn std::io::Write>>>,
     /// Optional telemetry hub shared with the switch, filters, and senders.
     telemetry: Option<SharedTelemetry>,
     /// Deterministic engine profiler: per-event-kind dispatch counters
@@ -372,22 +349,19 @@ struct PlaneSwitch {
 }
 
 impl RackSim {
-    /// Builds a rack simulation with no workload attached yet.
-    pub(crate) fn new(cfg: RackSimConfig) -> Self {
-        let mut rng = SimRng::new(cfg.seed);
-        let s = u32::try_from(cfg.rack.num_servers).expect("rack size fits u32");
+    /// Builds the simulation `spec` describes ([`ScenarioSpec::build`]
+    /// validates first and is the public door). Random draws and
+    /// scheduled events keep one fixed order — clock skews, the α-tune
+    /// tick, then the spec's lists in field order — so identical specs
+    /// yield bit-identical runs.
+    pub(crate) fn new(spec: &ScenarioSpec) -> Self {
+        let mut rng = SimRng::new(spec.seed);
+        let s = u32::try_from(spec.num_servers).expect("rack size fits u32");
         let mut hosts: Vec<Host> = (0..s)
-            .map(|id| {
-                Host::new(
-                    id,
-                    cfg.rack.cpus_per_server,
-                    cfg.rack.server_link_bps,
-                    cfg.rack.server_link_delay,
-                )
-            })
+            .map(|id| Host::new(id, CPUS_PER_SERVER, SERVER_LINK_BPS, SERVER_LINK_DELAY))
             .collect();
         // NTP skew: uniform in ±max_clock_skew per host.
-        let skew = cfg.max_clock_skew.as_nanos() as i64;
+        let skew = spec.max_clock_skew.as_nanos() as i64;
         for h in hosts.iter_mut() {
             if skew > 0 {
                 let off = rng.gen_range((2 * skew + 1) as u64) as i64 - skew;
@@ -395,15 +369,15 @@ impl RackSim {
             }
         }
         let filters = (0..s)
-            .map(|_| TcFilter::new(&cfg.sampler, cfg.rack.cpus_per_server))
+            .map(|_| TcFilter::new(&spec.sampler, CPUS_PER_SERVER))
             .collect();
         let sender_cfg = SenderConfig {
-            mss: cfg.rack.mss,
+            mss: spec.mss,
             algorithm: CcAlgorithm::Dctcp,
             ..SenderConfig::default()
         };
-        let (nodes, router) = Self::build_mesh(&cfg);
-        let trunk = match cfg.topology {
+        let (nodes, router) = Self::build_mesh(spec);
+        let trunk = match spec.topology {
             Some(TopologySpec::Trunk(fc)) => Some(TrunkState {
                 cfg: fc,
                 fifo: std::collections::VecDeque::new(),
@@ -415,6 +389,14 @@ impl RackSim {
             _ => None,
         };
         let mut sim = RackSim {
+            cfg: SimParams {
+                num_servers: spec.num_servers,
+                mss: spec.mss,
+                sampler: spec.sampler,
+                warmup: spec.warmup,
+                gro: spec.gro,
+                alpha_tune_period: spec.alpha_tune_period,
+            },
             q: EventQueue::new(),
             rng,
             nodes,
@@ -430,19 +412,101 @@ impl RackSim {
             flows_started: 0,
             conns_completed: 0,
             event_budget: 500_000_000,
-            default_pacing: None,
+            default_pacing: spec.fabric_smoothing_bps,
             chatter: vec![None; s as usize],
             nic_drops: (0..s).map(|_| None).collect(),
             gro_pending: vec![None; s as usize],
             gro_gen: 0,
             agents: (0..s).map(|_| None).collect(),
-            pcap: None,
             telemetry: None,
             profile: EngineProfile::new(EV_KINDS),
-            cfg,
         };
-        if let Some(period) = sim.cfg.alpha_tune_period {
+        if let Some(period) = spec.alpha_tune_period {
             sim.q.schedule(period, Ev::AlphaTune);
+        }
+        if spec.telemetry_ring.is_some() || spec.forensics {
+            let hub = Telemetry::shared(TelemetryConfig {
+                ring_capacity: spec
+                    .telemetry_ring
+                    .unwrap_or(TelemetryConfig::default().ring_capacity),
+                forensic_capacity: if spec.forensics {
+                    TelemetryConfig::DEFAULT_FORENSIC_CAPACITY
+                } else {
+                    0
+                },
+            });
+            for node in &mut sim.nodes {
+                node.switch.set_telemetry(hub.clone());
+            }
+            for (server, filter) in sim.filters.iter_mut().enumerate() {
+                // simlint: allow(cast-truncation): server indices are < rack size
+                filter.set_telemetry(hub.clone(), server as u32);
+            }
+            sim.telemetry = Some(hub);
+        }
+        // Construction happens at time zero, so the lists' own times are
+        // already "now or later".
+        for f in &spec.flows {
+            sim.q.schedule(f.at, Ev::StartFlow { spec: f.flow });
+        }
+        for f in &spec.topo_flows {
+            sim.q.schedule(f.at, Ev::StartTopoFlow { spec: f.flow });
+        }
+        for g in &spec.generators {
+            let generator = TaskGen::new(
+                g.kind,
+                g.server,
+                g.task,
+                g.load,
+                SimRng::new(g.seed),
+                g.ml_phase,
+            );
+            let idx = sim.generators.len();
+            let at = generator.next_wakeup();
+            sim.generators.push(generator);
+            sim.q.schedule(at, Ev::Gen { idx });
+        }
+        for d in &spec.nic_drops {
+            sim.nic_drops[d.server] =
+                Some(ms_dcsim::fault::DropInjector::new(d.seed, d.probability));
+        }
+        for st in &spec.stalls {
+            sim.hosts[st.server].set_stall(st.from, st.to);
+        }
+        for c in &spec.chatter {
+            let gap = Ns(1_000_000_000 / c.pkts_per_sec);
+            sim.chatter[c.server] = Some((c.pool, gap));
+            // Stagger the first packet deterministically per server.
+            let first = Ns(sim.rng.gen_range(gap.as_nanos().max(1)));
+            sim.q.schedule(first, Ev::Chatter { server: c.server });
+        }
+        for &(group, server) in &spec.mcast_members {
+            sim.nodes[0].switch.join_multicast(group, server);
+        }
+        for b in &spec.mcast_bursts {
+            sim.q.schedule(
+                b.at,
+                Ev::McastSend {
+                    group: b.group,
+                    remaining: b.packets,
+                    size: b.size,
+                    paced_bps: b.paced_bps,
+                },
+            );
+        }
+        for &queue in &spec.probe_queues {
+            sim.nodes[0].switch.probe_queue_depth(queue);
+        }
+        for a in &spec.agents {
+            let mut scheduler = millisampler::Scheduler::new(a.config.clone());
+            let first = scheduler.next_run(Ns::ZERO);
+            sim.agents[a.server] = Some(AgentState {
+                scheduler,
+                store: millisampler::HostStore::new(millisampler::store::StoreConfig::default()),
+                current: Some(first.config),
+            });
+            sim.q
+                .schedule(first.enable_at, Ev::AgentEnable { server: a.server });
         }
         sim
     }
@@ -452,34 +516,34 @@ impl RackSim {
     /// fat-tree switch (plus the router that walks them) with tier-aware
     /// telemetry queue-id bases so forensics and Perfetto tracks
     /// attribute every record to a specific ToR/agg/spine.
-    fn build_mesh(cfg: &RackSimConfig) -> (Vec<PlaneSwitch>, Option<(FatTree, EcmpHash)>) {
-        let host_link = || Link::new(cfg.rack.server_link_bps, cfg.rack.server_link_delay);
-        let Some(TopologySpec::FatTree { opts, ecmp_seed }) = cfg.topology else {
-            let ports = cfg.rack.switch.num_queues;
+    fn build_mesh(spec: &ScenarioSpec) -> (Vec<PlaneSwitch>, Option<(FatTree, EcmpHash)>) {
+        let host_link = || Link::new(SERVER_LINK_BPS, SERVER_LINK_DELAY);
+        let mut tor_cfg = SwitchConfig::meta_tor(spec.num_servers);
+        tor_cfg.policy = spec.policy;
+        if let Some(threshold) = spec.ecn_threshold {
+            tor_cfg.ecn_threshold = threshold;
+        }
+        let Some(TopologySpec::FatTree { opts, ecmp_seed }) = spec.topology else {
+            let ports = spec.num_servers;
             let tor = PlaneSwitch {
                 id: SwitchId {
                     tier: Tier::Tor,
                     index: 0,
                 },
-                switch: SharedBufferSwitch::new(cfg.rack.switch.clone()),
+                switch: SharedBufferSwitch::new(tor_cfg),
                 links: (0..ports).map(|_| host_link()).collect(),
                 drains: vec![DrainSlot::default(); ports],
             };
             return (vec![tor], None);
         };
         let tree = FatTree::new(opts);
-        assert_eq!(
-            cfg.rack.num_servers,
-            tree.num_hosts() as usize,
-            "fat-tree topology requires num_servers == k^3/4 hosts"
-        );
         let ports = tree.ports_per_switch() as usize;
-        let sw_cfg = ms_dcsim::SwitchConfig {
+        let sw_cfg = SwitchConfig {
             num_queues: ports,
             num_quadrants: 1,
             quadrant_bytes: opts.buffer_bytes,
-            dedicated_per_queue: Bytes(2 * u64::from(cfg.rack.mss)),
-            ecn_threshold: cfg.rack.switch.ecn_threshold,
+            dedicated_per_queue: Bytes(2 * u64::from(spec.mss)),
+            ecn_threshold: tor_cfg.ecn_threshold,
             policy: opts.policy,
         };
         let nodes = (0..tree.num_switches())
@@ -507,14 +571,6 @@ impl RackSim {
         (nodes, Some((tree, EcmpHash::new(ecmp_seed))))
     }
 
-    /// Installs a NIC-level random drop injector on `server` (fault
-    /// injection): packets vanish at the NIC *before* the tc filter sees
-    /// them — the firmware-bug signature Millisampler helped isolate
-    /// ("packet loss although utilization was low", §4.2).
-    pub(crate) fn inject_nic_drops(&mut self, server: usize, seed: u64, probability: f64) {
-        self.nic_drops[server] = Some(ms_dcsim::fault::DropInjector::new(seed, probability));
-    }
-
     /// Packets discarded at the trunk's FIFO so far (zero without a
     /// trunk: fat-tree fabric drops land in real switch buffers — see
     /// [`RackSim::tier_discard_bytes`]).
@@ -532,38 +588,9 @@ impl RackSim {
         tiers
     }
 
-    /// Starts the §4.1 user-space agent on `server`: periodic Millisampler
-    /// runs (rotating through the scheduler's interval configurations),
-    /// each read out on completion and appended, compressed, to the
-    /// host's run store. Drive the simulation with [`RackSim::run_until`]
-    /// and read history back with [`RackSim::agent_store`].
-    pub(crate) fn start_agent(&mut self, server: usize, cfg: millisampler::SchedulerConfig) {
-        let mut scheduler = millisampler::Scheduler::new(cfg);
-        let first = scheduler.next_run(self.q.now());
-        self.agents[server] = Some(AgentState {
-            scheduler,
-            store: millisampler::HostStore::new(millisampler::store::StoreConfig::default()),
-            current: Some(first.config),
-        });
-        self.q.schedule(
-            first.enable_at.max(self.q.now()),
-            Ev::AgentEnable { server },
-        );
-    }
-
     /// The on-host store of `server`'s agent (None if no agent started).
     pub fn agent_store(&self, server: usize) -> Option<&millisampler::HostStore> {
         self.agents[server].as_ref().map(|a| &a.store)
-    }
-
-    /// Captures every packet delivered to any rack server into a pcap
-    /// stream (smoltcp-style `--pcap` support: open the file in Wireshark
-    /// to inspect simulated traffic, ECN marks, and the retransmit bit).
-    pub fn attach_pcap<W: std::io::Write + 'static>(&mut self, writer: W) -> std::io::Result<()> {
-        self.pcap = Some(ms_dcsim::pcap::PcapWriter::new(
-            Box::new(writer) as Box<dyn std::io::Write>
-        )?);
-        Ok(())
     }
 
     fn handle_agent_enable(&mut self, server: usize, now: Ns) {
@@ -599,23 +626,13 @@ impl RackSim {
             .schedule(next.enable_at.max(now), Ev::AgentEnable { server });
     }
 
-    /// Enables persistent-connection chatter on `server`: tiny keepalive
-    /// packets arrive at ~`pkts_per_sec`, drawn from a pool of `pool`
+    /// Persistent-connection chatter: tiny keepalive packets arrive at
+    /// `server` about one mean gap apart, drawn from its pool of
     /// long-lived connections. Production servers keep many mostly-idle
     /// connections whose occasional packets dominate the *outside-burst*
     /// connection counts of Fig. 8; this models that standing population
     /// without simulating full transports for it (the byte volume is
     /// negligible — a few Mbit/s).
-    pub(crate) fn enable_chatter(&mut self, server: usize, pool: u64, pkts_per_sec: u64) {
-        assert!(pool > 0 && pkts_per_sec > 0);
-        let gap = Ns(1_000_000_000 / pkts_per_sec.max(1));
-        self.chatter[server] = Some((pool, gap));
-        // Stagger the first packet deterministically per server.
-        let first = Ns(self.rng.gen_range(gap.as_nanos().max(1)));
-        self.q
-            .schedule(self.q.now() + first, Ev::Chatter { server });
-    }
-
     fn handle_chatter(&mut self, server: usize, now: Ns) {
         let Some((pool, gap)) = self.chatter[server] else {
             return;
@@ -626,70 +643,11 @@ impl RackSim {
         let which = self.rng.gen_range(pool);
         let flow = FlowId(0x4000_0000_0000_0000 | ((server as u64) << 32) | which);
         let pkt = Packet::data(flow, 30_000 + server as NodeId, server as NodeId, 0, 200);
-        self.q.schedule(
-            now + self.cfg.rack.fabric_delay,
-            Ev::SwArrive { sw: 0, pkt },
-        );
+        self.q
+            .schedule(now + FABRIC_DELAY, Ev::SwArrive { sw: 0, pkt });
         let next = Ns((self.rng.exp(gap.as_nanos() as f64)).max(1.0) as u64);
         // simlint: allow(non-monotonic-schedule): the exponential gap is clamped to >= 1.0 before the u64 conversion, so `now + next` is strictly in the future regardless of float rounding
         self.q.schedule(now + next, Ev::Chatter { server });
-    }
-
-    /// Applies fabric smoothing: flows without their own pacing arrive
-    /// paced at `bps` (aggregate per connection group). Models the paper's
-    /// observation that upstream fabric congestion smooths traffic before
-    /// it reaches heavily-loaded racks (§8.1).
-    pub(crate) fn set_fabric_smoothing(&mut self, rate: Bps) {
-        self.default_pacing = Some(rate);
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &RackSimConfig {
-        &self.cfg
-    }
-
-    /// Attaches a traffic generator; its first wakeup is scheduled.
-    pub(crate) fn add_generator(&mut self, generator: TaskGen) {
-        let idx = self.generators.len();
-        let at = generator.next_wakeup();
-        self.generators.push(generator);
-        self.q.schedule(at.max(self.q.now()), Ev::Gen { idx });
-    }
-
-    /// Subscribes a server to a rack-local multicast group (Fig. 3 tool).
-    pub(crate) fn join_multicast(&mut self, group: u32, server: usize) {
-        self.nodes[0].switch.join_multicast(group, server);
-    }
-
-    /// Schedules a paced multicast burst at `at` (validation tooling).
-    pub(crate) fn schedule_multicast_burst(
-        &mut self,
-        at: Ns,
-        group: u32,
-        packets: u32,
-        size: u32,
-        paced_bps: Bps,
-    ) {
-        self.q.schedule(
-            at,
-            Ev::McastSend {
-                group,
-                remaining: packets,
-                size,
-                paced_bps,
-            },
-        );
-    }
-
-    /// Schedules a single flow spec directly (bypassing generators); used
-    /// by the validation tools and examples.
-    pub(crate) fn schedule_flow(&mut self, at: Ns, spec: FlowSpec) {
-        self.q.schedule(at, Ev::StartFlow { spec });
-    }
-
-    /// Schedules a host-to-host fat-tree flow spec.
-    pub(crate) fn schedule_topo_flow(&mut self, at: Ns, spec: TopoFlowSpec) {
-        self.q.schedule(at, Ev::StartTopoFlow { spec });
     }
 
     /// Ground-truth switch discard bytes so far, over the whole mesh.
@@ -707,45 +665,19 @@ impl RackSim {
             .sum()
     }
 
-    /// Attaches an occupancy probe to `server`'s ToR egress queue (see
-    /// [`SharedBufferSwitch::probe_queue_depth`]).
-    pub(crate) fn probe_queue_depth(&mut self, server: usize) {
-        self.nodes[0].switch.probe_queue_depth(server);
-    }
-
     /// The probed queue's `(time, occupancy)` admission samples.
     pub fn depth_samples(&self) -> &[(Ns, Bytes)] {
         self.nodes[0].switch.depth_samples()
     }
 
-    /// Attaches a telemetry hub to the whole stack: the ToR switch traces
-    /// admissions, drops, ECN marks, and threshold crossings; every host's
-    /// tc filter traces sampler-window closes; every transport sender
-    /// created from now on traces cwnd changes and RTO firings; NIC fault
-    /// injection and GRO flushes are traced by the sim loop itself.
-    ///
-    /// Returns the shared handle (also retrievable via
-    /// [`RackSim::telemetry`]). Export with
+    /// The telemetry hub the spec asked for (`telemetry_ring` or
+    /// `forensics`), shared with the whole stack: every switch traces
+    /// admissions, drops, ECN marks and threshold crossings; every host's
+    /// tc filter traces sampler-window closes; every transport endpoint
+    /// traces cwnd changes and RTO firings; NIC fault injection and GRO
+    /// flushes are traced by the sim loop itself. Export with
     /// [`RackSim::write_perfetto_trace`] / [`RackSim::trace_summary`], or
     /// read `hub.borrow().metrics` after [`RackSim::finalize_metrics`].
-    pub(crate) fn attach_telemetry(&mut self, cfg: TelemetryConfig) -> SharedTelemetry {
-        let hub = Telemetry::shared(cfg);
-        for node in &mut self.nodes {
-            node.switch.set_telemetry(hub.clone());
-        }
-        for (server, filter) in self.filters.iter_mut().enumerate() {
-            // simlint: allow(cast-truncation): server indices are < rack size
-            filter.set_telemetry(hub.clone(), server as u32);
-        }
-        for state in self.flows.values_mut() {
-            state.sender.set_telemetry(hub.clone());
-            state.receiver.set_telemetry(hub.clone());
-        }
-        self.telemetry = Some(hub.clone());
-        hub
-    }
-
-    /// The attached telemetry hub, if any.
     pub fn telemetry(&self) -> Option<&SharedTelemetry> {
         self.telemetry.as_ref()
     }
@@ -854,14 +786,6 @@ impl RackSim {
             .as_ref()
             .map(|hub| ms_telemetry::summary(&hub.borrow().bus, top_n))
             .unwrap_or_default()
-    }
-
-    /// Installs a kernel/NIC stall on `server` during `[from, to)`
-    /// (fault injection, §4.6): the NIC keeps receiving but the tc filter
-    /// records nothing, so the sampled series shows a hole even though
-    /// the switch delivered traffic.
-    pub(crate) fn inject_stall(&mut self, server: usize, from: Ns, to: Ns) {
-        self.hosts[server].set_stall(from, to);
     }
 
     // ----- internal plumbing -------------------------------------------
@@ -1174,7 +1098,6 @@ impl RackSim {
     /// abstract off-region machine.
     fn start_flow(&mut self, src_host: Option<u32>, spec: &FlowSpec, now: Ns) {
         let dst_node = spec.dst_server as NodeId;
-        let fabric_delay = self.cfg.rack.fabric_delay;
         // The source every connection starts from, and the static delay
         // of the uncongested ACK path back to it.
         let (source, ack_delay) = match (src_host, &self.router) {
@@ -1184,12 +1107,12 @@ impl RackSim {
                 // RTT. A Cubic algorithm choice implies an inter-region
                 // sender, so its fabric delay is three orders larger.
                 let delay = if spec.algorithm == CcAlgorithm::Cubic {
-                    fabric_delay * 500 // ~10 ms one way
+                    FABRIC_DELAY * 500 // ~10 ms one way
                 } else {
-                    fabric_delay
+                    FABRIC_DELAY
                 };
-                let nic = Link::new(self.cfg.rack.remote_nic_bps, delay);
-                (Source::Remote(nic), fabric_delay)
+                let nic = Link::new(REMOTE_NIC_BPS, delay);
+                (Source::Remote(nic), FABRIC_DELAY)
             }
             (Some(host), Some((tree, _))) => {
                 // The reverse walk's remaining links at the tree's
@@ -1233,7 +1156,7 @@ impl RackSim {
             let pacer = spec.paced_bps.or(self.default_pacing).map(|rate| {
                 Pacer::new(
                     Bps((rate.as_u64() / u64::from(conns)).max(1_000_000)),
-                    Bytes(2 * u64::from(self.cfg.rack.mss)),
+                    Bytes(2 * u64::from(self.cfg.mss)),
                 )
             });
             self.flows.insert(
@@ -1289,9 +1212,6 @@ impl RackSim {
 
     /// The kernel receive path proper: tc filter, then the socket.
     fn deliver_to_host(&mut self, server: usize, pkt: Packet, now: Ns) {
-        if let Some(w) = &mut self.pcap {
-            let _ = w.write_packet(now, &pkt);
-        }
         Self::record_host(&self.hosts, &mut self.filters, server, now, Ingress, &pkt);
         self.hosts[server].note_rx(pkt.size);
         if pkt.kind == PacketKind::Multicast {
@@ -1440,7 +1360,7 @@ impl RackSim {
         let release = pacer.release_at(now, size);
         let flow = FlowId(u64::MAX - group as u64);
         let pkt = Packet::multicast(flow, 20_000 + group, group, size);
-        let at = release + self.cfg.rack.fabric_delay;
+        let at = release + FABRIC_DELAY;
         self.q.schedule(at, Ev::SwArrive { sw: 0, pkt });
         if remaining > 1 {
             self.q.schedule(
@@ -1606,12 +1526,12 @@ impl RackSim {
         let horizon = warmup + self.cfg.sampler.duration() + Ns::from_millis(50);
         self.run_until(horizon);
 
-        let series: Vec<millisampler::HostSeries> = (0..self.cfg.rack.num_servers)
+        let series: Vec<millisampler::HostSeries> = (0..self.cfg.num_servers)
             // simlint: allow(cast-truncation): server indices are < rack size
             .filter_map(|s| self.filters[s].read(s as u32))
             .collect();
         let coordinator = SyncCoordinator::new(rack_id, self.cfg.sampler);
-        let rack_run = coordinator.assemble(series, self.cfg.rack.num_servers);
+        let rack_run = coordinator.assemble(series, self.cfg.num_servers);
         self.finalize_metrics();
 
         RackSimReport {
@@ -1864,36 +1784,6 @@ mod tests {
         let run = report.rack_run.unwrap();
         let busy_ms = run.servers[0].in_bytes.iter().filter(|&&b| b > 0).count();
         assert!(busy_ms >= 4, "cubic/WAN transfer spread over {busy_ms}ms");
-    }
-
-    #[test]
-    fn pcap_capture_produces_a_valid_trace() {
-        // simlint: allow(env-read): test writes a scratch pcap file
-        let path = std::env::temp_dir().join("ms_sim_capture_test.pcap");
-        {
-            let mut b = quick(21);
-            b.flow_at(Ns::from_millis(25), incast_spec(0, 4, 1_000_000));
-            let mut sim = b.build();
-            let f = std::fs::File::create(&path).unwrap();
-            sim.attach_pcap(std::io::BufWriter::new(f)).unwrap();
-            sim.run_sync_window(0);
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert!(bytes.len() > 24 + 16, "capture has records");
-        assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
-        // Walk all records: lengths must chain exactly to EOF.
-        let mut off = 24;
-        let mut records = 0;
-        while off < bytes.len() {
-            let incl = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().unwrap()) as usize;
-            off += 16 + incl;
-            records += 1;
-        }
-        assert_eq!(off, bytes.len(), "record chain must be exact");
-        // ~1MB at 4500B MSS... quick_cfg uses the 1500B meta defaults:
-        // ~667 data packets delivered.
-        assert!(records > 500, "records {records}");
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Declarative scenario construction: [`ScenarioSpec`] and
 //! [`ScenarioBuilder`].
 //!
-//! Historically [`RackSim`] grew ~10 ad-hoc mutator methods
-//! (`inject_nic_drops`, `enable_chatter`, `schedule_multicast_burst`, …)
-//! that had to be called in the right order on a live simulation. That
-//! made a scenario impossible to name, clone, hash, or ship across a
-//! thread boundary — exactly what a fleet-scale sweep needs to do. This
-//! module replaces the mutator sprawl with one **declarative, cloneable,
-//! codec-serializable description** of everything a rack simulation can
-//! contain:
+//! [`ScenarioSpec`] is the only configuration of a simulation: one
+//! **declarative, cloneable, codec-serializable description** of
+//! everything a rack simulation can contain, so a scenario can be named,
+//! cloned, hashed and shipped across a thread boundary — exactly what a
+//! fleet-scale sweep needs to do:
 //!
 //! ```
 //! use ms_dcsim::Ns;
@@ -33,17 +30,18 @@
 //! assert!(report.flows_started > 0);
 //! ```
 //!
-//! [`ScenarioSpec::build`] is the only public way to construct a
-//! [`RackSim`]; the old mutators are crate-private plumbing behind it.
+//! [`ScenarioSpec::build`] — [`ScenarioSpec::validate`], then the one
+//! [`RackSim`] constructor, which reads the spec directly — is the only
+//! way to construct a simulation; there is no second config layer.
 //! Because a spec is plain data, the `ms-fleet` sweep runner can fan a
 //! grid of specs across worker threads and rebuild each simulation
 //! inside the worker, keeping every run bit-deterministic.
 
-use crate::sim::{FabricHopConfig, GroConfig, RackSim, RackSimConfig, TopologySpec};
-use crate::tasks::{FlowSpec, MlPhase, TaskGen, TaskKind, TopoFlowSpec};
+use crate::sim::{FabricHopConfig, GroConfig, RackSim, TopologySpec};
+use crate::tasks::{FlowSpec, MlPhase, TaskKind, TopoFlowSpec};
 use millisampler::codec::{DecodeError, WireReader, WireWriter};
 use millisampler::{RunConfig, SchedulerConfig};
-use ms_dcsim::{Bps, BufferPolicySpec, Bytes, Ns, PolicyKind, RackConfig, SimRng};
+use ms_dcsim::{Bps, BufferPolicySpec, Bytes, Ns, PolicyKind};
 use ms_telemetry::TelemetryConfig;
 use ms_topo::{FatTree, FatTreeOpts};
 use ms_transport::CcAlgorithm;
@@ -67,7 +65,7 @@ pub struct ScheduledTopoFlow {
 }
 
 /// A generative traffic program bound to one server (declarative form of
-/// [`TaskGen`]).
+/// [`crate::tasks::TaskGen`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenSpec {
     /// Service archetype.
@@ -146,7 +144,7 @@ pub struct AgentSpec {
 
 /// The complete declarative description of one rack simulation.
 ///
-/// Everything the old mutator API could express is a field here; the
+/// Everything a simulation can contain is a field here; the
 /// struct is `Clone`, comparable, and serializable via
 /// [`millisampler::codec`] ([`ScenarioSpec::encode`]), so sweeps can
 /// name, store, and ship scenarios. [`ScenarioSpec::build`] materializes
@@ -217,20 +215,25 @@ const SECTION_TOPOLOGY: u64 = 1;
 /// Tagged section carrying the scheduled topo flows.
 const SECTION_TOPO_FLOWS: u64 = 2;
 
+/// Longest list the codec decodes, and so the widest rack and the
+/// longest sampler window [`ScenarioSpec::validate`] lets through: a
+/// spec from outside bytes must not size an allocation beyond it.
+const MAX_LIST_LEN: u64 = 1 << 20;
+
 impl ScenarioSpec {
     /// Paper-like defaults on a rack of `num_servers`: 12.5 Gbps links,
     /// the 16 MB / α=1 / 120 KB-ECN ToR, 1 ms × 2000 sampler buckets,
     /// ±300 µs NTP skew, 150 ms warm-up, and no workload attached.
     pub fn new(num_servers: usize, seed: u64) -> Self {
-        let defaults = RackSimConfig::new(num_servers, seed);
         ScenarioSpec {
             num_servers,
             seed,
-            sampler: defaults.sampler,
-            mss: defaults.rack.mss,
-            warmup: defaults.warmup,
-            max_clock_skew: defaults.max_clock_skew,
-            policy: defaults.rack.switch.policy,
+            sampler: RunConfig::one_ms(),
+            mss: 1500,
+            warmup: Ns::from_millis(150),
+            // NTP with interleaved mode achieves sub-ms sync (§4.5).
+            max_clock_skew: Ns::from_micros(300),
+            policy: BufferPolicySpec::DEFAULT_DT,
             ecn_threshold: None,
             gro: None,
             topology: None,
@@ -257,7 +260,30 @@ impl ScenarioSpec {
     /// tearing down the sweep.
     pub fn validate(&self) {
         assert!(self.num_servers > 0, "scenario: rack has no servers");
-        assert!(self.sampler.buckets > 0, "scenario: sampler has no buckets");
+        assert!(
+            self.num_servers as u64 <= MAX_LIST_LEN,
+            "scenario: num_servers {} exceeds {MAX_LIST_LEN}",
+            self.num_servers
+        );
+        // Every sampler window a filter will be sized and indexed by.
+        let window = |what: &str, run: &RunConfig| {
+            assert!(run.buckets > 0, "scenario: {what} has no buckets");
+            assert!(
+                run.buckets as u64 <= MAX_LIST_LEN,
+                "scenario: {what}.buckets {} exceeds {MAX_LIST_LEN}",
+                run.buckets
+            );
+            assert!(
+                run.interval > Ns::ZERO,
+                "scenario: {what}.interval must be positive"
+            );
+        };
+        window("sampler", &self.sampler);
+        assert!(self.mss > 0, "scenario: mss must be positive");
+        assert!(
+            self.alpha_tune_period != Some(Ns::ZERO),
+            "scenario: alpha_tune_period must be positive"
+        );
         let check = |what: &str, server: usize| {
             assert!(
                 server < self.num_servers,
@@ -303,6 +329,9 @@ impl ScenarioSpec {
         }
         for a in &self.agents {
             check("agent", a.server);
+            for run in &a.config.rotation {
+                window("agent rotation", run);
+            }
         }
         if let Some(TopologySpec::FatTree { opts, .. }) = self.topology {
             opts.validate();
@@ -353,82 +382,13 @@ impl ScenarioSpec {
         }
     }
 
-    /// Materializes the simulation this spec describes. Replaces the old
-    /// `RackSim::new` + mutator-call sequence; application order is fixed
-    /// by field order, so identical specs yield bit-identical runs.
+    /// Materializes the simulation this spec describes: validates, then
+    /// hands the spec to the one [`RackSim`] constructor, which applies
+    /// the lists in field order — identical specs yield bit-identical
+    /// runs.
     pub fn build(&self) -> RackSim {
         self.validate();
-        let mut rack = RackConfig::meta_defaults(self.num_servers);
-        rack.mss = self.mss;
-        rack.switch.policy = self.policy;
-        if let Some(threshold) = self.ecn_threshold {
-            rack.switch.ecn_threshold = threshold;
-        }
-        let cfg = RackSimConfig {
-            rack,
-            sampler: self.sampler,
-            seed: self.seed,
-            max_clock_skew: self.max_clock_skew,
-            warmup: self.warmup,
-            gro: self.gro,
-            topology: self.topology,
-            alpha_tune_period: self.alpha_tune_period,
-        };
-        let mut sim = RackSim::new(cfg);
-        if let Some(rate) = self.fabric_smoothing_bps {
-            sim.set_fabric_smoothing(rate);
-        }
-        if self.telemetry_ring.is_some() || self.forensics {
-            let ring = self
-                .telemetry_ring
-                .unwrap_or(TelemetryConfig::default().ring_capacity);
-            sim.attach_telemetry(TelemetryConfig {
-                ring_capacity: ring,
-                forensic_capacity: if self.forensics {
-                    TelemetryConfig::DEFAULT_FORENSIC_CAPACITY
-                } else {
-                    0
-                },
-            });
-        }
-        for f in &self.flows {
-            sim.schedule_flow(f.at, f.flow);
-        }
-        for f in &self.topo_flows {
-            sim.schedule_topo_flow(f.at, f.flow);
-        }
-        for g in &self.generators {
-            sim.add_generator(TaskGen::new(
-                g.kind,
-                g.server,
-                g.task,
-                g.load,
-                SimRng::new(g.seed),
-                g.ml_phase,
-            ));
-        }
-        for d in &self.nic_drops {
-            sim.inject_nic_drops(d.server, d.seed, d.probability);
-        }
-        for s in &self.stalls {
-            sim.inject_stall(s.server, s.from, s.to);
-        }
-        for c in &self.chatter {
-            sim.enable_chatter(c.server, c.pool, c.pkts_per_sec);
-        }
-        for &(group, server) in &self.mcast_members {
-            sim.join_multicast(group, server);
-        }
-        for b in &self.mcast_bursts {
-            sim.schedule_multicast_burst(b.at, b.group, b.packets, b.size, b.paced_bps);
-        }
-        for &q in &self.probe_queues {
-            sim.probe_queue_depth(q);
-        }
-        for a in &self.agents {
-            sim.start_agent(a.server, a.config.clone());
-        }
-        sim
+        RackSim::new(self)
     }
 
     /// Canonical codec encoding (see [`millisampler::codec`]): identical
@@ -761,7 +721,7 @@ fn opt_u64_from(r: &mut WireReader<'_>) -> Result<Option<u64>, DecodeError> {
 /// allocations (the same guard the host-series decoder applies).
 fn bounded_len(r: &mut WireReader<'_>) -> Result<u64, DecodeError> {
     let len = r.u64()?;
-    if len > 1 << 20 {
+    if len > MAX_LIST_LEN {
         return Err(DecodeError::Overlong);
     }
     Ok(len)

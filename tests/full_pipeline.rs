@@ -4,7 +4,7 @@
 use ms_analysis::analyze_run;
 use ms_dcsim::Ns;
 use ms_workload::placement::{build_region, RackClass, RegionKind};
-use ms_workload::scenario::{rack_sim_for, ScenarioConfig};
+use ms_workload::scenario::{rack_spec_for, ScenarioConfig};
 
 const LINK: ms_workload::Bps = ms_workload::Bps(12_500_000_000);
 
@@ -20,7 +20,7 @@ fn small_cfg() -> ScenarioConfig {
 fn placed_rack_produces_analyzable_data() {
     let region = build_region(RegionKind::RegA, 10, 12, 31);
     let spec = &region.racks[0];
-    let mut sim = rack_sim_for(spec, &region.diurnal, 7, 0, &small_cfg());
+    let mut sim = rack_spec_for(spec, &region.diurnal, 7, 0, &small_cfg()).build();
     let report = sim.run_sync_window(spec.rack_id);
     let run = report.rack_run.expect("traffic flowed");
     assert_eq!(run.servers.len(), 12, "one row per server");
@@ -37,7 +37,7 @@ fn whole_pipeline_is_deterministic() {
     let run_once = || {
         let region = build_region(RegionKind::RegB, 4, 10, 77);
         let spec = &region.racks[2];
-        let mut sim = rack_sim_for(spec, &region.diurnal, 9, 0, &small_cfg());
+        let mut sim = rack_spec_for(spec, &region.diurnal, 9, 0, &small_cfg()).build();
         let report = sim.run_sync_window(spec.rack_id);
         let run = report.rack_run.unwrap();
         let a = analyze_run(&run, LINK, 5);
@@ -58,7 +58,7 @@ fn different_hours_differ_but_same_hour_repeats() {
     let spec = &region.racks[1];
     let cfg = small_cfg();
     let volume_at = |hour: usize| {
-        let mut sim = rack_sim_for(spec, &region.diurnal, hour, 0, &cfg);
+        let mut sim = rack_spec_for(spec, &region.diurnal, hour, 0, &cfg).build();
         sim.run_sync_window(spec.rack_id)
             .rack_run
             .map(|r| r.servers.iter().map(|s| s.total_in_bytes()).sum::<u64>())
@@ -81,7 +81,7 @@ fn ml_dense_racks_more_contended_than_diverse() {
             .collect();
         let mut total = 0.0;
         for spec in &specs {
-            let mut sim = rack_sim_for(spec, &region.diurnal, 7, 0, &cfg);
+            let mut sim = rack_spec_for(spec, &region.diurnal, 7, 0, &cfg).build();
             if let Some(run) = sim.run_sync_window(spec.rack_id).rack_run {
                 total += analyze_run(&run, LINK, 5).contention_stats.avg;
             }
@@ -152,7 +152,7 @@ fn millisampler_totals_track_switch_ground_truth() {
     // counters (bytes admitted), modulo warmup traffic outside the window.
     let region = build_region(RegionKind::RegA, 6, 10, 21);
     let spec = &region.racks[0];
-    let mut sim = rack_sim_for(spec, &region.diurnal, 7, 0, &small_cfg());
+    let mut sim = rack_spec_for(spec, &region.diurnal, 7, 0, &small_cfg()).build();
     let report = sim.run_sync_window(spec.rack_id);
     let run = report.rack_run.unwrap();
     let sampled: u64 = run.servers.iter().map(|s| s.total_in_bytes()).sum();

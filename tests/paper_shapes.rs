@@ -20,7 +20,6 @@ fn tiny_sweep(kind: RegionKind, racks: usize, seed: u64) -> ms_bench::RegionData
                 ..ScenarioConfig::default()
             },
             seed,
-            loss_slack: 5,
             threads: 1,
         },
     )

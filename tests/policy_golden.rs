@@ -243,7 +243,7 @@ fn run_fingerprint(b: &ScenarioBuilder) -> (u64, u64, u64) {
     }
     // Fabric-side ledgers, folded only where a fabric exists so the α
     // rows keep their original fingerprints.
-    if sim.config().topology.is_some() {
+    if b.spec().topology.is_some() {
         let [tor, agg, spine] = sim.tier_discard_bytes();
         fnv(
             &mut h,
