@@ -64,6 +64,25 @@ echo "==> perf crate tests (the benchmark's only door into the crates)"
 # the benchmark run.
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
+echo "==> benchmark fingerprints (every workload byte-identical to BENCH_fingerprints.txt)"
+# One rep of each benchmark workload at the ledger's seed: its output
+# fingerprint, dispatch count and work must equal the checked-in rows, so
+# "same behaviour at benchmark scale" fails here and not in a PR's prose.
+FP_TMP="${TMPDIR:-/tmp}/ms_fingerprint_smoke"
+rm -rf "$FP_TMP"
+cargo run -q --release --offline --manifest-path perf/Cargo.toml -- \
+    run --reps 1 --seed 42 --out "$FP_TMP" > /dev/null
+awk -F'"' '
+    /^      "name":/ { name = $4 }
+    /^      "work":/ { split($0, a, ": "); work = a[2]; sub(/,$/, "", work) }
+    /^      "fingerprint":/ { fp = $4 }
+    /^      "dispatches":/ {
+        split($0, a, ": "); n = a[2]; sub(/,$/, "", n)
+        print name, fp, n, work
+    }' "$FP_TMP/results.json" > "$FP_TMP/fingerprints.txt"
+grep -v '^#' BENCH_fingerprints.txt | diff - "$FP_TMP/fingerprints.txt"
+rm -rf "$FP_TMP"
+
 echo "==> traced example smoke (Perfetto export)"
 TRACE_TMP="${TMPDIR:-/tmp}/ms_trace_smoke.json"
 cargo run -q --release -p ms-bench --example incast_loss -- --trace "$TRACE_TMP"
