@@ -45,6 +45,15 @@ for key in commit host_cores region_day incast_storm incast_storm_traced \
         exit 1
     fi
 done
+# From the fourth line (PR 22) on, a line also reads without CHANGES.md
+# beside it: the parent's medians from the same alternating pairs, the
+# pairs won per metric and the host-noise spin reading.
+for key in parent_medians pairs_won calib_spin_ns; do
+    if tail -n +4 BENCH_history.jsonl | grep -qv "\"$key\""; then
+        echo "a BENCH_history.jsonl line after the third lacks \"$key\""
+        exit 1
+    fi
+done
 
 echo "==> clippy"
 # clippy may be absent on minimal toolchains; the simlint + test gates

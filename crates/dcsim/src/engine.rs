@@ -13,18 +13,59 @@
 //!    debug builds (and is clamped to `now` in release builds, so a
 //!    mis-rounded timer cannot time-travel).
 //!
+//! **Three tiers.** Traffic here is µs-dense packet trains, so nearly every
+//! pending event lies within a few ms of `now`; one binary heap over all of
+//! them pays a dozen dependent cache misses per pop for an order almost
+//! none of them needs yet. The queue is therefore a calendar in front of a
+//! heap. Time is cut into buckets of `1 << BUCKET_SHIFT` ns and the queue
+//! keeps a *window* bucket:
+//!
+//! - the **near run**, sorted by `(time, seq)`, holds every event whose
+//!   bucket is at or before the window — a handful of entries, and the only
+//!   place order is decided: a bucket is sorted once when it is loaded, a
+//!   pop takes the front, and a push that lands this close to `now` is a
+//!   binary search and a short shift (it usually belongs near the back);
+//! - the **ring** holds the next `RING_BUCKETS − 1` buckets as unordered
+//!   singly-linked lists (a list head and an occupancy bit per ring slot),
+//!   so a push is O(1);
+//! - the **far heap** holds what lies beyond the ring (sampler windows,
+//!   backed-off RTOs, day-long horizons).
+//!
+//! The events themselves sit in one slab of nodes with a free list, written
+//! once when scheduled and read once when popped; the tiers hold `(key,
+//! node index)` pairs and list links, so the slab is bounded by the pending
+//! high-water and nothing 56 bytes wide is ever sorted or sifted.
+//!
+//! *Invariant: the near run is non-empty whenever the queue is.* When a pop
+//! empties it, the window jumps — before `pop` returns — to the earlier of
+//! the next occupied ring bucket and the far heap's first bucket, and that
+//! bucket's events (from both) are loaded; a push into an empty queue moves
+//! the window to the event. The next event is thus always the front of the
+//! near run, which is what lets [`EventQueue::peek_time`] and
+//! [`EventQueue::pending_now`] stay `&self` reads. Every event keeps the
+//! exact `(time, seq)` key a single heap would have popped it under, so the
+//! pop sequence is the same, event for event.
+//!
+//! Keeping one heap over everything and only slimming its entries to `(key,
+//! node index)` was tried first and gained nothing (`incast_storm` 0.24 →
+//! 0.25 s): with thousands pending, a pop's cost is the depth of the sift —
+//! a dozen dependent misses — not the bytes it moves. For the near tier a
+//! small `BinaryHeap` and the sorted run were both measured; the run was
+//! 3–9 % faster in wall time on each of the six `perf` simulator workloads
+//! tried (it won 30 of 36 alternating pairs).
+//!
 //! The queue is generic over the event payload so each layer of the stack
 //! can define its own event enum. It has no removal operation, so a timer
 //! whose deadline keeps moving (an RTO re-armed by every ACK) must not be
 //! `schedule`d afresh on each move: the superseded entries would all still
-//! be popped, and every live event would pay `log n` for them. [`TimerSlot`]
-//! is the one idiom for such timers — at most one live heap entry per
-//! timer, re-pushed lazily when it pops before the wanted deadline, under a
-//! `(deadline, seq)` key reserved when the deadline was set so the firing
-//! keeps the tie-break position an eager `schedule` would have given it.
+//! be popped. [`TimerSlot`] is the one idiom for such timers — at most one
+//! live queue entry per timer, re-pushed lazily when it pops before the
+//! wanted deadline, under a `(deadline, seq)` key reserved when the
+//! deadline was set so the firing keeps the tie-break position an eager
+//! `schedule` would have given it.
 //!
 //! [`DrainSlot`] makes the same move for the drain of a FIFO output (a
-//! switch port, a trunk): no heap entry while the output is idle. The
+//! switch port, a trunk): no queue entry while the output is idle. The
 //! queue remembers the `(at, seq)` of the event it is dispatching, so a
 //! slot can ask whether a key it reserved but never pushed has already
 //! passed ([`EventQueue::has_popped`]) and whether anything else is due
@@ -34,13 +75,59 @@
 
 use crate::time::Ns;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Width of a calendar bucket: `1 << BUCKET_SHIFT` ns (1.024 µs, about one
+/// MTU at the server line rate).
+///
+/// With [`RING_BUCKETS`] the ring spans 8.4 ms, which covers the 4 ms
+/// `min_rto` and the 20 µs `FABRIC_DELAY`, so in-region transport events
+/// never reach the far heap. Measured on `perf bench` (`incast_storm`,
+/// `bulk_stream`, `udp_floor`, `region_day`; 5 pairs × 3 s each): 4.096 µs
+/// × 2 048 is 3–14 % slower in wall time — longer near runs to sort and
+/// shift — and 256 ns × 32 768 is 1–6 % faster for 96 KB more of ring heads
+/// in every queue. This pair is the one that keeps the heads at 32 KB; the
+/// two numbers are not worth tuning further.
+const BUCKET_SHIFT: u32 = 10;
+
+/// Ring slots (a power of two). The list heads are `u32`, so the ring costs
+/// 32 KB however many events pass through it; a `Vec` per bucket would keep
+/// its capacity forever and cost MBs.
+const RING_BUCKETS: usize = 8192;
+const RING_MASK: u64 = RING_BUCKETS as u64 - 1;
+const RING_WORDS: usize = RING_BUCKETS / 64;
+
+/// End of a node list.
+const NIL: u32 = u32::MAX;
 
 /// An entry in the queue: ordered by `(time, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: Ns,
     seq: u64,
+}
+
+impl Key {
+    fn bucket(&self) -> u64 {
+        self.at.as_nanos() >> BUCKET_SHIFT
+    }
+}
+
+/// A pending event as the near run and the far heap order it: its key and
+/// the index of the slab node holding it. The payload is never compared (it
+/// needs no `Ord`) and never moved.
+type Entry = (Key, usize);
+
+/// One slab node: a pending event, or a free node.
+#[derive(Debug)]
+struct Node<E> {
+    key: Key,
+    /// Next node of the same ring bucket, or of the free list; [`NIL`]
+    /// ends either. Unused while the near run or the far heap names the
+    /// node.
+    next: u32,
+    /// `None` while the node is on the free list.
+    event: Option<E>,
 }
 
 /// A deterministic discrete-event queue.
@@ -60,7 +147,26 @@ struct Key {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Key, EventSlot<E>)>>,
+    /// Every pending event whose bucket is `<= window`, ascending.
+    near: VecDeque<Entry>,
+    /// The window bucket. Only ever moves forward.
+    window: u64,
+    /// Per ring slot `bucket & RING_MASK`, the head of that bucket's node
+    /// list. Every listed event's bucket is in `window + 1 .. window +
+    /// RING_BUCKETS`, so a slot holds one bucket at a time.
+    heads: Vec<u32>,
+    /// One bit per ring slot: set iff its list is non-empty.
+    occupied: [u64; RING_WORDS],
+    /// Every pending event, whichever tier names it; bounded by the
+    /// pending high-water.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list.
+    free: u32,
+    /// Events in the ring.
+    ring_len: usize,
+    /// Events at or beyond bucket `window + RING_BUCKETS` when pushed;
+    /// always beyond `window`.
+    far: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
     now: Ns,
     /// Tie-break number of the most recently popped event: with `now`,
@@ -68,28 +174,6 @@ pub struct EventQueue<E> {
     now_seq: u64,
     popped: u64,
     depth_high_water: usize,
-}
-
-/// Wrapper so the heap only compares keys, never payloads (payloads need no
-/// `Ord`, and comparing them would break FIFO semantics anyway).
-#[derive(Debug)]
-struct EventSlot<E>(E);
-
-impl<E> PartialEq for EventSlot<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<E> Eq for EventSlot<E> {}
-impl<E> PartialOrd for EventSlot<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for EventSlot<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -102,7 +186,14 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            near: VecDeque::new(),
+            window: 0,
+            heads: vec![NIL; RING_BUCKETS],
+            occupied: [0; RING_WORDS],
+            nodes: Vec::new(),
+            free: NIL,
+            ring_len: 0,
+            far: BinaryHeap::new(),
             next_seq: 0,
             now: Ns::ZERO,
             now_seq: 0,
@@ -121,20 +212,22 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// High-water mark of pending-event count — how deep the heap has ever
-    /// grown. Exported as a telemetry gauge to size event budgets.
+    /// High-water mark of pending-event count — how deep the queue has
+    /// ever grown, all three tiers together. Exported as a telemetry gauge
+    /// to size event budgets.
     pub fn depth_high_water(&self) -> usize {
         self.depth_high_water
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near.len() + self.ring_len + self.far.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        // The near run is non-empty whenever the queue is.
+        self.near.is_empty()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -166,9 +259,32 @@ impl<E> EventQueue<E> {
             self.now
         );
         debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        let at = at.max(self.now);
-        self.heap.push(Reverse((Key { at, seq }, EventSlot(event))));
-        self.depth_high_water = self.depth_high_water.max(self.heap.len());
+        let key = Key {
+            at: at.max(self.now),
+            seq,
+        };
+        let bucket = key.bucket();
+        let idx = self.alloc(key, event);
+        if bucket <= self.window || self.near.is_empty() {
+            // An empty queue's window jumps to its only event. It never
+            // moves back: after a refill `now` trails the window, and the
+            // near run is where everything at or before the window goes.
+            self.window = self.window.max(bucket);
+            let pos = self.near.partition_point(|&(k, _)| k < key);
+            self.near.insert(pos, (key, idx));
+        } else {
+            match Self::link(idx) {
+                Some(link) if bucket - self.window < RING_BUCKETS as u64 => {
+                    let slot = (bucket & RING_MASK) as usize;
+                    self.nodes[idx].next = std::mem::replace(&mut self.heads[slot], link);
+                    self.occupied[slot / 64] |= 1 << (slot % 64);
+                    self.ring_len += 1;
+                }
+                // Beyond the ring (or a node no `u32` link can name).
+                _ => self.far.push(Reverse((key, idx))),
+            }
+        }
+        self.depth_high_water = self.depth_high_water.max(self.len());
     }
 
     /// Schedules `event` at `now + delay`.
@@ -182,25 +298,33 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Ns, E)> {
-        let Reverse((key, EventSlot(event))) = self.heap.pop()?;
+        let (key, idx) = self.near.pop_front()?;
+        let node = self.nodes.get_mut(idx)?;
+        let event = node.event.take()?;
+        if let Some(link) = Self::link(idx) {
+            node.next = std::mem::replace(&mut self.free, link);
+        }
         debug_assert!(key.at >= self.now, "event queue went backwards");
         self.now = key.at;
         self.now_seq = key.seq;
         self.popped += 1;
+        if self.near.is_empty() {
+            self.refill();
+        }
         Some((key.at, event))
     }
 
     /// Pops the next event only if it is at or before `deadline`.
     pub fn pop_until(&mut self, deadline: Ns) -> Option<(Ns, E)> {
-        match self.heap.peek() {
-            Some(Reverse((key, _))) if key.at <= deadline => self.pop(),
+        match self.near.front() {
+            Some((key, _)) if key.at <= deadline => self.pop(),
             _ => None,
         }
     }
 
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Ns> {
-        self.heap.peek().map(|Reverse((key, _))| key.at)
+        self.near.front().map(|(key, _)| key.at)
     }
 
     /// Whether an event keyed `(at, seq)` would have popped by now: the key
@@ -216,6 +340,88 @@ impl<E> EventQueue<E> {
     /// very next pop, so its handler may run in place of the push.
     pub fn pending_now(&self) -> bool {
         self.peek_time() == Some(self.now)
+    }
+
+    /// Node index `idx` as a list link. `None` past what a `u32` names:
+    /// such a node is only ever named by the near run or the far heap and
+    /// is not reused.
+    fn link(idx: usize) -> Option<u32> {
+        u32::try_from(idx).ok().filter(|&link| link != NIL)
+    }
+
+    /// Stores a pending event in a free node, or a new one.
+    fn alloc(&mut self, key: Key, event: E) -> usize {
+        let node = Node {
+            key,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free == NIL {
+            self.nodes.push(node);
+            return self.nodes.len() - 1;
+        }
+        let idx = self.free as usize;
+        self.free = std::mem::replace(&mut self.nodes[idx], node).next;
+        idx
+    }
+
+    /// The earliest bucket with an event in the ring.
+    fn next_ring_bucket(&self) -> Option<u64> {
+        if self.ring_len == 0 {
+            return None;
+        }
+        // Slots in ring order from the one after the window's. The word
+        // holding that slot comes up twice: its bits from the slot on
+        // first, the bits below it (a turn of the ring later) last.
+        let start = ((self.window + 1) & RING_MASK) as usize;
+        let (first_word, first_bit) = (start / 64, start % 64);
+        (0..=RING_WORDS).find_map(|i| {
+            let w = (first_word + i) % RING_WORDS;
+            let mut word = self.occupied[w];
+            if i == 0 {
+                word &= !0 << first_bit;
+            } else if i == RING_WORDS {
+                word &= !(!0 << first_bit);
+            }
+            (word != 0).then(|| {
+                let slot = w * 64 + word.trailing_zeros() as usize;
+                let ahead = (slot.wrapping_sub(start) as u64) & RING_MASK;
+                self.window + 1 + ahead
+            })
+        })
+    }
+
+    /// The near run is empty: moves the window to the earliest bucket that
+    /// holds an event and loads that bucket from the ring and from the far
+    /// heap, which may each hold part of it.
+    fn refill(&mut self) {
+        let ring = self.next_ring_bucket();
+        let far = self.far.peek().map(|Reverse((key, _))| key.bucket());
+        let Some(bucket) = ring.into_iter().chain(far).min() else {
+            return;
+        };
+        self.window = bucket;
+        if ring == Some(bucket) {
+            let slot = (bucket & RING_MASK) as usize;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            let mut link = std::mem::replace(&mut self.heads[slot], NIL);
+            while link != NIL {
+                let idx = link as usize;
+                let node = &self.nodes[idx];
+                self.near.push_back((node.key, idx));
+                self.ring_len -= 1;
+                link = node.next;
+            }
+        }
+        while let Some(&Reverse(entry)) = self.far.peek() {
+            if entry.0.bucket() > bucket {
+                break;
+            }
+            self.far.pop();
+            self.near.push_back(entry);
+        }
+        // Keys are unique, so the unstable sort has one outcome.
+        self.near.make_contiguous().sort_unstable();
     }
 }
 
@@ -481,6 +687,43 @@ mod tests {
     }
 
     #[test]
+    fn tiers_split_by_distance_and_the_slab_stays_at_the_high_water() {
+        let bucket = |b: u64| Ns(b << BUCKET_SHIFT);
+        let tiers = |q: &EventQueue<char>| (q.near.len(), q.ring_len, q.far.len());
+        let mut q = EventQueue::new();
+        q.schedule(bucket(2), 'a'); // an empty queue's window jumps to it
+        q.schedule(bucket(5), 'b');
+        q.schedule(bucket(2 + RING_BUCKETS as u64) - Ns(1), 'c'); // last ring bucket
+        q.schedule(bucket(2 + RING_BUCKETS as u64), 'd'); // first beyond it
+        assert_eq!((tiers(&q), q.window), ((1, 2, 1), 2));
+        // The pop that empties the near run loads bucket 5 before it
+        // returns; `now` trails the window, and what is scheduled between
+        // the two is still ordered ahead of it.
+        assert_eq!(q.pop(), Some((bucket(2), 'a')));
+        assert_eq!(
+            (tiers(&q), q.window, q.peek_time()),
+            ((1, 1, 1), 5, Some(bucket(5)))
+        );
+        q.schedule(bucket(3), 'e');
+        assert_eq!((tiers(&q), q.peek_time()), ((2, 1, 1), Some(bucket(3))));
+        let order: String = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, "ebcd");
+        assert_eq!((q.nodes.len(), q.depth_high_water()), (4, 4));
+        // A long run with a few events pending reuses those few nodes.
+        for i in 0..50_000u64 {
+            q.schedule_in(Ns(1 + i % 3_000), 'x');
+            q.schedule_in(Ns(10_000_000 + i), 'y');
+            q.pop();
+            q.pop();
+        }
+        assert!(
+            q.is_empty() && q.nodes.len() == 4,
+            "{} nodes",
+            q.nodes.len()
+        );
+    }
+
+    #[test]
     fn keyed_push_takes_the_reserved_tie_break_position() {
         let mut q = EventQueue::new();
         q.schedule(Ns(10), "a");
@@ -647,7 +890,9 @@ mod tests {
         max_live: usize,
     }
 
-    /// Longest timeout the script arms, in ns.
+    /// Longest timeout the script arms, in script time units. A harness
+    /// run takes the unit in ns: 1 keeps every key in calendar bucket 0,
+    /// a few hundred µs spreads them over buckets and past the ring.
     const HORIZON: u64 = 48;
     const TIMERS: usize = 3;
 
@@ -673,12 +918,12 @@ mod tests {
     }
 
     impl<T: TimerImpl> Scripted<T> {
-        fn set(&mut self, q: &mut EventQueue<TEv>, mut deadline: Option<Ns>, k: usize) {
+        fn set(&mut self, q: &mut EventQueue<TEv>, mut deadline: Option<Ns>, k: usize, unit: u64) {
             if let Some(t) = &mut deadline {
                 // Judge the clamped value, but hand over the unclamped one.
                 let mut due = (*t).max(q.now());
                 while Some(due) != self.want && self.used.contains(&due) {
-                    due += Ns(1);
+                    due += Ns(unit);
                     *t = due;
                 }
                 self.used.insert(due);
@@ -698,8 +943,9 @@ mod tests {
     /// only once the entry its last such move superseded must have popped
     /// (one RTO-backoff reset per longest timeout, roughly), so a timer
     /// never has more than one superseded entry pending.
-    fn drive<T: TimerImpl>(seed: u64) -> Observed {
+    fn drive<T: TimerImpl>(seed: u64, unit: u64) -> Observed {
         let mut rng = SimRng::new(seed);
+        let units = |n: u64| Ns(n * unit);
         let mut q: EventQueue<TEv> = EventQueue::new();
         let mut timers: Vec<Scripted<T>> = (0..TIMERS).map(|_| Scripted::default()).collect();
         let mut out = Observed {
@@ -709,7 +955,7 @@ mod tests {
         };
         let mut noise = 0u32;
         let mut ticks = 0u32;
-        q.schedule(Ns(1), TEv::Tick);
+        q.schedule(units(1), TEv::Tick);
         while let Some((now, ev)) = q.pop() {
             match ev {
                 TEv::Noise(_) => out.seen.push((now, ev)),
@@ -724,7 +970,8 @@ mod tests {
                         t.want = None;
                         // Like an RTO: usually re-arm at once.
                         if rng.gen_range(4) > 0 {
-                            t.set(&mut q, Some(now + Ns(1 + rng.gen_range(HORIZON))), k);
+                            let timeout = units(1 + rng.gen_range(HORIZON));
+                            t.set(&mut q, Some(now + timeout), k, unit);
                         }
                     }
                 }
@@ -739,11 +986,12 @@ mod tests {
                             1 | 2 if floor > now && now > t.superseded_by => {
                                 t.superseded_by = t.latest;
                                 // May land just before `now`: clamped.
-                                let lo = now.0.saturating_sub(2);
-                                Some(Ns(lo + rng.gen_range(floor.0 - lo)))
+                                let lo = now.0.saturating_sub(2 * unit);
+                                Some(Ns(lo) + units(rng.gen_range((floor.0 - lo) / unit)))
                             }
-                            _ if floor < now + Ns(HORIZON) => {
-                                Some(floor + Ns(rng.gen_range((now + Ns(HORIZON) - floor).0 + 1)))
+                            _ if floor < now + units(HORIZON) => {
+                                let room = (now + units(HORIZON) - floor).0 / unit;
+                                Some(floor + units(rng.gen_range(room + 1)))
                             }
                             _ => continue,
                         };
@@ -752,7 +1000,7 @@ mod tests {
                         let at = deadline.map_or(now, |t| t.max(now));
                         for after in [false, true] {
                             if after {
-                                t.set(&mut q, deadline, k);
+                                t.set(&mut q, deadline, k, unit);
                             }
                             if rng.gen_bool(0.5) {
                                 noise += 1;
@@ -762,7 +1010,7 @@ mod tests {
                     }
                     ticks += 1;
                     if ticks < 400 {
-                        q.schedule(now + Ns(rng.gen_range(HORIZON / 4)), TEv::Tick);
+                        q.schedule(now + units(rng.gen_range(HORIZON / 4)), TEv::Tick);
                     }
                 }
             }
@@ -777,10 +1025,19 @@ mod tests {
 
     #[test]
     fn timer_slot_fires_exactly_where_eager_scheduling_does() {
+        // The same scripts in ns (every key in one calendar bucket, most
+        // instants tied) and in units of 400 µs (keys across buckets, the
+        // longest timeouts past the ring into the far heap).
+        for unit in [1, 400_000] {
+            timer_slot_matches_eager(unit);
+        }
+    }
+
+    fn timer_slot_matches_eager(unit: u64) {
         let (mut lazy_pops, mut eager_pops, mut undercuts) = (0, 0, 0);
         for seed in 0..64 {
-            let eager = drive::<Eager>(0x7133_0000 + seed);
-            let lazy = drive::<TimerSlot>(0x7133_0000 + seed);
+            let eager = drive::<Eager>(0x7133_0000 + seed, unit);
+            let lazy = drive::<TimerSlot>(0x7133_0000 + seed, unit);
             let first_diff = lazy.seen.iter().zip(&eager.seen).position(|(a, b)| a != b);
             if let Some(i) = first_diff {
                 panic!(
@@ -1040,6 +1297,8 @@ mod tests {
     }
 
     struct Harness<D> {
+        /// Script time unit in ns (see [`HORIZON`]).
+        unit: u64,
         q: EventQueue<DEv>,
         ports: Vec<Port<D>>,
         /// Arrivals, pulls, onward deliveries and noise, in handler order.
@@ -1085,7 +1344,7 @@ mod tests {
             }
         }
 
-        /// Sizes and latencies are a few nanoseconds, some latencies zero,
+        /// Sizes and latencies are a few time units, some latencies zero,
         /// so departures, deliveries and arrivals keep colliding.
         fn pull(&mut self, port: usize) {
             let now = self.q.now();
@@ -1095,11 +1354,11 @@ mod tests {
                 return;
             };
             assert!(p.free_at <= now, "pulled onto a busy link");
-            let departed = now + Ns(1 + u64::from(id % 3));
+            let departed = now + Ns(self.unit * (1 + u64::from(id % 3)));
             p.free_at = departed;
             let more = !p.fifo.is_empty();
             self.seen.push((now, "pull", port, id));
-            let arrived = departed + Ns(port as u64 % 3);
+            let arrived = departed + Ns(self.unit * (port as u64 % 3));
             self.q.schedule(arrived, DEv::Onward { port, id });
             self.with_drain(port, |d, q, _| d.pulled(q, departed, more, port));
         }
@@ -1109,9 +1368,10 @@ mod tests {
     /// arrivals, two-hop forwarding and unrelated events on a time axis
     /// coarse enough that most instants hold several events, with idle
     /// gaps long enough for parked keys to pass.
-    fn drive_drains<D: DrainImpl>(seed: u64) -> (Harness<D>, u64) {
+    fn drive_drains<D: DrainImpl>(seed: u64, unit: u64) -> (Harness<D>, u64) {
         let mut rng = SimRng::new(seed);
         let mut h = Harness::<D> {
+            unit,
             q: EventQueue::new(),
             ports: (0..PORTS).map(|_| Port::default()).collect(),
             seen: Vec::new(),
@@ -1121,7 +1381,7 @@ mod tests {
             inlined: 0,
         };
         let (mut next_id, mut noise, mut ticks) = (0u32, 0u32, 0u32);
-        h.q.schedule(Ns(1), DEv::Tick);
+        h.q.schedule(Ns(unit), DEv::Tick);
         while let Some((now, ev)) = h.q.pop() {
             match ev {
                 DEv::Noise(n) => h.seen.push((now, "noise", 0, n)),
@@ -1154,7 +1414,7 @@ mod tests {
                 }
                 DEv::Tick => {
                     for _ in 0..=rng.gen_range(3) {
-                        let at = now + Ns(rng.gen_range(5));
+                        let at = now + Ns(unit * rng.gen_range(5));
                         if rng.gen_range(4) == 0 {
                             noise += 1;
                             h.q.schedule(at, DEv::Noise(noise));
@@ -1169,7 +1429,7 @@ mod tests {
                     ticks += 1;
                     if ticks < 600 {
                         let gap = if rng.gen_range(3) == 0 { 60 } else { 6 };
-                        h.q.schedule(now + Ns(rng.gen_range(gap)), DEv::Tick);
+                        h.q.schedule(now + Ns(unit * rng.gen_range(gap)), DEv::Tick);
                     }
                 }
             }
@@ -1181,10 +1441,18 @@ mod tests {
 
     #[test]
     fn drain_slot_pulls_exactly_where_eager_draining_does() {
+        // In ns, and in units of 300 µs: a pull then parks its key buckets
+        // away, and the long idle gaps reach past the ring.
+        for unit in [1, 300_000] {
+            drain_slot_matches_eager(unit);
+        }
+    }
+
+    fn drain_slot_matches_eager(unit: u64) {
         let (mut slot_pops, mut eager_pops) = (0, 0);
         for seed in 0..64 {
-            let (eager, e_pops) = drive_drains::<EagerDrain>(0xd4a1_0000 + seed);
-            let (slot, s_pops) = drive_drains::<DrainSlot>(0xd4a1_0000 + seed);
+            let (eager, e_pops) = drive_drains::<EagerDrain>(0xd4a1_0000 + seed, unit);
+            let (slot, s_pops) = drive_drains::<DrainSlot>(0xd4a1_0000 + seed, unit);
             let first_diff = slot.seen.iter().zip(&eager.seen).position(|(a, b)| a != b);
             if let Some(i) = first_diff {
                 panic!(

@@ -296,6 +296,11 @@ impl Sender {
             }
             let start = self.snd_nxt;
             let pkt = self.build_segment(start, len, false);
+            // `retransmit_head` relies on this order to stop early.
+            debug_assert!(
+                self.sent.back().map_or(true, |last| last.end <= start),
+                "sent records are pushed in stream order"
+            );
             self.sent.push_back(SentSeg {
                 start,
                 end: start + len as u64,
@@ -329,10 +334,12 @@ impl Sender {
         let len = (self.snd_nxt - start).min(self.mss as u64) as u32;
         debug_assert!(len > 0, "retransmit with nothing outstanding");
         // Karn: mark overlapping sent records so they yield no RTT sample.
-        for seg in self.sent.iter_mut() {
-            if seg.start < start + len as u64 && seg.end > start {
-                seg.retransmitted = true;
-            }
+        // `sent` is ordered by `start` and holds nothing wholly acked, so
+        // the overlap is a prefix: stop at the first record past it.
+        let end = start + len as u64;
+        for seg in self.sent.iter_mut().take_while(|seg| seg.start < end) {
+            debug_assert!(seg.end > start, "a wholly acked record is still queued");
+            seg.retransmitted = true;
         }
         self.mark_retx_bit = true;
         let pkt = self.build_segment(start, len, true);

@@ -20,8 +20,9 @@
 //! congestion in our network happens in the server-link connecting the ToR
 //! to the servers", which is why ECN is deployed only at the ToR).
 //!
-//! The loop is fully deterministic: `BTreeMap` flow tables, FIFO-stable
-//! event ordering, and every random decision drawn from seeded forks.
+//! The loop is fully deterministic: flows in a table indexed by their
+//! sequentially minted id, FIFO-stable event ordering, and every random
+//! decision drawn from seeded forks.
 //!
 //! A [`RackSim`] is built from a [`ScenarioSpec`] and nothing else
 //! ([`ScenarioSpec::build`]); after construction it only runs and is
@@ -258,6 +259,44 @@ struct FlowState {
     receiver_timer: TimerSlot,
 }
 
+/// The flows by id. Ids are minted `1, 2, 3, …` and never reused — they
+/// feed [`FlowId`], source node numbers, RSS and sketch hashes — so the
+/// table is a vector indexed by `id − 1`: a look-up is one bounds check,
+/// and ids no flow ever had (the chatter pools' `0x4000_…` namespace,
+/// multicast's `u64::MAX − group`) fall outside it. A flow's state is
+/// boxed, so a completed one leaves 8 bytes behind, not a `FlowState`.
+#[derive(Debug, Default)]
+struct FlowTable {
+    slots: Vec<Option<Box<FlowState>>>,
+}
+
+impl FlowTable {
+    fn slot(id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(1)?).ok()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut FlowState> {
+        self.slots.get_mut(Self::slot(id)?)?.as_deref_mut()
+    }
+
+    /// Stores the state of flow `id`, which must be the next id minted.
+    fn insert(&mut self, id: u64, state: FlowState) {
+        debug_assert_eq!(
+            Self::slot(id),
+            Some(self.slots.len()),
+            "flow ids are sequential"
+        );
+        self.slots.push(Some(Box::new(state)));
+    }
+
+    /// Retires flow `id`; a later packet of it finds nothing.
+    fn remove(&mut self, id: u64) {
+        if let Some(slot) = Self::slot(id).and_then(|i| self.slots.get_mut(i)) {
+            *slot = None;
+        }
+    }
+}
+
 /// A full rack simulation.
 pub struct RackSim {
     cfg: SimParams,
@@ -274,7 +313,7 @@ pub struct RackSim {
     trunk: Option<TrunkState>,
     hosts: Vec<Host>,
     filters: Vec<TcFilter>,
-    flows: BTreeMap<u64, FlowState>,
+    flows: FlowTable,
     next_flow: u64,
     /// Multicast rate limiter state is carried in events; groups live in
     /// the switch.
@@ -404,7 +443,7 @@ impl RackSim {
             trunk,
             hosts,
             filters,
-            flows: BTreeMap::new(),
+            flows: FlowTable::default(),
             next_flow: 1,
             mcast_pacers: BTreeMap::new(),
             generators: Vec::new(),
@@ -822,7 +861,7 @@ impl RackSim {
     /// host's uplink, which serializes all of the host's connections,
     /// and its tc filter records the egress.
     fn send_from_source(&mut self, flow: u64, pkts: Vec<Packet>, now: Ns) {
-        let Some(state) = self.flows.get_mut(&flow) else {
+        let Some(state) = self.flows.get_mut(flow) else {
             return;
         };
         // The mesh switch this source feeds; `None` is the trunk stage.
@@ -1071,7 +1110,7 @@ impl RackSim {
     }
 
     fn sync_sender_timer(&mut self, flow: u64) {
-        let Some(state) = self.flows.get_mut(&flow) else {
+        let Some(state) = self.flows.get_mut(flow) else {
             return;
         };
         state
@@ -1082,7 +1121,7 @@ impl RackSim {
     }
 
     fn sync_receiver_timer(&mut self, flow: u64) {
-        let Some(state) = self.flows.get_mut(&flow) else {
+        let Some(state) = self.flows.get_mut(flow) else {
             return;
         };
         state
@@ -1159,6 +1198,11 @@ impl RackSim {
                     Bytes(2 * u64::from(self.cfg.mss)),
                 )
             });
+            // Tiny per-connection stagger: distinct machines (or
+            // sockets) never fire in the same nanosecond.
+            let stagger = Ns(self.rng.gen_range(20_000)); // 0-20us
+            let start = now + stagger;
+            let pkts = sender.poll_send(start);
             self.flows.insert(
                 id,
                 FlowState {
@@ -1171,14 +1215,6 @@ impl RackSim {
                     receiver_timer: TimerSlot::default(),
                 },
             );
-            // Tiny per-connection stagger: distinct machines (or
-            // sockets) never fire in the same nanosecond.
-            let stagger = Ns(self.rng.gen_range(20_000)); // 0-20us
-            let start = now + stagger;
-            let pkts = {
-                let state = self.flows.get_mut(&id).unwrap();
-                state.sender.poll_send(start)
-            };
             // Transmit with the staggered clock.
             self.send_from_source(id, pkts, start);
             self.sync_sender_timer(id);
@@ -1218,7 +1254,7 @@ impl RackSim {
             return; // validation traffic has no transport above it
         }
         let flow = pkt.flow.0;
-        let Some(state) = self.flows.get_mut(&flow) else {
+        let Some(state) = self.flows.get_mut(flow) else {
             return; // flow already torn down (late duplicate)
         };
         let ack_delay = state.ack_delay;
@@ -1296,7 +1332,7 @@ impl RackSim {
 
     fn handle_source_deliver(&mut self, ack: Packet, now: Ns) {
         let flow = ack.flow.0;
-        let Some(state) = self.flows.get_mut(&flow) else {
+        let Some(state) = self.flows.get_mut(flow) else {
             return;
         };
         let out = state.sender.on_ack(now, &ack);
@@ -1304,14 +1340,14 @@ impl RackSim {
         self.send_from_source(flow, out, now);
         if complete {
             self.conns_completed += 1;
-            self.flows.remove(&flow);
+            self.flows.remove(flow);
         } else {
             self.sync_sender_timer(flow);
         }
     }
 
     fn handle_sender_timer(&mut self, flow: u64, now: Ns) {
-        let Some(state) = self.flows.get_mut(&flow) else {
+        let Some(state) = self.flows.get_mut(flow) else {
             return;
         };
         let fires = state
@@ -1326,7 +1362,7 @@ impl RackSim {
     }
 
     fn handle_receiver_timer(&mut self, flow: u64, now: Ns) {
-        let Some(state) = self.flows.get_mut(&flow) else {
+        let Some(state) = self.flows.get_mut(flow) else {
             return;
         };
         let fires = state
@@ -1668,6 +1704,111 @@ mod tests {
             max as f64 / min as f64 <= 1.15,
             "replicated volumes should agree: {sums:?}"
         );
+    }
+
+    // The flow table. That `conns_completed` and every other
+    // `RackSimReport` field equal the `BTreeMap` build's is what the eight
+    // untouched `GOLDEN` and `EVENTS` rows of `tests/policy_golden.rs`
+    // assert; the tests here cover what a map did by construction.
+
+    /// Ids of the table's live flows.
+    fn live_flows(sim: &RackSim) -> Vec<u64> {
+        let ids = (1u64..).zip(&sim.flows.slots);
+        ids.filter_map(|(id, slot)| slot.as_ref().map(|_| id))
+            .collect()
+    }
+
+    #[test]
+    fn late_duplicate_of_a_completed_flow_is_ignored() {
+        let mut b = quick(31);
+        b.flow_at(Ns::from_millis(30), incast_spec(2, 3, 300_000));
+        let mut sim = b.build();
+        assert_eq!(sim.run_sync_window(0).conns_completed, 3);
+        assert_eq!(sim.flows.slots.len(), 3, "a retired id keeps its slot");
+        assert_eq!(live_flows(&sim), Vec::<u64>::new());
+        // A duplicate of flow 2's first segment straggles in, as do an ACK
+        // and both timers: nothing answers, nothing is scheduled, and the
+        // id is not taken for a new flow.
+        let (now, pending) = (sim.q.now(), sim.q.len());
+        sim.deliver_to_host(2, Packet::data(FlowId(2), 10_002, 2, 0, 1500), now);
+        sim.handle_source_deliver(Packet::ack(FlowId(2), 2, 10_002, 1500, 0), now);
+        sim.handle_sender_timer(2, now);
+        sim.handle_receiver_timer(2, now);
+        assert_eq!((sim.q.len(), sim.conns_completed), (pending, 3));
+        assert_eq!((sim.flows.slots.len(), sim.next_flow), (3, 4));
+        // Neither does an id below or past every id minted.
+        for id in [0, 4, 1 << 40] {
+            assert!(sim.flows.get_mut(id).is_none(), "id {id}");
+        }
+    }
+
+    #[test]
+    fn chatter_and_multicast_ids_never_touch_the_flow_table() {
+        let mut b = quick(32);
+        b.flow_at(Ns::from_millis(30), incast_spec(1, 4, 40_000_000))
+            .chatter(3, 50, 20_000)
+            .join_multicast(9, 3)
+            .multicast_burst(Ns::from_millis(31), 9, 200, 256, Bps(1_000_000_000));
+        let mut sim = b.build();
+        sim.run_until(Ns::from_millis(35));
+        assert_eq!(live_flows(&sim), vec![1, 2, 3, 4], "mid-transfer");
+        // Server 3 gets nothing but chatter and the burst, and has by now
+        // had both through `deliver_to_host`.
+        assert!(
+            sim.hosts[3].stats().rx_bytes > 200 * 256,
+            "burst and chatter"
+        );
+        // One more of each by hand: ids in the chatter namespace and at the
+        // top of the range find no flow and leave the table as it is.
+        let (now, pending) = (sim.q.now(), sim.q.len());
+        let chatter = FlowId(0x4000_0000_0000_0000 | 3 << 32 | 7);
+        sim.deliver_to_host(3, Packet::data(chatter, 30_003, 3, 0, 200), now);
+        let mcast = FlowId(u64::MAX - 9);
+        sim.deliver_to_host(3, Packet::multicast(mcast, 20_009, 9, 256), now);
+        assert_eq!(sim.q.len(), pending, "no ACK, no timer");
+        assert_eq!(sim.flows.slots.len(), 4);
+        assert!(sim.flows.get_mut(chatter.0).is_none() && sim.flows.get_mut(mcast.0).is_none());
+    }
+
+    #[test]
+    fn flow_ids_stay_sequential_across_both_starters() {
+        // Two host-to-host groups through `StartTopoFlow`, then a remote
+        // group through `StartFlow` (a spec cannot mix them; the event
+        // can), then another host-to-host one.
+        let topo = |src_host, connections| TopoFlowSpec {
+            src_host,
+            dst_host: 0,
+            connections,
+            total_bytes: 50_000_000,
+            algorithm: CcAlgorithm::Dctcp,
+            paced_bps: None,
+            task: 1,
+        };
+        let mut b = tree_k(4, 33, 1);
+        b.topo_flow_at(Ns::from_millis(30), topo(5, 3))
+            .topo_flow_at(Ns::from_millis(30), topo(9, 2));
+        let mut sim = b.build();
+        sim.run_until(Ns::from_millis(31));
+        let now = sim.q.now();
+        sim.step(
+            now,
+            Ev::StartFlow {
+                spec: incast_spec(1, 2, 50_000_000),
+            },
+        );
+        sim.step(now, Ev::StartTopoFlow { spec: topo(12, 1) });
+        assert_eq!(live_flows(&sim), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!((sim.next_flow, sim.flows_started), (9, 4));
+        for (id, slot) in (1u64..).zip(&sim.flows.slots) {
+            let state = slot.as_ref().expect("live");
+            assert_eq!(state.sender.flow(), FlowId(id), "slot id − 1 holds flow id");
+            // Remote sources are numbered from the id, hosts are not.
+            let remote = matches!(state.source, Source::Remote(_));
+            assert_eq!(remote, id == 6 || id == 7, "flow {id}");
+        }
+        sim.run_until(Ns::from_millis(400));
+        assert_eq!(sim.conns_completed, 8);
+        assert_eq!(live_flows(&sim), Vec::<u64>::new());
     }
 
     #[test]

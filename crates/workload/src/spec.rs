@@ -850,6 +850,16 @@ pub struct ScenarioBuilder {
     spec: ScenarioSpec,
 }
 
+/// Appends to one of the spec's per-server lists. Racks list things per
+/// server, so the first entry reserves room for one per server (64 at
+/// most) and the list is spared its 4 → 8 → 16 … regrowth.
+fn push_listed<T>(list: &mut Vec<T>, num_servers: usize, item: T) {
+    if list.is_empty() {
+        list.reserve(num_servers.min(64));
+    }
+    list.push(item);
+}
+
 impl ScenarioBuilder {
     /// Starts from paper-like defaults (see [`ScenarioSpec::new`]).
     pub fn new(num_servers: usize, seed: u64) -> Self {
@@ -942,7 +952,11 @@ impl ScenarioBuilder {
 
     /// Schedules a host-to-host flow group routed through the fat tree.
     pub fn topo_flow_at(&mut self, at: Ns, flow: TopoFlowSpec) -> &mut Self {
-        self.spec.topo_flows.push(ScheduledTopoFlow { at, flow });
+        push_listed(
+            &mut self.spec.topo_flows,
+            self.spec.num_servers,
+            ScheduledTopoFlow { at, flow },
+        );
         self
     }
 
@@ -974,7 +988,11 @@ impl ScenarioBuilder {
 
     /// Schedules a flow group at `at`.
     pub fn flow_at(&mut self, at: Ns, flow: FlowSpec) -> &mut Self {
-        self.spec.flows.push(ScheduledFlow { at, flow });
+        push_listed(
+            &mut self.spec.flows,
+            self.spec.num_servers,
+            ScheduledFlow { at, flow },
+        );
         self
     }
 
@@ -1002,17 +1020,25 @@ impl ScenarioBuilder {
 
     /// Enables keepalive chatter on `server`.
     pub fn chatter(&mut self, server: usize, pool: u64, pkts_per_sec: u64) -> &mut Self {
-        self.spec.chatter.push(ChatterSpec {
-            server,
-            pool,
-            pkts_per_sec,
-        });
+        push_listed(
+            &mut self.spec.chatter,
+            self.spec.num_servers,
+            ChatterSpec {
+                server,
+                pool,
+                pkts_per_sec,
+            },
+        );
         self
     }
 
     /// Subscribes `server` to multicast `group`.
     pub fn join_multicast(&mut self, group: u32, server: usize) -> &mut Self {
-        self.spec.mcast_members.push((group, server));
+        push_listed(
+            &mut self.spec.mcast_members,
+            self.spec.num_servers,
+            (group, server),
+        );
         self
     }
 
@@ -1025,13 +1051,17 @@ impl ScenarioBuilder {
         size: u32,
         paced_bps: Bps,
     ) -> &mut Self {
-        self.spec.mcast_bursts.push(McastBurstSpec {
-            at,
-            group,
-            packets,
-            size,
-            paced_bps,
-        });
+        push_listed(
+            &mut self.spec.mcast_bursts,
+            self.spec.num_servers,
+            McastBurstSpec {
+                at,
+                group,
+                packets,
+                size,
+                paced_bps,
+            },
+        );
         self
     }
 
@@ -1132,6 +1162,54 @@ mod tests {
         assert_eq!(dec, spec);
         // Canonical: same spec, same bytes.
         assert_eq!(spec.encode(), dec.encode());
+    }
+
+    #[test]
+    fn builder_lists_reserve_per_server_and_describe_the_same_spec() {
+        let flow = FlowSpec {
+            dst_server: 1,
+            connections: 2,
+            total_bytes: 10_000,
+            algorithm: CcAlgorithm::Dctcp,
+            paced_bps: None,
+            task: 0,
+        };
+        let rate = Bps(1_000_000_000);
+        // Through the builder the first push into each list reserves; by
+        // hand the same entries are plain pushes onto the spec's lists.
+        let mut built = ScenarioBuilder::new(16, 7);
+        let mut by_hand = ScenarioSpec::new(16, 7);
+        for i in 0..5u64 {
+            let (at, server, pool) = (Ns::from_millis(i), i as usize, 0x4000_0000 + i);
+            built
+                .flow_at(at, flow)
+                .chatter(server, pool, 1000)
+                .join_multicast(1, server)
+                .multicast_burst(at, 1, 10, 256, rate);
+            by_hand.flows.push(ScheduledFlow { at, flow });
+            by_hand.chatter.push(ChatterSpec {
+                server,
+                pool,
+                pkts_per_sec: 1000,
+            });
+            by_hand.mcast_members.push((1, server));
+            by_hand.mcast_bursts.push(McastBurstSpec {
+                at,
+                group: 1,
+                packets: 10,
+                size: 256,
+                paced_bps: rate,
+            });
+        }
+        assert_eq!(built.spec.flows.capacity(), 16, "one per server");
+        assert!(by_hand.flows.capacity() < 16, "plain pushes grew 4 → 8");
+        assert_eq!(built.spec(), by_hand);
+        assert_eq!(built.spec().encode(), by_hand.encode());
+        // A region-sized host count is not a region-sized allocation.
+        let mut huge = ScenarioBuilder::new(1 << 20, 7);
+        huge.flow_at(Ns::ZERO, flow).join_multicast(1, 0);
+        assert!(huge.spec.flows.capacity() <= 64);
+        assert!(huge.spec.mcast_members.capacity() <= 64);
     }
 
     #[test]
