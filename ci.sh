@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# The workspace's CI gauntlet — identical locally and in Actions.
+# The workspace's CI gauntlet — .github/workflows/ci.yml runs exactly
+# this script, so local and Actions runs are the same gate.
 # Order is cheapest-first so failures surface fast.
 set -eu
 
@@ -18,21 +19,15 @@ grep -q '"files_scanned"' BENCH_simlint.json
 # were silently disabled.
 grep -q '"float_tainted_fns"' BENCH_simlint.json
 grep -q '"dimension_facts"' BENCH_simlint.json
-# The PDES-readiness tier (monotonicity/channel/LP passes) must have
-# covered real code: zero timestamp sites, channel endpoints, or
-# partitioned fields would mean the [monotonic]/[channels]/[lp] config
-# rotted out from under the passes.
-for counter in monotonic_sites channel_endpoints lp_fields_checked; do
-    awk -F'[:,]' -v key="\"$counter\"" '
-        $0 ~ key { for (i = 1; i < NF; i++) if ($i ~ key) { n = $(i + 1) + 0 } }
-        END {
-            if (n < 1) { printf "%s is zero — a PDES pass lost its coverage\n", key; exit 1 }
-            printf "    (%s: %d)\n", key, n
-        }' BENCH_simlint.json
-done
+# The monotonicity pass must have covered real code: zero timestamp
+# sites would mean the [monotonic] sinks rotted out from under it.
+sites=$(sed -n 's/.*"monotonic_sites":\([0-9][0-9]*\).*/\1/p' BENCH_simlint.json)
+if [ "${sites:-0}" -lt 1 ]; then
+    echo "monotonic_sites is zero — the monotonicity pass lost its coverage"
+    exit 1
+fi
+echo "    (monotonic_sites: $sites)"
 grep -q '"monotonic"' BENCH_simlint.json
-grep -q '"channels"' BENCH_simlint.json
-grep -q '"lp"' BENCH_simlint.json
 
 echo "==> bench ledger (BENCH_history.jsonl: one line per merged PR)"
 # The trajectory the north star asks for: every line names its commit and

@@ -31,36 +31,6 @@ pub struct FileAllow {
     pub line: u32,
 }
 
-/// One declared LP-boundary site from `[monotonic] boundaries`:
-/// `"<Type::fn> <EventIdent> <lookahead-ident>"`. Inside `<Type::fn>`,
-/// every schedule whose event expression mentions `<EventIdent>` must
-/// derive its timestamp from `<lookahead-ident>` — the per-link
-/// lookahead floor the future PDES engine will rely on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Boundary {
-    pub func: String,
-    pub event: String,
-    pub lookahead: String,
-    /// Line of the entry in `simlint.toml`, for the guard diagnostic
-    /// when the declared function no longer exists.
-    pub line: u32,
-}
-
-/// One declared channel from `[channels] declare`:
-/// `"<name> <tx-identity> <rx-identity> <spsc|mpsc>"`. Identities use
-/// the lock pass's qualified spelling (`run_fleet::tx`, `Pipe::tx`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelDecl {
-    pub name: String,
-    pub tx: String,
-    pub rx: String,
-    /// `true` for declared-mpsc (cloneable sender); `false` for SPSC.
-    pub multi: bool,
-    /// Line of the entry in `simlint.toml`, for the guard diagnostic
-    /// when the declared endpoints match no site.
-    pub line: u32,
-}
-
 /// Parsed configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
@@ -88,22 +58,6 @@ pub struct Config {
     /// `Type::function` event-queue insertion points checked by the
     /// time-monotonicity pass (matched by method name at call sites).
     pub monotonic_sinks: Vec<String>,
-    /// Declared LP-boundary schedule sites with their lookahead floors.
-    pub boundaries: Vec<Boundary>,
-    /// Declared channels for the channel-discipline pass.
-    pub channels: Vec<ChannelDecl>,
-    /// Functions allowed to block on `recv` even when reachable from a
-    /// hot-path root (a dedicated consumer thread's documented contract).
-    pub may_recv: Vec<String>,
-    /// The per-LP state type whose fields the partition pass audits.
-    pub lp_state: Option<String>,
-    /// Fields of `lp_state` owned by a single logical process.
-    pub lp_per_lp: Vec<String>,
-    /// Fields of `lp_state` that are deliberately shared across LPs
-    /// (must be behind an explicit synchronization type).
-    pub lp_shared: Vec<String>,
-    /// `Type::function` entry points, one per logical process.
-    pub lp_roots: Vec<String>,
 }
 
 impl Config {
@@ -145,58 +99,6 @@ impl Config {
                 ("hotpath", "may_block") => cfg.may_block = values,
                 ("float", "roots") => cfg.float_roots = values,
                 ("monotonic", "sinks") => cfg.monotonic_sinks = values,
-                ("monotonic", "boundaries") => {
-                    for entry in values {
-                        let parts: Vec<&str> = entry.split_whitespace().collect();
-                        let [func, event, lookahead] = parts[..] else {
-                            return Err(format!(
-                                "line {}: boundary entry {entry:?} must be \
-                                 \"<Type::fn> <Event> <lookahead-ident>\"",
-                                idx + 1
-                            ));
-                        };
-                        cfg.boundaries.push(Boundary {
-                            func: func.to_string(),
-                            event: event.to_string(),
-                            lookahead: lookahead.to_string(),
-                            line: u32::try_from(idx + 1).unwrap_or(u32::MAX),
-                        });
-                    }
-                }
-                ("channels", "declare") => {
-                    for entry in values {
-                        let parts: Vec<&str> = entry.split_whitespace().collect();
-                        let [name, tx, rx, kind] = parts[..] else {
-                            return Err(format!(
-                                "line {}: channel entry {entry:?} must be \
-                                 \"<name> <tx> <rx> <spsc|mpsc>\"",
-                                idx + 1
-                            ));
-                        };
-                        let multi = match kind {
-                            "mpsc" => true,
-                            "spsc" => false,
-                            other => {
-                                return Err(format!(
-                                    "line {}: channel kind {other:?} must be spsc or mpsc",
-                                    idx + 1
-                                ))
-                            }
-                        };
-                        cfg.channels.push(ChannelDecl {
-                            name: name.to_string(),
-                            tx: tx.to_string(),
-                            rx: rx.to_string(),
-                            multi,
-                            line: u32::try_from(idx + 1).unwrap_or(u32::MAX),
-                        });
-                    }
-                }
-                ("channels", "may_recv") => cfg.may_recv = values,
-                ("lp", "state") => cfg.lp_state = values.into_iter().next(),
-                ("lp", "per_lp") => cfg.lp_per_lp = values,
-                ("lp", "shared") => cfg.lp_shared = values,
-                ("lp", "roots") => cfg.lp_roots = values,
                 ("allow", "rules") => {
                     for entry in values {
                         let Some((rule, path)) = entry.split_once(' ') else {
@@ -327,6 +229,9 @@ functions = [
 [float]
 roots = ["EventQueue::schedule"]
 
+[monotonic]
+sinks = ["EventQueue::schedule", "DrainSlot::pulled"]
+
 [allow]
 rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
 "#,
@@ -335,6 +240,10 @@ rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
         assert_eq!(cfg.crates, ["crates/dcsim", "crates/millisampler"]);
         assert_eq!(cfg.hot_functions, ["TcFilter::record", "EventQueue::pop"]);
         assert_eq!(cfg.float_roots, ["EventQueue::schedule"]);
+        assert_eq!(
+            cfg.monotonic_sinks,
+            ["EventQueue::schedule", "DrainSlot::pulled"]
+        );
         assert!(cfg.file_allowed("cast-truncation", "crates/dcsim/src/pcap.rs"));
         assert!(!cfg.file_allowed("cast-truncation", "crates/dcsim/src/lib.rs"));
     }
@@ -377,48 +286,26 @@ rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
         assert_eq!(cfg.may_block, ["Q::next"]);
     }
 
+    /// The PDES-readiness tables are gone: a config that still carries
+    /// one must fail at its line, not be half-read.
     #[test]
-    fn parses_pdes_tables() {
-        let cfg = Config::parse(
-            "[monotonic]\nsinks = [\"EventQueue::schedule\"]\n\
-             boundaries = [\"RackSim::handle_chatter TorArrive fabric_delay\"]\n\
-             [channels]\ndeclare = [\"results run_fleet::tx run_fleet::rx mpsc\"]\n\
-             may_recv = [\"Merger::drain\"]\n\
-             [lp]\nstate = \"RackSim\"\nper_lp = [\"q\", \"hosts\"]\n\
-             shared = [\"telemetry\"]\nroots = [\"RackSim::step\"]\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.monotonic_sinks, ["EventQueue::schedule"]);
-        assert_eq!(
-            cfg.boundaries,
-            [Boundary {
-                func: "RackSim::handle_chatter".into(),
-                event: "TorArrive".into(),
-                lookahead: "fabric_delay".into(),
-                line: 3,
-            }]
-        );
-        assert_eq!(
-            cfg.channels,
-            [ChannelDecl {
-                name: "results".into(),
-                tx: "run_fleet::tx".into(),
-                rx: "run_fleet::rx".into(),
-                multi: true,
-                line: 5,
-            }]
-        );
-        assert_eq!(cfg.may_recv, ["Merger::drain"]);
-        assert_eq!(cfg.lp_state.as_deref(), Some("RackSim"));
-        assert_eq!(cfg.lp_per_lp, ["q", "hosts"]);
-        assert_eq!(cfg.lp_shared, ["telemetry"]);
-        assert_eq!(cfg.lp_roots, ["RackSim::step"]);
-    }
-
-    #[test]
-    fn rejects_malformed_boundary_and_channel_entries() {
-        assert!(Config::parse("[monotonic]\nboundaries = [\"only-two parts\"]\n").is_err());
-        assert!(Config::parse("[channels]\ndeclare = [\"n tx rx duplex\"]\n").is_err());
-        assert!(Config::parse("[channels]\ndeclare = [\"n tx rx\"]\n").is_err());
+    fn stale_pdes_tables_are_rejected_by_line() {
+        for (text, err) in [
+            (
+                "[scan]\ncrates = [\"a\"]\n[lp]\nstate = \"RackSim\"\n",
+                "line 4: unknown key `state` in table `[lp]`",
+            ),
+            (
+                "[channels]\ndeclare = [\"r run_pool::tx run_pool::rx mpsc\"]\n",
+                "line 2: unknown key `declare` in table `[channels]`",
+            ),
+            (
+                "[monotonic]\nsinks = [\"Q::schedule\"]\n\
+                 boundaries = [\"S::f SwArrive FABRIC_DELAY\"]\n",
+                "line 3: unknown key `boundaries` in table `[monotonic]`",
+            ),
+        ] {
+            assert_eq!(Config::parse(text).unwrap_err(), err);
+        }
     }
 }

@@ -12,7 +12,7 @@
 
 /// `(rule, rationale, example diagnostic)` for every rule, v1 through
 /// v4, sorted by analyzer generation then roughly by pass.
-pub const ALL_RULES: [(&str, &str, &str); 25] = [
+pub const ALL_RULES: [(&str, &str, &str); 17] = [
     (
         "hash-collections",
         "HashMap/HashSet iteration order depends on RandomState's per-process seed, so any \
@@ -153,99 +153,12 @@ pub const ALL_RULES: [(&str, &str, &str); 25] = [
          saturating arithmetic proven non-negative",
     ),
     (
-        "lookahead-floor",
-        "Conservative PDES (ROADMAP item 2) can only run LPs in parallel if every cross-LP \
-         event is at least `lookahead` in the future — that slack *is* the parallelism. A \
-         boundary send scheduled without its declared lookahead term (e.g. the fabric delay) \
-         shrinks the safe window to zero and serializes the engine.",
-        "crates/workload/src/sim.rs:1610:13: [lookahead-floor] boundary schedule of `TorArrive` \
-         in `RackSim::handle_mcast_send` does not include declared lookahead `fabric_delay`\n    \
-         hint: cross-LP events must add the link's lookahead so conservative parallel \
-         execution has slack — route the delay through the declared term",
-    ),
-    (
-        "undeclared-channel",
-        "Channel endpoints created outside the `[channels]` map in simlint.toml are invisible \
-         to the discipline checks (SPSC violations, deadlock edges). The PDES refactor needs \
-         every channel's topology declared so the analyzer can hold the code to it.",
-        "crates/fleet/src/runner.rs:183:9: [undeclared-channel] channel created here \
-         (`run_fleet::tx`/`run_fleet::rx`) is not declared in [channels]\n    \
-         hint: declare it with its intended kind (spsc|mpsc) so producer/consumer discipline \
-         is checked",
-    ),
-    (
-        "spsc-multi-producer",
-        "The PDES design exchanges cross-LP events over single-producer channels: SPSC ordering \
-         is what makes merge at the consumer deterministic. Cloning a declared-SPSC sender \
-         creates a second producer whose interleaving is scheduler-dependent — a determinism \
-         hole, not just a perf bug.",
-        "crates/fleet/src/runner.rs:188:22: [spsc-multi-producer] sender of declared-SPSC \
-         channel `fleet-results` is cloned — second producer\n    \
-         hint: declare the channel mpsc if multi-producer is intended, or route all sends \
-         through the single owning LP",
-    ),
-    (
-        "send-after-drop",
-        "Sending on a channel whose sender was already dropped in the same function panics or \
-         errors at runtime — usually a refactor left a stale send below the `drop(tx)` that \
-         closes the channel for the workers.",
-        "crates/fleet/src/runner.rs:210:9: [send-after-drop] `send` on `run_fleet::tx` after \
-         `drop` of the sender (runner.rs:204)\n    \
-         hint: move the send above the drop, or keep a clone for the coordinator's own sends",
-    ),
-    (
-        "channel-recv-hot",
-        "A blocking `recv` reachable from a hot-path root stalls the per-event loop on OS \
-         scheduling — the same argument as hot-path-block, but stated per channel so the \
-         PDES merge loops (which *should* use bounded try_recv polling) are auditable.",
-        "crates/fleet/src/runner.rs:195:26: [channel-recv-hot] blocking `recv` on \
-         `fleet-results` reachable from hot root `ShardQueue::next`\n    \
-         hint: use try_recv with bounded backoff on hot paths, or exempt the function under \
-         [channels] may_recv with a justification",
-    ),
-    (
-        "lp-field-unmapped",
-        "The LP partition must be total: a field of the LP state struct that is neither \
-         per_lp nor shared in [lp] is state whose ownership nobody decided — exactly where a \
-         data race hides when the engine goes parallel.",
-        "crates/workload/src/sim.rs:405:5: [lp-field-unmapped] field `gro_pending` of LP state \
-         `RackSim` is not classified in [lp]\n    \
-         hint: the PDES partition must be total — add the field to [lp] per_lp (private to \
-         one logical process) or shared (explicitly synchronized)",
-    ),
-    (
-        "lp-escape",
-        "A per-LP field that holds a shareable handle (Arc/Rc/Mutex/RefCell) or is reachable \
-         from more than one declared LP root is not actually private: two logical processes \
-         on two threads would alias it. Such state must be declared shared (and synchronized) \
-         or factored into one LP.",
-        "crates/workload/src/sim.rs:398:5: [lp-escape] per-LP field `telemetry` of `RackSim` \
-         holds `Arc` — a shareable or interior-mutable handle inside supposedly private state \
-         can alias across logical processes\n    \
-         hint: move the field to [lp] shared behind an explicit synchronization boundary, or \
-         replace the handle with owned per-LP data",
-    ),
-    (
-        "wait-cycle",
-        "Channel progress is a resource like a lock: a thread blocking on `recv` while \
-         holding lock L waits for a send that — if every sender takes L — can never happen. \
-         The lock-order pass adds chan:<name> nodes to the acquisition graph and reports \
-         mixed lock/channel cycles, the deadlock shape lock-order analysis alone cannot see.",
-        "crates/fleet/src/runner.rs:195:26: [wait-cycle] blocking `recv` on `chan:fleet-results` \
-         while holding `HostStore::entries` completes a lock/channel wait cycle \
-         (`HostStore::entries` -> `chan:fleet-results` -> `HostStore::entries`)\n    \
-         hint: channel progress is a resource like a lock: never block on `recv` while \
-         holding a lock its senders need — drop the guard before receiving, or move the \
-         `send` out of the critical section",
-    ),
-    (
-        "pdes-config-missing",
-        "A [monotonic]/[channels]/[lp] entry naming a sink, boundary, endpoint, field, or \
-         root that no longer matches the code means a PDES-readiness check silently stopped \
-         running. Config must track the code it audits.",
-        "simlint.toml:1:1: [pdes-config-missing] configured LP root `RackSim::step` was not \
-         found in any scanned file\n    \
-         hint: a rename silently disables escape checking — update [lp] roots",
+        "monotonic-sink-missing",
+        "A `[monotonic]` sink naming a vanished function means timestamp checking silently \
+         stopped covering that queue entry point.",
+        "simlint.toml:1:1: [monotonic-sink-missing] configured monotonic sink \
+         `EventQueue::schedule` was not found in any scanned file\n    \
+         hint: a rename silently disables timestamp checking — update [monotonic] sinks",
     ),
 ];
 
@@ -289,10 +202,12 @@ mod tests {
 
     #[test]
     fn explain_formats_known_and_rejects_unknown() {
-        let text = explain("wait-cycle").expect("registered");
-        assert!(text.starts_with("[wait-cycle]"), "{text}");
+        let text = explain("lock-cycle").expect("registered");
+        assert!(text.starts_with("[lock-cycle]"), "{text}");
         assert!(text.contains("example:"), "{text}");
         assert!(explain("nonexistent").is_none());
+        // Deleted with the PDES-readiness tier; must not linger.
+        assert!(explain("wait-cycle").is_none());
     }
 
     /// Scans the analyzer's own sources for rule-shaped string literals

@@ -24,13 +24,9 @@
 //! * float determinism — no `f32`/`f64` arithmetic transitively
 //!   reachable from the `[float] roots` scheduling/trace-emission
 //!   functions (see [`floatflow`]);
-//! * PDES readiness — scheduled timestamps are provably `now +
-//!   positive delta` and boundary events carry their declared lookahead
-//!   (see [`monotonic`]); channel endpoints follow their declared
-//!   topology (see [`channels`]); the LP state partition in `[lp]` is
-//!   total and per-LP fields do not escape to other logical processes
-//!   (see [`lp`]); and mixed lock/channel wait cycles are reported
-//!   alongside lock-order cycles (see [`locks`]).
+//! * time monotonicity — every timestamp handed to a `[monotonic]
+//!   sinks` function is provably `now + positive delta` (see
+//!   [`monotonic`]).
 //!
 //! Run it with `cargo run -p simlint -- --deny` (CI adds
 //! `--baseline simlint.baseline`). Rules are configured in the
@@ -44,7 +40,6 @@
 //! workspace building offline.
 
 pub mod baseline;
-pub mod channels;
 pub mod config;
 pub mod diag;
 pub mod explain;
@@ -53,7 +48,6 @@ pub mod graph;
 pub mod hotpath;
 pub mod lexer;
 pub mod locks;
-pub mod lp;
 pub mod monotonic;
 pub mod parser;
 pub mod rules;
@@ -85,18 +79,12 @@ pub struct Stats {
     pub float_tainted_fns: usize,
     /// Schedule-sink call sites audited by the monotonicity pass.
     pub monotonic_sites: usize,
-    /// Channel endpoints (senders + receivers) observed in use.
-    pub channel_endpoints: usize,
-    /// Fields of the LP state struct audited against the `[lp]` map.
-    pub lp_fields_checked: usize,
     /// Per-pass wall times in milliseconds.
     pub hotpath_ms: f64,
     pub locks_ms: f64,
     pub float_ms: f64,
     pub unit_ms: f64,
     pub monotonic_ms: f64,
-    pub channels_ms: f64,
-    pub lp_ms: f64,
 }
 
 /// The result of one full analysis.
@@ -106,10 +94,6 @@ pub struct Analysis {
     /// assigned.
     pub diags: Vec<Diagnostic>,
     pub stats: Stats,
-    /// Machine-readable LP partition report (JSON), when `[lp] state`
-    /// is configured and the struct was found. `--lp-report` writes it;
-    /// DESIGN.md carries it as the PDES contract.
-    pub lp_report: Option<String>,
 }
 
 /// Analyzes every `.rs` file of every configured crate under `root`.
@@ -196,7 +180,7 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     raw.extend(hotpath::hotpath_pass(&graph, cfg));
     stats.hotpath_ms = ms(t0);
     let t0 = std::time::Instant::now();
-    raw.extend(locks::LockPass::run(&graph, cfg));
+    raw.extend(locks::LockPass::run(&graph));
     stats.locks_ms = ms(t0);
     let t0 = std::time::Instant::now();
     raw.extend(floatflow::float_pass(&graph, cfg));
@@ -212,16 +196,6 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     raw.extend(mono_diags);
     stats.monotonic_ms = ms(t0);
     stats.monotonic_sites = mono_stats.sites;
-    let t0 = std::time::Instant::now();
-    let (chan_diags, chan_stats) = channels::channel_pass(&graph, &tokens, cfg);
-    raw.extend(chan_diags);
-    stats.channels_ms = ms(t0);
-    stats.channel_endpoints = chan_stats.endpoints;
-    let t0 = std::time::Instant::now();
-    let (lp_diags, lp_stats, lp_report) = lp::lp_pass(&graph, &tokens, cfg);
-    raw.extend(lp_diags);
-    stats.lp_ms = ms(t0);
-    stats.lp_fields_checked = lp_stats.fields_checked;
 
     let mut diags = suppressions.filter(raw);
     // The audit runs after every pass has been filtered; its findings
@@ -230,11 +204,7 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
 
     diags.sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
     baseline::assign_fingerprints(&mut diags);
-    Ok(Analysis {
-        diags,
-        stats,
-        lp_report,
-    })
+    Ok(Analysis { diags, stats })
 }
 
 /// Recursively collects `.rs` files, skipping build output and hidden

@@ -25,20 +25,7 @@
 //! explicit `drop(g)`; any other consumption holds it for the rest of
 //! that statement (modelling Rust's temporary extension into trailing
 //! sub-blocks, e.g. `if let Some(x) = m.lock().unwrap().pop() { ... }`).
-//!
-//! **Wait-cycle extension.** Channel progress is a resource exactly like
-//! a lock: a thread that blocks on `recv` while holding lock `L` cannot
-//! proceed until *someone sends*, and if every sender takes `L` around
-//! its `send`, nobody ever will. For each channel declared under
-//! `[channels]` in `simlint.toml` the pass adds a pseudo-node
-//! `chan:<name>` to the acquisition graph — `recv` under a held lock
-//! contributes `L -> chan:<name>` (L's holder waits on the channel),
-//! `send` under a held lock contributes `chan:<name> -> M` (the channel
-//! advances only when M drops). Cycles that pass through a channel node
-//! are reported as `wait-cycle`; pure lock cycles keep the `lock-cycle`
-//! rule (and their fingerprints).
 
-use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::graph::{visit_ops, CallEdge, CallGraph, FnNode};
 use crate::parser::{Block, CallKind, Node};
@@ -55,21 +42,9 @@ enum Adapter {
     FirstArg,
 }
 
-/// How a wait-for edge arose; drives chain phrasing and rule choice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EdgeKind {
-    /// `to` (a lock) acquired while `from` (a lock) is held.
-    Lock,
-    /// Blocking `recv` on `to` (a channel) while `from` (a lock) is held.
-    RecvWait,
-    /// `send` on `from` (a channel) under `to` (a held lock).
-    SendHold,
-}
-
-/// Where one wait-for edge was observed.
+/// Where one lock was observed taken while another was held.
 #[derive(Debug, Clone)]
 struct EdgeSite {
-    kind: EdgeKind,
     file: String,
     line: u32,
     col: u32,
@@ -97,17 +72,12 @@ pub struct LockPass<'g> {
     /// Transitive lock identities acquirable by each function.
     may_acquire: Vec<BTreeSet<String>>,
     edges: BTreeMap<(String, String), EdgeSite>,
-    /// Declared sender endpoint identity -> channel name.
-    tx_chans: BTreeMap<String, String>,
-    /// Declared receiver endpoint identity -> channel name.
-    rx_chans: BTreeMap<String, String>,
 }
 
-/// Qualifies a receiver/argument chain into a resource identity, or
-/// `None` when the text does not name a stable place (call results,
-/// unknown receivers). Shared with the channel-discipline pass so lock
-/// and channel-endpoint identities live in one namespace.
-pub(crate) fn qualify(text: &str, node: &FnNode) -> Option<String> {
+/// Qualifies a receiver/argument chain into a lock identity, or `None`
+/// when the text does not name a stable place (call results, unknown
+/// receivers).
+fn qualify(text: &str, node: &FnNode) -> Option<String> {
     if text.is_empty() || text.contains('(') || text.contains('?') {
         return None;
     }
@@ -121,22 +91,12 @@ pub(crate) fn qualify(text: &str, node: &FnNode) -> Option<String> {
 }
 
 impl<'g> LockPass<'g> {
-    pub fn run(graph: &'g CallGraph, cfg: &Config) -> Vec<Diagnostic> {
+    pub fn run(graph: &'g CallGraph) -> Vec<Diagnostic> {
         let mut pass = LockPass {
             graph,
             adapters: BTreeMap::new(),
             may_acquire: vec![BTreeSet::new(); graph.nodes.len()],
             edges: BTreeMap::new(),
-            tx_chans: cfg
-                .channels
-                .iter()
-                .map(|c| (c.tx.clone(), c.name.clone()))
-                .collect(),
-            rx_chans: cfg
-                .channels
-                .iter()
-                .map(|c| (c.rx.clone(), c.name.clone()))
-                .collect(),
         };
         pass.find_adapters();
         pass.fixpoint_may_acquire();
@@ -244,82 +204,14 @@ impl<'g> LockPass<'g> {
     }
 
     fn record_edge(&mut self, node: &FnNode, held: &Held, to: &str, line: u32, col: u32) {
-        self.record(
-            held.ident.clone(),
-            to.to_string(),
-            EdgeKind::Lock,
-            node,
-            held.line,
-            line,
-            col,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        from: String,
-        to: String,
-        kind: EdgeKind,
-        node: &FnNode,
-        held_line: u32,
-        line: u32,
-        col: u32,
-    ) {
-        self.edges.entry((from, to)).or_insert(EdgeSite {
-            kind,
+        let key = (held.ident.clone(), to.to_string());
+        self.edges.entry(key).or_insert(EdgeSite {
             file: node.file.clone(),
             line,
             col,
-            held_line,
+            held_line: held.line,
             in_fn: node.qualified(),
         });
-    }
-
-    /// Records lock<->channel wait edges for a declared-endpoint
-    /// `recv`/`send` executed while locks are held.
-    fn chan_edges(&mut self, node: &FnNode, site: &crate::parser::CallSite, held: &[Held]) {
-        let CallKind::Method { recv } = &site.kind else {
-            return;
-        };
-        let Some(id) = qualify(recv, node) else {
-            return;
-        };
-        match site.name.as_str() {
-            "recv" | "recv_timeout" => {
-                let Some(chan) = self.rx_chans.get(&id).cloned() else {
-                    return;
-                };
-                for h in held {
-                    self.record(
-                        h.ident.clone(),
-                        format!("chan:{chan}"),
-                        EdgeKind::RecvWait,
-                        node,
-                        h.line,
-                        site.line,
-                        site.col,
-                    );
-                }
-            }
-            "send" | "try_send" => {
-                let Some(chan) = self.tx_chans.get(&id).cloned() else {
-                    return;
-                };
-                for h in held {
-                    self.record(
-                        format!("chan:{chan}"),
-                        h.ident.clone(),
-                        EdgeKind::SendHold,
-                        node,
-                        h.line,
-                        site.line,
-                        site.col,
-                    );
-                }
-            }
-            _ => {}
-        }
     }
 
     fn walk_block(&mut self, node: &FnNode, block: &Block, held: &mut Vec<Held>, depth: usize) {
@@ -335,7 +227,6 @@ impl<'g> LockPass<'g> {
                             }
                             continue;
                         }
-                        self.chan_edges(node, site, held);
                         let edge = node
                             .calls
                             .iter()
@@ -396,77 +287,29 @@ impl<'g> LockPass<'g> {
             let Some(path) = shortest_path(&adj, b, a) else {
                 continue;
             };
-            let mixed = a.starts_with("chan:")
-                || b.starts_with("chan:")
-                || path.iter().any(|p| p.starts_with("chan:"));
-            let mut chain = vec![match site.kind {
-                // The first line anchors the held lock's acquisition;
-                // for SendHold the held lock is `b`.
-                EdgeKind::SendHold => format!(
-                    "`{b}` acquired in `{}` ({}:{})",
-                    site.in_fn, site.file, site.held_line
-                ),
-                _ => format!(
+            let mut chain = vec![
+                format!(
                     "`{a}` acquired in `{}` ({}:{})",
                     site.in_fn, site.file, site.held_line
                 ),
-            }];
-            chain.push(match site.kind {
-                EdgeKind::Lock => format!(
+                format!(
                     "`{b}` acquired while `{a}` is held ({}:{})",
                     site.file, site.line
                 ),
-                EdgeKind::RecvWait => format!(
-                    "blocking `recv` on `{b}` while `{a}` is held ({}:{})",
-                    site.file, site.line
-                ),
-                EdgeKind::SendHold => format!(
-                    "`send` on `{a}` happens under `{b}` ({}:{}) — the channel cannot \
-                     progress until the lock drops",
-                    site.file, site.line
-                ),
-            });
+            ];
             // Close the loop: b -> ... -> a through the stored edges.
             for w in path.windows(2) {
                 let s = &self.edges[&(w[0].to_string(), w[1].to_string())];
-                chain.push(match s.kind {
-                    EdgeKind::Lock => format!(
-                        "`{}` acquired while `{}` is held in `{}` ({}:{})",
-                        w[1], w[0], s.in_fn, s.file, s.line
-                    ),
-                    EdgeKind::RecvWait => format!(
-                        "`{}` blocks on `recv` for `{}` while holding it ({}:{})",
-                        s.in_fn, w[1], s.file, s.line
-                    ),
-                    EdgeKind::SendHold => format!(
-                        "`{}` advances only via `send` in `{}`, which holds `{}` ({}:{})",
-                        w[0], s.in_fn, w[1], s.file, s.line
-                    ),
-                });
+                chain.push(format!(
+                    "`{}` acquired while `{}` is held in `{}` ({}:{})",
+                    w[1], w[0], s.in_fn, s.file, s.line
+                ));
             }
             let message = if a == b {
                 format!(
                     "`{a}` is re-acquired while already held — std::sync::Mutex is not \
                      reentrant, this deadlocks"
                 )
-            } else if mixed {
-                match site.kind {
-                    EdgeKind::RecvWait => format!(
-                        "blocking `recv` on `{b}` while holding `{a}` completes a \
-                         lock/channel wait cycle ({})",
-                        path_display(a, &path)
-                    ),
-                    EdgeKind::SendHold => format!(
-                        "`send` on `{a}` under held `{b}` completes a lock/channel wait \
-                         cycle ({})",
-                        path_display(a, &path)
-                    ),
-                    EdgeKind::Lock => format!(
-                        "acquiring `{b}` while holding `{a}` completes a wait cycle \
-                         through a channel ({})",
-                        path_display(a, &path)
-                    ),
-                }
             } else {
                 format!(
                     "acquiring `{b}` while holding `{a}` completes a lock-order cycle \
@@ -474,23 +317,17 @@ impl<'g> LockPass<'g> {
                     path_display(a, &path)
                 )
             };
-            let (rule, hint) = if mixed {
-                (
-                    "wait-cycle",
-                    "channel progress is a resource like a lock: never block on `recv` \
-                     while holding a lock its senders need — drop the guard before \
-                     receiving, or move the `send` out of the critical section",
-                )
-            } else {
-                (
+            out.push(
+                Diagnostic::new(
+                    &site.file,
+                    site.line,
+                    site.col,
                     "lock-cycle",
+                    message,
                     "impose a single global lock order (acquire in ascending identity), or \
                      narrow the first guard's scope so it drops before the second lock",
                 )
-            };
-            out.push(
-                Diagnostic::new(&site.file, site.line, site.col, rule, message, hint)
-                    .with_chain(chain),
+                .with_chain(chain),
             );
         }
         out
@@ -550,29 +387,12 @@ mod tests {
     use crate::parser::parse_file;
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        run_chan(src, &[])
-    }
-
-    fn run_chan(src: &str, chans: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
         let graph = CallGraph::build(vec![(
             "t.rs".to_string(),
             "crates/t".to_string(),
             parse_file(&lex(src).toks).fns,
         )]);
-        let cfg = Config {
-            channels: chans
-                .iter()
-                .map(|(name, tx, rx)| crate::config::ChannelDecl {
-                    name: (*name).to_string(),
-                    tx: (*tx).to_string(),
-                    rx: (*rx).to_string(),
-                    multi: false,
-                    line: 1,
-                })
-                .collect(),
-            ..Config::default()
-        };
-        LockPass::run(&graph, &cfg)
+        LockPass::run(&graph)
     }
 
     #[test]
@@ -648,70 +468,6 @@ mod tests {
              }");
         assert!(!d.is_empty(), "{d:?}");
         assert!(d.iter().any(|x| x.message.contains("S::a")), "{d:?}");
-    }
-
-    #[test]
-    fn recv_under_lock_with_send_under_same_lock_is_a_wait_cycle() {
-        let d = run_chan(
-            "impl Pipe {\n\
-               fn consume(&self) { let g = self.m.lock().unwrap(); let v = self.rx.recv().unwrap(); }\n\
-               fn produce(&self) { let g = self.m.lock().unwrap(); self.tx.send(1).unwrap(); }\n\
-             }",
-            &[("pipe", "Pipe::tx", "Pipe::rx")],
-        );
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|x| x.rule == "wait-cycle"), "{d:?}");
-        let recv_side = d
-            .iter()
-            .find(|x| x.message.contains("blocking `recv`"))
-            .expect("recv-side finding");
-        assert!(
-            recv_side.message.contains("chan:pipe"),
-            "{}",
-            recv_side.message
-        );
-        assert!(
-            recv_side.chain.iter().any(|c| c.contains("Pipe::produce")),
-            "{:?}",
-            recv_side.chain
-        );
-    }
-
-    #[test]
-    fn send_outside_the_lock_breaks_the_cycle() {
-        let d = run_chan(
-            "impl Pipe {\n\
-               fn consume(&self) { let g = self.m.lock().unwrap(); let v = self.rx.recv().unwrap(); }\n\
-               fn produce(&self) { self.tx.send(1).unwrap(); }\n\
-             }",
-            &[("pipe", "Pipe::tx", "Pipe::rx")],
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn undeclared_channel_adds_no_edges() {
-        let d = run_chan(
-            "impl Pipe {\n\
-               fn consume(&self) { let g = self.m.lock().unwrap(); let v = self.rx.recv().unwrap(); }\n\
-               fn produce(&self) { let g = self.m.lock().unwrap(); self.tx.send(1).unwrap(); }\n\
-             }",
-            &[],
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn pure_lock_cycle_keeps_its_rule_when_channels_are_declared() {
-        let d = run_chan(
-            "impl S {\n\
-               fn ab(&self) { let a = self.a.lock().unwrap(); let b = self.b.lock().unwrap(); }\n\
-               fn ba(&self) { let b = self.b.lock().unwrap(); let a = self.a.lock().unwrap(); }\n\
-             }",
-            &[("pipe", "S::tx", "S::rx")],
-        );
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|x| x.rule == "lock-cycle"), "{d:?}");
     }
 
     #[test]

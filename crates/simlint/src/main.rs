@@ -1,6 +1,6 @@
 //! CLI: `cargo run -p simlint -- [--deny] [--json] [--root DIR]
 //! [--config FILE] [--baseline FILE] [--write-baseline FILE]
-//! [--bench FILE] [--lp-report FILE] [--explain RULE]`.
+//! [--bench FILE] [--explain RULE]`.
 //!
 //! Exit status: 0 when clean (or merely warning), 1 when `--deny` and
 //! non-baselined findings exist, 2 on usage/config errors.
@@ -25,7 +25,6 @@ struct Args {
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
     bench: Option<PathBuf>,
-    lp_report: Option<PathBuf>,
     explain: Option<String>,
 }
 
@@ -38,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
         baseline: None,
         write_baseline: None,
         bench: None,
-        lp_report: None,
         explain: None,
     };
     let mut it = std::env::args().skip(1);
@@ -63,19 +61,16 @@ fn parse_args() -> Result<Args, String> {
             "--bench" => {
                 args.bench = Some(PathBuf::from(it.next().ok_or("--bench needs a file")?));
             }
-            "--lp-report" => {
-                args.lp_report = Some(PathBuf::from(it.next().ok_or("--lp-report needs a file")?));
-            }
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain needs a rule id")?);
             }
             "--help" | "-h" => {
                 println!(
                     "simlint — determinism, hot-path, lock-order, units, float-determinism, \
-                     and PDES-readiness invariants\n\n\
+                     and time-monotonicity invariants\n\n\
                      USAGE: simlint [--deny] [--json] [--root DIR] [--config FILE]\n\
                      \x20              [--baseline FILE] [--write-baseline FILE] [--bench FILE]\n\
-                     \x20              [--lp-report FILE] [--explain RULE]\n\n\
+                     \x20              [--explain RULE]\n\n\
                      --deny            exit nonzero if any non-baselined finding survives\n\
                      --json            machine-readable output (chains + fingerprints)\n\
                      --root            workspace root (default: current directory)\n\
@@ -83,7 +78,6 @@ fn parse_args() -> Result<Args, String> {
                      --baseline        subtract accepted fingerprints from the output\n\
                      --write-baseline  write current findings as the new baseline, then exit\n\
                      --bench           write scan-size/timing counters as JSON\n\
-                     --lp-report       write the LP partition report (JSON) for DESIGN.md\n\
                      --explain         print rationale + example for a rule id, then exit"
                 );
                 std::process::exit(0);
@@ -162,9 +156,9 @@ fn main() -> ExitCode {
         let json = format!(
             "{{\"files_scanned\":{},\"fns_in_call_graph\":{},\"resolved_calls\":{},\
              \"fns_typed\":{},\"dimension_facts\":{},\"float_tainted_fns\":{},\
-             \"monotonic_sites\":{},\"channel_endpoints\":{},\"lp_fields_checked\":{},\
+             \"monotonic_sites\":{},\
              \"pass_ms\":{{\"hotpath\":{:.3},\"locks\":{:.3},\"float\":{:.3},\"units\":{:.3},\
-             \"monotonic\":{:.3},\"channels\":{:.3},\"lp\":{:.3}}},\
+             \"monotonic\":{:.3}}},\
              \"wall_ms\":{wall_ms:.3}}}\n",
             s.files_scanned,
             s.fns_in_graph,
@@ -173,27 +167,13 @@ fn main() -> ExitCode {
             s.dimension_facts,
             s.float_tainted_fns,
             s.monotonic_sites,
-            s.channel_endpoints,
-            s.lp_fields_checked,
             s.hotpath_ms,
             s.locks_ms,
             s.float_ms,
             s.unit_ms,
-            s.monotonic_ms,
-            s.channels_ms,
-            s.lp_ms
+            s.monotonic_ms
         );
         if let Err(e) = std::fs::write(path, json) {
-            eprintln!("simlint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &args.lp_report {
-        let Some(report) = &analysis.lp_report else {
-            eprintln!("simlint: --lp-report needs [lp] state configured (and found)");
-            return ExitCode::from(2);
-        };
-        if let Err(e) = std::fs::write(path, format!("{report}\n")) {
             eprintln!("simlint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }

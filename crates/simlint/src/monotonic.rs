@@ -1,14 +1,12 @@
 //! Time-monotonicity: every timestamp handed to the event queue must be
 //! provably "now or later".
 //!
-//! The PDES refactor (ROADMAP item 2) turns the sequential `EventQueue`
-//! into per-rack logical processes synchronized by conservative
-//! lookahead; in that world a timestamp in the past is not a clamped
-//! curiosity but a *causality violation* — an LP that already advanced
-//! past `t` can never apply an event at `t`. This pass polices the
-//! property statically, before the engine is parallelized, at every
-//! call site of the `[monotonic] sinks` functions (`EventQueue::
-//! schedule`). It flags, with positive evidence only:
+//! `EventQueue` clamps a past timestamp to `now` in release builds and
+//! asserts in debug ones, so a handler that computes `now - delta` runs
+//! on a different timeline per build profile. This pass polices the
+//! property statically at every call site of the `[monotonic] sinks`
+//! functions (`EventQueue::schedule`). It flags, with positive evidence
+//! only:
 //!
 //! * **subtraction** anywhere in the timestamp expression or the `let`
 //!   chain feeding it (`now - delta` lands in the past);
@@ -22,16 +20,8 @@
 //! Unknown provenance stays silent: a timestamp that is just a
 //! parameter or a call result degrades to no finding, never to noise —
 //! the same philosophy as [`crate::unitflow`].
-//!
-//! Declared `[monotonic] boundaries` entries ("<Type::fn> <Event>
-//! <lookahead-ident>") additionally enforce the *lookahead floor*: in
-//! that function, every sink call scheduling `<Event>` must derive its
-//! timestamp from `<lookahead-ident>` (directly or through its `let`
-//! chain). Those are the sites that will become cross-LP channel sends;
-//! conservative synchronization is only deadlock-free if every cross-LP
-//! event is at least one link delay in the future.
 
-use crate::config::{Boundary, Config};
+use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::floatflow;
 use crate::graph::CallGraph;
@@ -50,12 +40,8 @@ const HINT: &str = "derive scheduled times as `now + positive delta` in integer 
                     if the shape is provably safe, add `// simlint: \
                     allow(non-monotonic-schedule): why`";
 
-const FLOOR_HINT: &str = "cross-LP events must be at least one link delay in the future for \
-                          conservative PDES synchronization — route the timestamp through the \
-                          declared lookahead term";
-
 /// Provenance of one `let` binding (or one argument expression):
-/// positive evidence plus the transitive ident closure of its RHS.
+/// positive evidence, folded through the bindings its RHS mentions.
 #[derive(Debug, Default, Clone)]
 struct Prov {
     /// First subtraction evidence: what the construct was.
@@ -64,8 +50,6 @@ struct Prov {
     float: Option<String>,
     /// The RHS is a bare literal (or `Ns(<literal>)`).
     lit: bool,
-    /// Idents mentioned, including those of bindings folded in.
-    mentions: BTreeSet<String>,
 }
 
 const SUB_METHODS: [&str; 3] = ["saturating_sub", "checked_sub", "wrapping_sub"];
@@ -87,7 +71,6 @@ fn analyze(slice: &[Tok], env: &BTreeMap<String, Prov>) -> Prov {
                 if SUB_METHODS.contains(&t.text.as_str()) && p.sub.is_none() {
                     p.sub = Some(format!("`.{}()`", t.text));
                 }
-                p.mentions.insert(t.text.clone());
                 if let Some(b) = env.get(&t.text) {
                     if p.sub.is_none() {
                         p.sub.clone_from(&b.sub);
@@ -95,7 +78,6 @@ fn analyze(slice: &[Tok], env: &BTreeMap<String, Prov>) -> Prov {
                     if p.float.is_none() {
                         p.float.clone_from(&b.float);
                     }
-                    p.mentions.extend(b.mentions.iter().cloned());
                 }
             }
             _ => {}
@@ -146,9 +128,9 @@ fn stmt_end(toks: &[Tok], i: usize, limit: usize) -> usize {
     limit
 }
 
-/// Splits a call's argument tokens `( … )` (exclusive of the parens) at
-/// the first top-level comma: `(timestamp, rest)`.
-fn split_first_arg(toks: &[Tok], open: usize, close: usize) -> (usize, usize) {
+/// Index just past a call's first argument: the first top-level comma
+/// inside `( … )`, or `close` when there is none.
+fn first_arg_end(toks: &[Tok], open: usize, close: usize) -> usize {
     let mut depth = 0i64;
     for k in open + 1..close {
         let t = &toks[k];
@@ -157,10 +139,10 @@ fn split_first_arg(toks: &[Tok], open: usize, close: usize) -> (usize, usize) {
         } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
             depth -= 1;
         } else if t.is_punct(',') && depth == 0 {
-            return (k, k + 1);
+            return k;
         }
     }
-    (close, close)
+    close
 }
 
 /// Index of the token closing the `(` at `open`.
@@ -202,31 +184,12 @@ pub fn monotonic_pass(
                 "simlint.toml",
                 1,
                 1,
-                "pdes-config-missing",
+                "monotonic-sink-missing",
                 format!("configured monotonic sink `{sink}` was not found in any scanned file"),
                 "a rename silently disables timestamp checking — update [monotonic] sinks",
             ));
         }
     }
-    let mut boundary_hits: BTreeMap<usize, usize> = BTreeMap::new(); // boundary idx -> sites
-    for (bi, b) in cfg.boundaries.iter().enumerate() {
-        boundary_hits.insert(bi, 0);
-        if graph.find_qualified(&b.func).is_empty() {
-            out.push(Diagnostic::new(
-                "simlint.toml",
-                b.line,
-                1,
-                "pdes-config-missing",
-                format!(
-                    "configured LP boundary `{}` was not found in any scanned file",
-                    b.func
-                ),
-                "a rename silently drops its lookahead-floor check — update [monotonic] \
-                 boundaries",
-            ));
-        }
-    }
-
     for node in &graph.nodes {
         if cfg.is_relaxed(&node.crate_dir) || node.def.in_cfg_test || node.file.contains("tests/") {
             continue;
@@ -237,12 +200,6 @@ pub fn monotonic_pass(
         let (bs, be) = node.def.body_range;
         let be = be.min(toks.len());
         let qualified = node.qualified();
-        let boundaries: Vec<(usize, &Boundary)> = cfg
-            .boundaries
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.func == qualified)
-            .collect();
 
         let mut env: BTreeMap<String, Prov> = BTreeMap::new();
         let mut i = bs;
@@ -287,9 +244,7 @@ pub fn monotonic_pass(
             }
             let open = i + 1;
             let close = close_paren(toks, open, be);
-            let (arg_end, rest_start) = split_first_arg(toks, open, close);
-            let arg = &toks[open + 1..arg_end];
-            let rest = &toks[rest_start..close];
+            let arg = &toks[open + 1..first_arg_end(toks, open, close)];
             stats.sites += 1;
             let prov = analyze(arg, &env);
             let arg_text = || {
@@ -344,51 +299,10 @@ pub fn monotonic_pass(
                     HINT,
                 ));
             }
-            // Lookahead floor at declared LP boundaries.
-            for (bi, b) in &boundaries {
-                if !rest.iter().any(|t| t.is_ident(&b.event)) {
-                    continue;
-                }
-                *boundary_hits.entry(*bi).or_insert(0) += 1;
-                let applied = arg.iter().any(|t| t.is_ident(&b.lookahead))
-                    || prov.mentions.contains(&b.lookahead);
-                if !applied {
-                    out.push(Diagnostic::new(
-                        &node.file,
-                        t.line,
-                        t.col,
-                        "lookahead-floor",
-                        format!(
-                            "LP-boundary schedule of `{}` in `{qualified}` does not apply \
-                             the declared lookahead floor `{}`",
-                            b.event, b.lookahead
-                        ),
-                        FLOOR_HINT,
-                    ));
-                }
-            }
             i = open + 1; // descend into the argument list (nested sinks)
         }
     }
 
-    for (bi, b) in cfg.boundaries.iter().enumerate() {
-        if boundary_hits.get(&bi).copied().unwrap_or(0) == 0
-            && !graph.find_qualified(&b.func).is_empty()
-        {
-            out.push(Diagnostic::new(
-                "simlint.toml",
-                b.line,
-                1,
-                "pdes-config-missing",
-                format!(
-                    "declared LP boundary `{}` / event `{}` matched no schedule site",
-                    b.func, b.event
-                ),
-                "the event was renamed or the schedule moved — update [monotonic] boundaries \
-                 so the lookahead floor keeps its coverage",
-            ));
-        }
-    }
     (out, stats)
 }
 
@@ -515,65 +429,6 @@ mod tests {
     fn missing_sink_is_guarded() {
         let d = run("fn other() {}");
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "pdes-config-missing");
-    }
-
-    #[test]
-    fn lookahead_floor_enforced_at_boundary() {
-        let mut c = cfg();
-        c.boundaries.push(Boundary {
-            func: "S::forward".to_string(),
-            event: "TorArrive".to_string(),
-            lookahead: "fabric_delay".to_string(),
-            line: 9,
-        });
-        let ok = format!(
-            "{QUEUE}impl S {{ fn forward(&mut self, now: u64) {{ \
-             self.q.schedule(now + self.fabric_delay, TorArrive); }} }}"
-        );
-        assert!(run_cfg(&ok, &c).0.is_empty());
-        let bad = format!(
-            "{QUEUE}impl S {{ fn forward(&mut self, now: u64) {{ \
-             self.q.schedule(now + 1, TorArrive); self.q.schedule(now, Other); }} }}"
-        );
-        let d = run_cfg(&bad, &c).0;
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "lookahead-floor");
-        assert!(d[0].message.contains("fabric_delay"));
-    }
-
-    #[test]
-    fn lookahead_through_let_chain_is_accepted() {
-        let mut c = cfg();
-        c.boundaries.push(Boundary {
-            func: "S::forward".to_string(),
-            event: "TorArrive".to_string(),
-            lookahead: "fabric_delay".to_string(),
-            line: 9,
-        });
-        let src = format!(
-            "{QUEUE}impl S {{ fn forward(&mut self, now: u64) {{ \
-             let delay = self.cfg.fabric_delay; self.q.schedule(now + delay, TorArrive); }} }}"
-        );
-        assert!(run_cfg(&src, &c).0.is_empty());
-    }
-
-    #[test]
-    fn unmatched_boundary_is_guarded() {
-        let mut c = cfg();
-        c.boundaries.push(Boundary {
-            func: "S::forward".to_string(),
-            event: "Gone".to_string(),
-            lookahead: "fabric_delay".to_string(),
-            line: 9,
-        });
-        let src = format!(
-            "{QUEUE}impl S {{ fn forward(&mut self, now: u64) {{ \
-             self.q.schedule(now + 1, Other); }} }}"
-        );
-        let d = run_cfg(&src, &c).0;
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "pdes-config-missing");
-        assert!(d[0].message.contains("matched no schedule site"));
+        assert_eq!(d[0].rule, "monotonic-sink-missing");
     }
 }

@@ -3,7 +3,7 @@
 //! `tests/` exemption, `#[cfg(test)]` exemption) must suppress, and the
 //! three interprocedural passes must see through call indirection.
 
-use simlint::config::{Boundary, ChannelDecl, FileAllow};
+use simlint::config::FileAllow;
 use simlint::{analyze, render_json, Config, Diagnostic};
 use std::path::PathBuf;
 
@@ -348,25 +348,9 @@ fn missing_float_root_is_reported() {
     );
 }
 
-fn decl(name: &str, tx: &str, rx: &str, multi: bool) -> ChannelDecl {
-    ChannelDecl {
-        name: name.to_string(),
-        tx: tx.to_string(),
-        rx: rx.to_string(),
-        multi,
-        line: 1,
-    }
-}
-
 fn monotonic_config() -> Config {
     let mut cfg = base_config();
     cfg.monotonic_sinks.push("EventQueue::schedule".to_string());
-    cfg.boundaries.push(Boundary {
-        func: "Gate::forward".to_string(),
-        event: "Cross".to_string(),
-        lookahead: "fabric_delay".to_string(),
-        line: 1,
-    });
     cfg
 }
 
@@ -392,28 +376,8 @@ fn non_monotonic_schedule_fires_on_each_planted_shape() {
     assert!(float.message.contains("floating"), "{}", float.message);
     // `now + self.fabric_delay` in `clean` is the sanctioned form.
     assert!(
-        !d.iter().any(|d| d.file == f && d.line >= 36),
+        !d.iter().any(|d| d.file == f && d.line >= 31),
         "clean schedule must not flag: {d:?}"
-    );
-}
-
-#[test]
-fn lookahead_floor_fires_only_on_the_boundary_site_missing_it() {
-    let d = run(&monotonic_config());
-    let f = "monotonic/sched.rs";
-    assert!(
-        has(&d, f, "lookahead-floor", 33),
-        "now + 1 at boundary: {d:?}"
-    );
-    assert!(
-        !d.iter().any(|d| d.file == f && d.line == 32),
-        "the site applying `fabric_delay` is covered: {d:?}"
-    );
-    let hit = d.iter().find(|d| d.file == f && d.line == 33).unwrap();
-    assert!(
-        hit.message.contains("Cross") && hit.message.contains("fabric_delay"),
-        "{}",
-        hit.message
     );
 }
 
@@ -427,227 +391,39 @@ fn monotonic_fixture_is_silent_without_configured_sinks() {
 }
 
 #[test]
-fn missing_monotonic_sink_and_boundary_are_reported() {
+fn missing_monotonic_sink_is_reported() {
     let mut cfg = monotonic_config();
     cfg.monotonic_sinks.push("Vanished::gone".to_string());
-    cfg.boundaries.push(Boundary {
-        func: "Vanished::gone".to_string(),
-        event: "Cross".to_string(),
-        lookahead: "fabric_delay".to_string(),
-        line: 1,
-    });
     let d = run(&cfg);
-    assert_eq!(
+    assert!(
         d.iter()
-            .filter(|d| d.rule == "pdes-config-missing" && d.message.contains("Vanished::gone"))
-            .count(),
-        2,
-        "renamed-away sinks and boundaries must both be loud: {d:?}"
-    );
-}
-
-fn channels_config() -> Config {
-    let mut cfg = base_config();
-    cfg.hot_functions.push("Merge::pump".to_string());
-    cfg.channels = vec![
-        decl("events", "spawn_workers::tx", "spawn_workers::rx", false),
-        decl("late", "close_early::tx", "close_early::rx", true),
-        decl("gathered", "gather::tx", "gather::rx", false),
-    ];
-    cfg
-}
-
-#[test]
-fn spsc_clone_and_send_after_drop_fire_at_their_sites() {
-    let d = run(&channels_config());
-    let f = "channels/chan.rs";
-    assert!(has(&d, f, "spsc-multi-producer", 7), "tx.clone(): {d:?}");
-    let clone = d
-        .iter()
-        .find(|d| d.file == f && d.rule == "spsc-multi-producer")
-        .unwrap();
-    assert!(clone.message.contains("`events`"), "{}", clone.message);
-    assert!(
-        clone.chain.iter().any(|s| s.contains("created in")),
-        "chain carries the creation site: {:?}",
-        clone.chain
-    );
-
-    assert!(has(&d, f, "send-after-drop", 17), "post-drop send: {d:?}");
-    let sad = d
-        .iter()
-        .find(|d| d.file == f && d.rule == "send-after-drop")
-        .unwrap();
-    assert!(sad.message.contains("line 16"), "{}", sad.message);
-    // The declared-mpsc channel's pre-drop send and the clone of the
-    // *declared-mpsc* sender stay legal.
-    assert!(
-        !d.iter()
-            .any(|d| d.file == f && d.rule == "send-after-drop" && d.line != 17),
-        "only the post-drop send may flag: {d:?}"
-    );
-}
-
-#[test]
-fn undeclared_channel_fires_only_on_the_untracked_creation() {
-    let d = run(&channels_config());
-    let f = "channels/chan.rs";
-    let undecl: Vec<&Diagnostic> = d
-        .iter()
-        .filter(|d| d.file == f && d.rule == "undeclared-channel")
-        .collect();
-    assert_eq!(undecl.len(), 1, "only `untracked`: {undecl:?}");
-    assert_eq!(undecl[0].line, 22);
-    assert!(
-        undecl[0].message.contains("untracked::tx"),
-        "{}",
-        undecl[0].message
+            .any(|d| d.rule == "monotonic-sink-missing" && d.message.contains("Vanished::gone")),
+        "renamed-away sinks must be loud: {d:?}"
     );
 }
 
 #[test]
 fn blocking_recv_reachable_from_hot_root_carries_the_path() {
-    let d = run(&channels_config());
-    let f = "channels/chan.rs";
+    let mut cfg = base_config();
+    cfg.hot_functions.push("Merge::pump".to_string());
+    let d = run(&cfg);
+    let f = "transitive/blocking.rs";
     let hit = d
         .iter()
-        .find(|d| d.file == f && d.rule == "channel-recv-hot")
+        .find(|d| d.file == f && d.rule == "hot-path-block")
         .expect("rx.recv() under Merge::pump must surface");
-    assert_eq!(hit.line, 38);
+    assert_eq!(hit.line, 10, "anchored at the `gather()` call site");
     assert!(
-        hit.message.contains("`gathered`") && hit.message.contains("`Merge::pump`"),
+        hit.message.contains("`Merge::pump`") && hit.message.contains("via `gather`"),
         "{}",
         hit.message
     );
     assert!(hit.chain[0].contains("Merge::pump"), "{:?}", hit.chain);
     assert!(
-        hit.chain.last().unwrap().contains("blocking `recv`"),
+        hit.chain.last().unwrap().contains(".recv()"),
         "{:?}",
         hit.chain
     );
-}
-
-#[test]
-fn stale_channel_declaration_is_reported() {
-    let mut cfg = channels_config();
-    cfg.channels
-        .push(decl("ghost", "gone::tx", "gone::rx", false));
-    let d = run(&cfg);
-    assert!(
-        d.iter()
-            .any(|d| d.rule == "pdes-config-missing" && d.message.contains("`ghost`")),
-        "a declaration matching no site must be loud: {d:?}"
-    );
-}
-
-fn lp_config() -> Config {
-    let mut cfg = base_config();
-    cfg.lp_state = Some("Cluster".to_string());
-    cfg.lp_per_lp = vec![
-        "queue".to_string(),
-        "stats".to_string(),
-        "counter".to_string(),
-    ];
-    cfg.lp_roots = vec![
-        "Cluster::step_rack".to_string(),
-        "Cluster::step_fabric".to_string(),
-    ];
-    cfg
-}
-
-#[test]
-fn lp_partition_flags_unmapped_shared_handle_and_multi_root_fields() {
-    let d = run(&lp_config());
-    let f = "lp/state.rs";
-    assert!(has(&d, f, "lp-field-unmapped", 7), "scratch: {d:?}");
-
-    let shape = d
-        .iter()
-        .find(|d| d.file == f && d.rule == "lp-escape" && d.line == 6)
-        .expect("Arc<Mutex<_>> per-LP field must flag by shape");
-    assert!(
-        shape.message.contains("`stats`") && shape.message.contains("`Arc`"),
-        "{}",
-        shape.message
-    );
-
-    let reach = d
-        .iter()
-        .find(|d| d.file == f && d.rule == "lp-escape" && d.line == 8)
-        .expect("field reached from both roots must flag");
-    assert!(
-        reach.message.contains("`counter`") && reach.message.contains("2 declared LP roots"),
-        "{}",
-        reach.message
-    );
-    assert!(
-        reach.chain.iter().any(|s| s.contains("step_rack"))
-            && reach.chain.iter().any(|s| s.contains("step_fabric")),
-        "chains name both roots: {:?}",
-        reach.chain
-    );
-    // `queue` is touched by `step_rack` alone — single-LP access is the
-    // sanctioned shape.
-    assert!(
-        !d.iter().any(|d| d.file == f && d.line == 5),
-        "single-root field must not flag: {d:?}"
-    );
-}
-
-#[test]
-fn lp_fixture_is_silent_without_a_configured_state() {
-    let d = run(&base_config());
-    assert!(
-        d.iter().all(|d| d.file != "lp/state.rs"),
-        "no [lp] state configured — nothing may fire: {d:?}"
-    );
-}
-
-#[test]
-fn wait_cycle_between_lock_and_channel_fires_on_both_sides() {
-    let mut cfg = base_config();
-    cfg.channels
-        .push(decl("pipe", "Pipe::tx", "Pipe::rx", false));
-    let d = run(&cfg);
-    let f = "waitcycle/pipe.rs";
-    assert!(has(&d, f, "wait-cycle", 13), "recv under lock: {d:?}");
-    assert!(has(&d, f, "wait-cycle", 19), "send under lock: {d:?}");
-    let recv_side = d.iter().find(|d| d.file == f && d.line == 13).unwrap();
-    assert!(
-        recv_side.message.contains("chan:pipe") && recv_side.message.contains("Pipe::state"),
-        "{}",
-        recv_side.message
-    );
-    assert!(
-        recv_side.chain.iter().any(|s| s.contains("Pipe::produce")),
-        "chain shows the producer holding the lock: {:?}",
-        recv_side.chain
-    );
-}
-
-#[test]
-fn waitcycle_fixture_is_silent_without_declared_channels() {
-    let d = run(&base_config());
-    assert!(
-        d.iter().all(|d| d.file != "waitcycle/pipe.rs"),
-        "undeclared channels add no wait edges: {d:?}"
-    );
-}
-
-#[test]
-fn lp_partition_report_covers_every_field() {
-    let report = analyze(&fixtures_root(), &lp_config())
-        .expect("fixture scan must succeed")
-        .lp_report
-        .expect("a configured [lp] state must yield a report");
-    assert!(report.contains("\"state\":\"Cluster\""), "{report}");
-    for field in ["queue", "stats", "scratch", "counter"] {
-        assert!(
-            report.contains(&format!("\"name\":\"{field}\"")),
-            "{report}"
-        );
-    }
-    assert!(report.contains("\"unmapped\":1"), "{report}");
 }
 
 /// Golden `--json` snapshot over the interprocedural fixtures: the
@@ -659,42 +435,17 @@ fn lp_partition_report_covers_every_field() {
 fn golden_json_snapshot_and_fingerprint_stability() {
     let cfg = Config {
         crates: vec![
-            "channels".to_string(),
             "floatpath".to_string(),
             "locks".to_string(),
-            "lp".to_string(),
             "monotonic".to_string(),
             "scale".to_string(),
             "suppress".to_string(),
             "transitive".to_string(),
             "units".to_string(),
-            "waitcycle".to_string(),
         ],
         hot_functions: vec!["Meter::record".to_string(), "Merge::pump".to_string()],
         float_roots: vec!["EventQueue::schedule".to_string()],
         monotonic_sinks: vec!["EventQueue::schedule".to_string()],
-        boundaries: vec![Boundary {
-            func: "Gate::forward".to_string(),
-            event: "Cross".to_string(),
-            lookahead: "fabric_delay".to_string(),
-            line: 1,
-        }],
-        channels: vec![
-            decl("events", "spawn_workers::tx", "spawn_workers::rx", false),
-            decl("late", "close_early::tx", "close_early::rx", true),
-            decl("gathered", "gather::tx", "gather::rx", false),
-            decl("pipe", "Pipe::tx", "Pipe::rx", false),
-        ],
-        lp_state: Some("Cluster".to_string()),
-        lp_per_lp: vec![
-            "queue".to_string(),
-            "stats".to_string(),
-            "counter".to_string(),
-        ],
-        lp_roots: vec![
-            "Cluster::step_rack".to_string(),
-            "Cluster::step_fabric".to_string(),
-        ],
         ..Config::default()
     };
     let first = render_json(&run(&cfg));

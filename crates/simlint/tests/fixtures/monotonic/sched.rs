@@ -1,5 +1,5 @@
 //! Monotonicity fixtures: a `now - delta` schedule, a raw-literal
-//! timestamp, a float-derived timestamp, and a lookahead-less boundary.
+//! timestamp and a float-derived timestamp.
 
 pub struct EventQueue;
 
@@ -26,11 +26,6 @@ impl Gate {
     pub fn rounded(&mut self, now: u64, rate: u64) {
         let next = (rate as f64 * 3) as u64;
         self.q.schedule(now + next, 3);
-    }
-
-    pub fn forward(&mut self, now: u64) {
-        self.q.schedule(now + self.fabric_delay, Cross);
-        self.q.schedule(now + 1, Cross);
     }
 
     pub fn clean(&mut self, now: u64) {

@@ -1,8 +1,8 @@
-//! Mutation coverage for the PDES-readiness passes: plant the exact bug
-//! each pass exists to catch into otherwise-clean source, and assert the
-//! finding surfaces with the right rule and anchor. The monotonicity
-//! mutation is planted into a copy of the *real* `EventQueue` so the
-//! check exercises the production event-engine source, not a toy.
+//! Mutation coverage for the monotonicity pass: plant the exact bug it
+//! exists to catch into otherwise-clean source, and assert the finding
+//! surfaces with the right rule and anchor. The mutation is planted into
+//! a copy of the *real* `EventQueue` so the check exercises the
+//! production event-engine source, not a toy.
 
 use simlint::{analyze, Config, Diagnostic};
 use std::path::{Path, PathBuf};
@@ -76,80 +76,5 @@ fn planted_now_minus_delta_in_the_real_event_queue_is_caught() {
         (planted_line, 14),
         "{:?}",
         after[0]
-    );
-}
-
-fn lp_source(table_ty: &str, second_root_touches: &str) -> String {
-    format!(
-        "pub struct Sim {{
-    table: {table_ty},
-    count: u64,
-}}
-
-impl Sim {{
-    pub fn step_a(&mut self) {{
-        self.touch();
-    }}
-
-    pub fn step_b(&mut self) {{
-        {second_root_touches}
-    }}
-
-    fn touch(&mut self) {{
-        self.count += 1;
-    }}
-}}
-"
-    )
-}
-
-#[test]
-fn planted_shared_handle_and_cross_lp_access_are_caught() {
-    let cfg = Config {
-        crates: vec![".".to_string()],
-        lp_state: Some("Sim".to_string()),
-        lp_per_lp: vec!["table".to_string(), "count".to_string()],
-        lp_roots: vec!["Sim::step_a".to_string(), "Sim::step_b".to_string()],
-        ..Config::default()
-    };
-
-    // Pristine: owned per-LP data, each root touching disjoint state.
-    let pristine = scratch_tree(
-        "mut_lp_pristine",
-        &[("sim.rs", &lp_source("u64", "let _ = self;"))],
-    );
-    let before: Vec<Diagnostic> = lint(&pristine, &cfg)
-        .into_iter()
-        .filter(|d| d.rule == "lp-escape")
-        .collect();
-    assert!(
-        before.is_empty(),
-        "clean partition must not flag: {before:?}"
-    );
-
-    // Mutated: `table` becomes a shareable handle, and the second
-    // declared LP root reaches `count` through the same accessor.
-    let mutated = scratch_tree(
-        "mut_lp_planted",
-        &[("sim.rs", &lp_source("Arc<Mutex<u64>>", "self.touch();"))],
-    );
-    let after: Vec<Diagnostic> = lint(&mutated, &cfg)
-        .into_iter()
-        .filter(|d| d.rule == "lp-escape")
-        .collect();
-    assert_eq!(after.len(), 2, "both planted escapes: {after:?}");
-    let shape = after
-        .iter()
-        .find(|d| d.message.contains("`table`"))
-        .expect("the Arc<Mutex<_>> field must flag by shape");
-    assert!(shape.message.contains("`Arc`"), "{}", shape.message);
-    let reach = after
-        .iter()
-        .find(|d| d.message.contains("`count`"))
-        .expect("the cross-LP field must flag by reach");
-    assert!(
-        reach.message.contains("`Sim::step_a`") && reach.message.contains("`Sim::step_b`"),
-        "{}",
-        reach.message
     );
 }

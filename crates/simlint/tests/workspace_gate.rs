@@ -4,11 +4,15 @@
 
 use std::path::PathBuf;
 
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+}
+
 #[test]
 fn workspace_is_lint_clean() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
+    let root = workspace_root();
     let cfg = simlint::Config::from_file(&root.join("simlint.toml")).expect("config parses");
     assert!(
         !cfg.crates.is_empty() && !cfg.hot_functions.is_empty(),
@@ -25,4 +29,44 @@ fn workspace_is_lint_clean() {
     assert!(analysis.stats.files_scanned > 30, "{:?}", analysis.stats);
     assert!(analysis.stats.fns_in_graph > 300, "{:?}", analysis.stats);
     assert!(analysis.stats.resolved_calls > 300, "{:?}", analysis.stats);
+}
+
+/// `[scan] crates` says "all workspace crates": a directory under
+/// `crates/` with a `Cargo.toml` that the list omits goes unscanned
+/// without anyone deciding that.
+#[test]
+fn every_workspace_crate_is_scanned() {
+    let root = workspace_root();
+    let cfg = simlint::Config::from_file(&root.join("simlint.toml")).expect("config parses");
+    let mut unscanned = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let entry = entry.expect("crates/ entry");
+        if !entry.path().join("Cargo.toml").is_file() {
+            continue;
+        }
+        let dir = format!("crates/{}", entry.file_name().to_string_lossy());
+        if !cfg.crates.contains(&dir) {
+            unscanned.push(dir);
+        }
+    }
+    assert!(
+        unscanned.is_empty(),
+        "missing from [scan] crates in simlint.toml: {unscanned:?}"
+    );
+}
+
+/// `--lp-report` went with the LP-partition pass; a script that still
+/// passes it must get a usage error, not a silently ignored flag.
+#[test]
+fn retired_lp_report_flag_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .args(["--lp-report", "x"])
+        .output()
+        .expect("simlint binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument \"--lp-report\""),
+        "{stderr}"
+    );
 }
