@@ -13,12 +13,10 @@ echo "==> simlint --deny (baseline-gated, bench artifact)"
 # wall time so analyzer slowdowns show up in CI history.
 cargo run -q -p simlint -- --deny --baseline simlint.baseline --bench BENCH_simlint.json
 grep -q '"files_scanned"' BENCH_simlint.json
-# The dataflow tier (units/float passes) must actually have run: the
-# bench artifact carries its counters, and a workspace where no
-# function carries a dimension or the float fact would mean the passes
-# were silently disabled.
+# The float pass must actually have run: the bench artifact carries
+# its counter, and a missing one would mean the pass was silently
+# disabled.
 grep -q '"float_tainted_fns"' BENCH_simlint.json
-grep -q '"dimension_facts"' BENCH_simlint.json
 # The monotonicity pass must have covered real code: zero timestamp
 # sites would mean the [monotonic] sinks rotted out from under it.
 sites=$(sed -n 's/.*"monotonic_sites":\([0-9][0-9]*\).*/\1/p' BENCH_simlint.json)

@@ -1,9 +1,10 @@
 //! §4.3 performance numbers, in-process.
 //!
 //! Prints quick wall-clock measurements of the Millisampler hot path and
-//! the baselines the paper compares against. The rigorous versions (with
-//! statistical analysis) live in the Criterion benches
-//! (`cargo bench -p ms-bench`); this subcommand exists so `repro all`
+//! the baselines the paper compares against. The tracked per-layer
+//! versions (`millisampler.record*_ns`, `millisampler.pcap_copy_ns`,
+//! `millisampler.read_map_us`, with a history per commit) live in the
+//! benchmark package, `perf/`; this subcommand exists so `repro all`
 //! leaves a complete record in one place.
 
 use crate::Ctx;

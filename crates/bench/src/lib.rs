@@ -1,8 +1,7 @@
 //! # ms-bench — the experiment harness
 //!
 //! Shared machinery for the `repro` binary (one subcommand per paper table
-//! and figure — see `DESIGN.md` §3 for the index) and for the
-//! microbenchmarks:
+//! and figure — see `DESIGN.md` §3 for the index):
 //!
 //! * [`sweep`] — runs whole-region SyncMillisampler sweeps (every rack ×
 //!   selected hours) as cells of the `ms-fleet` runner: described with
@@ -11,15 +10,13 @@
 //! * [`report`] — row/CSV formatting helpers so every experiment both
 //!   prints the paper-style series and leaves a machine-readable file
 //!   under `results/`.
-//! * [`micro`] — the dependency-free wall-clock harness behind
-//!   `repro perf` and the `ablations` bench target (the workspace builds
-//!   offline, so no Criterion). Per-layer timings with a history live in
-//!   the benchmark package, `perf/`.
+//!
+//! Per-layer timings with a history live in the benchmark package,
+//! `perf/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod micro;
 pub mod report;
 pub mod sweep;
 

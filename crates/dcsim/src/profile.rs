@@ -1,11 +1,11 @@
 //! Deterministic engine profiler: per-event-type dispatch counters plus
 //! optional wall-time accounting.
 //!
-//! ROADMAP open item 2 (a parallel PDES engine) needs to know where
-//! event-processing work goes — per event type, per component — before
-//! the dispatch loop can be sharded. [`EngineProfile`] counts every
-//! dispatch by kind; counts are a pure function of the event stream and
-//! therefore byte-identical per seed. Wall-time accounting is *injected*:
+//! Says where event-processing work goes — per event type, per
+//! component — so an engine optimisation can name its target before it
+//! lands. [`EngineProfile`] counts every dispatch by kind; counts are a
+//! pure function of the event stream and therefore byte-identical per
+//! seed. Wall-time accounting is *injected*:
 //! the sim crates never read a clock (simlint's wall-clock rule), so a
 //! relaxed caller (the bench crate) passes a monotonic-nanosecond
 //! function via [`EngineProfile::set_clock`] and only then do the

@@ -226,6 +226,28 @@ mod tests {
         assert_eq!(Ns::checked_from_secs(u64::MAX / 999_999_999), None);
         // The saturating constructors clamp instead.
         assert_eq!(Ns::from_secs(u64::MAX / 2), Ns::MAX);
+        // Each fails exactly one step past the last value that fits.
+        for (unit, checked) in [
+            (1_000, Ns::checked_from_micros as fn(u64) -> Option<Ns>),
+            (1_000_000, Ns::checked_from_millis),
+            (1_000_000_000, Ns::checked_from_secs),
+        ] {
+            let last = u64::MAX / unit;
+            assert_eq!(checked(last), Some(Ns(last * unit)), "unit {unit}");
+            assert_eq!(checked(last + 1), None, "unit {unit}");
+        }
+    }
+
+    /// A whole day at the 12.5 Gb/s server link rate converts exactly,
+    /// with no wrap in the u64 results or the u128 intermediates.
+    #[test]
+    fn day_horizon_at_link_rate_is_exact() {
+        let day = Ns::from_secs(86_400);
+        let rate = Bps(12_500_000_000);
+        let volume = day.bytes_at_rate(rate);
+        assert_eq!(volume, Bytes(135_000_000_000_000));
+        assert_eq!(Ns::tx_time(volume, rate), day);
+        assert_eq!(day.bucket_index(Ns::from_millis(1)), 86_400_000);
     }
 
     #[test]

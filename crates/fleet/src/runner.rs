@@ -86,48 +86,30 @@ impl ShardQueue {
 
     /// The next cell for `worker`: its own deque front first, then a
     /// steal from the back of each sibling. Returns `None` only when
-    /// every deque is empty. On the scan a poisoned lock (a worker
-    /// panicked mid-pop, which cannot actually happen — locks are held
-    /// only around pops) is recovered, not propagated, so one poisoned
-    /// shard cannot wedge the sweep.
-    ///
-    /// Each guard lives in its own block: the scan provably holds at
-    /// most one shard lock at any instant, so two workers scanning each
-    /// other's deques in opposite orders cannot deadlock. (If-let
-    /// condition temporaries would give the same lifetimes today, but
-    /// the explicit scopes keep the invariant visible — and visible to
-    /// simlint's lock pass — rather than an artifact of temporary
-    /// lifetime rules.)
+    /// every deque is empty.
     pub(crate) fn next(&self, worker: usize) -> Option<usize> {
         let n = self.deques.len();
         let own = worker % n;
-        let popped = {
-            let mut deque = lock_recover(&self.deques[own]);
-            deque.pop_front()
-        };
-        if popped.is_some() {
-            return popped;
-        }
-        for off in 1..n {
-            let victim = (own + off) % n;
-            let stolen = {
-                let mut deque = lock_recover(&self.deques[victim]);
-                deque.pop_back()
-            };
-            if stolen.is_some() {
-                return stolen;
-            }
-        }
-        None
+        self.pop(own, true)
+            .or_else(|| (1..n).find_map(|off| self.pop((own + off) % n, false)))
     }
-}
 
-/// `Mutex::lock` that shrugs off poisoning (determinism note: the data
-/// under these locks is a plain index queue, always valid).
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+    /// Pops one index from deque `shard`, front or back. The guard never
+    /// leaves this function, so a scan holds at most one shard lock at
+    /// any instant and two workers stealing from each other cannot
+    /// deadlock. A poisoned lock (a worker panicked while holding it) is
+    /// recovered, not propagated: the data is a plain index queue,
+    /// always valid, so one poisoned shard cannot wedge the sweep.
+    fn pop(&self, shard: usize, front: bool) -> Option<usize> {
+        let mut deque = match self.deques[shard].lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if front {
+            deque.pop_front()
+        } else {
+            deque.pop_back()
+        }
     }
 }
 
@@ -334,6 +316,33 @@ mod tests {
         });
         all.sort_unstable();
         assert_eq!(all, (0..cells).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn poisoned_shard_still_delivers_every_index_once() {
+        // A worker that panics while holding shard 1's lock poisons it;
+        // the scan must recover the deque, neither wedging nor losing or
+        // repeating a cell.
+        let q = ShardQueue::new(9, 3);
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = q.deques[1].lock();
+                    panic!("worker dies holding shard 1");
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(q.deques[1].is_poisoned());
+        // Worker 0 drains everything: its own front (0, 3, 6), then the
+        // back of the poisoned shard 1 (7, 4, 1), then shard 2.
+        let mut order = Vec::new();
+        while let Some(idx) = q.next(0) {
+            order.push(idx);
+        }
+        assert_eq!(order, [0, 3, 6, 7, 4, 1, 8, 5, 2]);
+        // Its owner finds it empty rather than poisoned.
+        assert_eq!(q.next(1), None);
     }
 
     #[test]

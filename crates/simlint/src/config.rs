@@ -38,8 +38,8 @@ pub struct Config {
     pub crates: Vec<String>,
     /// Crates in `crates` where the determinism + cast rules do not
     /// apply (bench harnesses legitimately read the wall clock; simlint
-    /// itself names the forbidden idents). The interprocedural passes
-    /// — hot-path, lock-order, suppression audit — still run there.
+    /// itself names the forbidden idents). The hot-path, float and
+    /// suppression-audit passes still run there.
     pub relaxed: Vec<String>,
     /// Path prefixes skipped entirely (lint-pass fixture sources).
     pub exclude: Vec<String>,

@@ -12,7 +12,7 @@
 
 /// `(rule, rationale, example diagnostic)` for every rule, v1 through
 /// v4, sorted by analyzer generation then roughly by pass.
-pub const ALL_RULES: [(&str, &str, &str); 17] = [
+pub const ALL_RULES: [(&str, &str, &str); 14] = [
     (
         "hash-collections",
         "HashMap/HashSet iteration order depends on RandomState's per-process seed, so any \
@@ -73,8 +73,8 @@ pub const ALL_RULES: [(&str, &str, &str); 17] = [
         "hot-path-block",
         "A blocking call (lock, recv, join) on the per-event path stalls the simulation clock \
          on OS scheduling, destroying both throughput and timing fidelity.",
-        "crates/fleet/src/runner.rs:140:28: [hot-path-block] hot function `ShardQueue::next` \
-         may block via `.lock()`\n    \
+        "crates/fleet/src/runner.rs:93:14: [hot-path-block] hot function `ShardQueue::next` \
+         can block via `ShardQueue::pop`\n    \
          hint: restructure so the hot path never waits, or allow with a contention argument",
     ),
     (
@@ -86,17 +86,6 @@ pub const ALL_RULES: [(&str, &str, &str); 17] = [
          hint: a rename silently disables its coverage — update [hotpath] functions",
     ),
     (
-        "lock-cycle",
-        "Two paths acquiring the same locks in opposite orders deadlock the moment both run \
-         concurrently — the classic failure of the fleet's work-stealing deques. The pass \
-         builds the workspace lock-acquisition graph and reports every edge on a cycle.",
-        "crates/fleet/src/runner.rs:151:27: [lock-cycle] acquiring `ShardQueue::deques[_]` \
-         while holding `HostStore::entries` completes a lock-order cycle (`HostStore::entries` \
-         -> `ShardQueue::deques[_]` -> `HostStore::entries`)\n    \
-         hint: impose a single global lock order (acquire in ascending identity), or narrow \
-         the first guard's scope so it drops before the second lock",
-    ),
-    (
         "unused-allow",
         "A suppression that no longer matches any finding is debt: the code it excused was \
          fixed or moved, and the stale allow would silently excuse a future, different \
@@ -104,22 +93,6 @@ pub const ALL_RULES: [(&str, &str, &str); 17] = [
         "crates/dcsim/src/engine.rs:60:1: [unused-allow] allow(cast-truncation) suppresses \
          nothing\n    \
          hint: the finding it excused is gone — delete the suppression",
-    ),
-    (
-        "unit-mismatch",
-        "Mixing Ns/Bytes/Bps values in one expression (adding a duration to a byte count) \
-         type-checks once the newtypes are unwrapped, but the number is meaningless. The \
-         dataflow pass tracks unit provenance through locals and flags cross-unit arithmetic.",
-        "crates/dcsim/src/link.rs:93:25: [unit-mismatch] `Ns` value added to `Bytes` value\n    \
-         hint: convert explicitly via the unit's documented conversion, or split the expression",
-    ),
-    (
-        "unchecked-scale",
-        "Rate-to-bytes conversions multiply quantities near u64's range (100 Gbps x seconds); \
-         unchecked `*`/`+` wrap silently in release builds. Scale-critical arithmetic must use \
-         checked/saturating forms or widen to u128.",
-        "crates/dcsim/src/link.rs:54:30: [unchecked-scale] unchecked `*` on Bps-scaled value\n    \
-         hint: use checked_mul with an expect, or widen to u128 for the intermediate",
     ),
     (
         "float-determinism",
@@ -202,12 +175,19 @@ mod tests {
 
     #[test]
     fn explain_formats_known_and_rejects_unknown() {
-        let text = explain("lock-cycle").expect("registered");
-        assert!(text.starts_with("[lock-cycle]"), "{text}");
+        let text = explain("float-determinism").expect("registered");
+        assert!(text.starts_with("[float-determinism]"), "{text}");
         assert!(text.contains("example:"), "{text}");
         assert!(explain("nonexistent").is_none());
-        // Deleted with the PDES-readiness tier; must not linger.
-        assert!(explain("wait-cycle").is_none());
+        // Deleted passes' rules must not linger.
+        for gone in [
+            "wait-cycle",
+            "unit-mismatch",
+            "unchecked-scale",
+            "lock-cycle",
+        ] {
+            assert!(explain(gone).is_none(), "{gone}");
+        }
     }
 
     /// Scans the analyzer's own sources for rule-shaped string literals

@@ -17,9 +17,7 @@
 //! computed per function and propagated caller-ward to a fixed point:
 //! **may-panic**, **may-alloc**, and **may-block**, each seeded by the
 //! same token vocabulary the v1 rules enforced locally (`.unwrap()`,
-//! `vec!`, `Box::new`, `.lock()`, …). The lock-order pass additionally
-//! uses the per-function **may-acquire** set (lock identities reachable
-//! through the call tree).
+//! `vec!`, `Box::new`, `.lock()`, …).
 
 use crate::parser::{Block, CallKind, CallSite, FnDef, Node};
 use std::collections::{BTreeMap, BTreeSet};
@@ -537,10 +535,10 @@ mod tests {
         let g = graph(&[(
             "a.rs",
             "crates/a",
-            "fn lock_recover(m: &M) -> G { m.lock() }\n\
-             impl Q { fn next(&self) { lock_recover(&self.d[i]); } }",
+            "fn pop_locked(m: &M) -> Option<usize> { m.lock().pop_front() }\n\
+             impl Q { fn next(&self) { pop_locked(&self.d[i]); } }",
         )]);
-        assert!(node(&g, "lock_recover").trans[Fact::Block as usize]);
+        assert!(node(&g, "pop_locked").trans[Fact::Block as usize]);
         assert!(node(&g, "Q::next").trans[Fact::Block as usize]);
     }
 

@@ -12,21 +12,19 @@
 //! * hot-path discipline — the functions named in `simlint.toml`
 //!   neither panic, allocate, nor block **anywhere in their call
 //!   trees** (see [`graph`] and [`hotpath`]);
-//! * lock ordering — no two call paths may acquire `Mutex`es in
-//!   cycle-forming orders (see [`locks`]);
 //! * cast safety — no silent `as u8/u16/u32` truncation;
 //! * suppression hygiene — every `allow` must still suppress something
 //!   (see [`suppress`]);
-//! * units/dimension dataflow — `ns + us`, cross-dimension compares,
-//!   and unchecked `u64` scale multiplies are flagged by an
-//!   intraprocedural evaluator seeded from the `Ns`/`Bytes`/`Bps`
-//!   newtypes and `_ns`-style suffixes (see [`unitflow`]);
 //! * float determinism — no `f32`/`f64` arithmetic transitively
 //!   reachable from the `[float] roots` scheduling/trace-emission
 //!   functions (see [`floatflow`]);
 //! * time monotonicity — every timestamp handed to a `[monotonic]
 //!   sinks` function is provably `now + positive delta` (see
 //!   [`monotonic`]).
+//!
+//! Dimensions and lock discipline are not lint passes: the
+//! `Ns`/`Bytes`/`Bps` newtypes make mixing units a type error, and
+//! `ShardQueue`'s only lock site returns a value, never a guard.
 //!
 //! Run it with `cargo run -p simlint -- --deny` (CI adds
 //! `--baseline simlint.baseline`). Rules are configured in the
@@ -47,12 +45,10 @@ pub mod floatflow;
 pub mod graph;
 pub mod hotpath;
 pub mod lexer;
-pub mod locks;
 pub mod monotonic;
 pub mod parser;
 pub mod rules;
 pub mod suppress;
-pub mod unitflow;
 
 pub use config::Config;
 pub use diag::{render_human, render_json, Diagnostic};
@@ -68,12 +64,6 @@ pub struct Stats {
     pub files_scanned: usize,
     pub fns_in_graph: usize,
     pub resolved_calls: usize,
-    /// Functions the units pass entered with at least one known
-    /// dimension.
-    pub fns_typed: usize,
-    /// Dimension assignments tracked by the units pass (seeded params
-    /// + dimensioned `let` bindings).
-    pub dimension_facts: usize,
     /// Functions that locally use or transitively reach float
     /// arithmetic.
     pub float_tainted_fns: usize,
@@ -81,9 +71,7 @@ pub struct Stats {
     pub monotonic_sites: usize,
     /// Per-pass wall times in milliseconds.
     pub hotpath_ms: f64,
-    pub locks_ms: f64,
     pub float_ms: f64,
-    pub unit_ms: f64,
     pub monotonic_ms: f64,
 }
 
@@ -149,8 +137,9 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
                 crate_dir.clone(),
                 parser::parse_file(&lexed.toks).fns,
             ));
-            // The dataflow passes re-walk raw tokens (operators and
-            // literals are not in the statement tree), so keep them.
+            // The float and monotonic passes re-walk raw tokens
+            // (operators and literals are not in the statement tree),
+            // so keep them.
             tokens.insert(rel, lexed.toks);
             stats.files_scanned += 1;
         }
@@ -180,17 +169,8 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     raw.extend(hotpath::hotpath_pass(&graph, cfg));
     stats.hotpath_ms = ms(t0);
     let t0 = std::time::Instant::now();
-    raw.extend(locks::LockPass::run(&graph));
-    stats.locks_ms = ms(t0);
-    let t0 = std::time::Instant::now();
     raw.extend(floatflow::float_pass(&graph, cfg));
     stats.float_ms = ms(t0);
-    let t0 = std::time::Instant::now();
-    let (unit_diags, unit_stats) = unitflow::unit_pass(&graph, &tokens, cfg);
-    raw.extend(unit_diags);
-    stats.unit_ms = ms(t0);
-    stats.fns_typed = unit_stats.fns_typed;
-    stats.dimension_facts = unit_stats.dimension_facts;
     let t0 = std::time::Instant::now();
     let (mono_diags, mono_stats) = monotonic::monotonic_pass(&graph, &tokens, cfg);
     raw.extend(mono_diags);

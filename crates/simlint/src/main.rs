@@ -66,8 +66,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "simlint — determinism, hot-path, lock-order, units, float-determinism, \
-                     and time-monotonicity invariants\n\n\
+                    "simlint — determinism, hot-path, float-determinism and \
+                     time-monotonicity invariants\n\n\
                      USAGE: simlint [--deny] [--json] [--root DIR] [--config FILE]\n\
                      \x20              [--baseline FILE] [--write-baseline FILE] [--bench FILE]\n\
                      \x20              [--explain RULE]\n\n\
@@ -155,22 +155,16 @@ fn main() -> ExitCode {
         let s = analysis.stats;
         let json = format!(
             "{{\"files_scanned\":{},\"fns_in_call_graph\":{},\"resolved_calls\":{},\
-             \"fns_typed\":{},\"dimension_facts\":{},\"float_tainted_fns\":{},\
-             \"monotonic_sites\":{},\
-             \"pass_ms\":{{\"hotpath\":{:.3},\"locks\":{:.3},\"float\":{:.3},\"units\":{:.3},\
-             \"monotonic\":{:.3}}},\
+             \"float_tainted_fns\":{},\"monotonic_sites\":{},\
+             \"pass_ms\":{{\"hotpath\":{:.3},\"float\":{:.3},\"monotonic\":{:.3}}},\
              \"wall_ms\":{wall_ms:.3}}}\n",
             s.files_scanned,
             s.fns_in_graph,
             s.resolved_calls,
-            s.fns_typed,
-            s.dimension_facts,
             s.float_tainted_fns,
             s.monotonic_sites,
             s.hotpath_ms,
-            s.locks_ms,
             s.float_ms,
-            s.unit_ms,
             s.monotonic_ms
         );
         if let Err(e) = std::fs::write(path, json) {

@@ -18,8 +18,7 @@
 //!   the *values*).
 //!
 //! Unknown provenance stays silent: a timestamp that is just a
-//! parameter or a call result degrades to no finding, never to noise —
-//! the same philosophy as [`crate::unitflow`].
+//! parameter or a call result degrades to no finding, never to noise.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;

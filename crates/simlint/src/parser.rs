@@ -12,15 +12,13 @@
 //! What the tree preserves, because the passes need it:
 //!
 //! * every function definition with its impl/trait self type, parameter
-//!   names, and return-type idents (`MutexGuard` detection);
+//!   names and types, and return-type idents (float evidence);
 //! * call sites, classified as free calls (`f(..)`), path calls
 //!   (`Ty::f(..)`), or method calls (`recv.f(..)`) with a normalized
-//!   receiver text (`self.deques[_]`) so lock identities survive
-//!   indexing;
-//! * macro invocations (`panic!`, `vec!`, …);
-//! * block structure inside bodies, so guard scopes ( `let g = m.lock()`
-//!   lives to the end of its block, a temporary only to the end of its
-//!   statement) can be tracked;
+//!   receiver text (`self.deques[_]`), so `self.m()` resolves against
+//!   the impl type;
+//! * macro invocations (`panic!`, `vec!`, …), including those in nested
+//!   blocks;
 //! * `#[cfg(test)]` / `#[test]` containment, so test-only code can be
 //!   classified.
 
@@ -44,15 +42,13 @@ pub struct FnDef {
     /// 1-based position of the `fn` keyword.
     pub line: u32,
     pub col: u32,
-    /// Parameter identifier names (`self` included), best effort —
-    /// tuple/struct patterns contribute nothing.
-    pub params: Vec<String>,
-    /// Type idents of each parameter, space-joined, parallel to
-    /// `params` (`"Ns"`, `"Vec FlowId"`; empty for `self` receivers).
-    /// The dataflow passes seed dimensions and float facts from these.
+    /// Type idents of each named parameter, space-joined (`"Ns"`,
+    /// `"Vec FlowId"`; empty for `self` receivers), best effort —
+    /// tuple/struct patterns contribute nothing. The float pass reads
+    /// `f32`/`f64` mentions from these.
     pub param_types: Vec<String>,
     /// Identifiers appearing in the return type, space-joined
-    /// (`"MutexGuard Vec Entry"`). Empty when the function returns `()`.
+    /// (`"Vec f64"`). Empty when the function returns `()`.
     pub ret: String,
     /// Whether the function sits inside `#[cfg(test)]` or carries
     /// `#[test]`.
@@ -60,7 +56,7 @@ pub struct FnDef {
     pub body: Block,
     /// Token-index span `[start, end)` of the body within the file's
     /// token stream, `(0, 0)` for bodyless signatures. The token-level
-    /// dataflow passes (units, float) re-walk this range — the
+    /// passes (float, monotonic) re-walk this range — the
     /// statement tree drops operators and literals.
     pub body_range: (usize, usize),
 }
@@ -81,17 +77,14 @@ pub struct Block {
     pub stmts: Vec<Stmt>,
 }
 
-/// One statement: its binding (for `let g = …;`), whether it opens with
-/// a control keyword, and its interesting nodes in evaluation order.
+/// One statement: whether it opens with a control keyword, and its
+/// interesting nodes in evaluation order.
 #[derive(Debug, Default)]
 pub struct Stmt {
-    /// `Some(name)` for `let name = …;` / `let mut name = …;`.
-    pub let_name: Option<String>,
     /// Starts with `if`/`match`/`while`/`for`/`loop`/`unsafe` — such a
     /// statement may end at a closing brace without a semicolon.
     pub control: bool,
     pub nodes: Vec<Node>,
-    pub line: u32,
 }
 
 /// An interesting event inside a statement.
@@ -120,10 +113,6 @@ pub enum CallKind {
 pub struct CallSite {
     pub kind: CallKind,
     pub name: String,
-    /// Normalized text of the first chain inside the argument list
-    /// (`self.deques[_]` for `lock_recover(&self.deques[own])`), used
-    /// for `drop(guard)` and lock-adapter identity substitution.
-    pub arg0: Option<String>,
     pub line: u32,
     pub col: u32,
 }
@@ -387,14 +376,10 @@ impl Parser<'_> {
         if punct_at(self.toks, j, '<') {
             j = skip_angles(self.toks, j);
         }
-        let mut params = Vec::new();
         let mut param_types = Vec::new();
         if punct_at(self.toks, j, '(') {
             let close = matching(self.toks, j, '(', ')').unwrap_or(end);
-            for (name, ty) in self.param_list(j + 1, close.min(end)) {
-                params.push(name);
-                param_types.push(ty);
-            }
+            param_types = self.param_list(j + 1, close.min(end));
             j = close + 1;
         }
         // Return type: idents between `->` and the body/`;`/`where`.
@@ -434,7 +419,6 @@ impl Parser<'_> {
             name,
             line,
             col,
-            params,
             param_types,
             ret,
             in_cfg_test: in_test,
@@ -444,10 +428,11 @@ impl Parser<'_> {
         next
     }
 
-    /// `(name, type idents)` pairs from the token range of a parameter
-    /// list. Segments without a nameable pattern contribute nothing.
-    fn param_list(&self, from: usize, end: usize) -> Vec<(String, String)> {
-        let mut pairs = Vec::new();
+    /// The type idents of each parameter in the token range of a
+    /// parameter list. Segments without a nameable pattern contribute
+    /// nothing.
+    fn param_list(&self, from: usize, end: usize) -> Vec<String> {
+        let mut types = Vec::new();
         let mut depth = 0i64;
         let mut seg_start = from;
         let mut j = from;
@@ -458,7 +443,7 @@ impl Parser<'_> {
                 // Idents before the top-level `:` (or the whole segment
                 // for `self` receivers), excluding binding keywords; the
                 // idents after it are the parameter's type.
-                let mut last = None;
+                let mut named = false;
                 let mut ty = String::new();
                 let mut past_colon = false;
                 let mut d = 0i64;
@@ -479,12 +464,12 @@ impl Parser<'_> {
                                 ty.push_str(&t.text);
                             }
                         } else if d == 0 && !matches!(t.text.as_str(), "mut" | "ref" | "dyn") {
-                            last = Some(t.text.clone());
+                            named = true;
                         }
                     }
                 }
-                if let Some(n) = last {
-                    pairs.push((n, ty));
+                if named {
+                    types.push(ty);
                 }
                 if at_end {
                     break;
@@ -503,7 +488,7 @@ impl Parser<'_> {
             }
             j += 1;
         }
-        pairs
+        types
     }
 
     /// Parses the statements of a block body in `[i, end)`.
@@ -536,27 +521,9 @@ impl Parser<'_> {
     /// after its end.
     fn statement(&mut self, mut i: usize, end: usize, in_test: bool) -> (Stmt, usize) {
         let mut stmt = Stmt {
-            line: self.toks[i].line,
+            control: ident_at(self.toks, i).is_some_and(|first| CONTROL_KEYWORDS.contains(&first)),
             ..Stmt::default()
         };
-        if let Some(first) = ident_at(self.toks, i) {
-            if CONTROL_KEYWORDS.contains(&first) {
-                stmt.control = true;
-            }
-            if first == "let" {
-                let mut k = i + 1;
-                if ident_at(self.toks, k) == Some("mut") {
-                    k += 1;
-                }
-                // Only a plain identifier pattern names a binding the
-                // lock pass can track (`let (a, b) = …` contributes
-                // nothing).
-                if let Some(name) = ident_at(self.toks, k) {
-                    stmt.let_name = Some(name.to_string());
-                }
-                i += 1;
-            }
-        }
         let mut chain = Chain::default();
         while i < end {
             let t = &self.toks[i];
@@ -664,11 +631,10 @@ impl Parser<'_> {
                             let (site_line, site_col) = chain.site();
                             let kind = chain.call_kind();
                             let name = chain.last_seg();
-                            let arg0 = self.group(i + 1, close.min(end), nodes);
+                            self.group(i + 1, close.min(end), nodes);
                             nodes.push(Node::Call(CallSite {
                                 kind,
                                 name,
-                                arg0,
                                 line: site_line,
                                 col: site_col,
                             }));
@@ -705,23 +671,12 @@ impl Parser<'_> {
     }
 
     /// Walks a bracketed group (call arguments, index expression, array
-    /// literal, macro body), collecting nested nodes. Returns the
-    /// normalized text of the first complete chain in the group — the
-    /// best-effort "first argument".
-    fn group(&mut self, mut i: usize, end: usize, nodes: &mut Vec<Node>) -> Option<String> {
+    /// literal, macro body), collecting nested nodes.
+    fn group(&mut self, mut i: usize, end: usize, nodes: &mut Vec<Node>) {
         let mut chain = Chain::default();
-        let mut arg0: Option<String> = None;
-        let capture = |c: &Chain, arg0: &mut Option<String>| {
-            if arg0.is_none() {
-                if let Some(text) = c.text() {
-                    *arg0 = Some(text);
-                }
-            }
-        };
         while i < end {
             let t = &self.toks[i];
             if t.is_punct(',') {
-                capture(&chain, &mut arg0);
                 chain.reset();
                 i += 1;
                 continue;
@@ -750,8 +705,6 @@ impl Parser<'_> {
                 i = next;
             }
         }
-        capture(&chain, &mut arg0);
-        arg0
     }
 }
 
@@ -881,15 +834,6 @@ impl Chain {
             last.push_str("[_]");
         }
     }
-
-    /// The chain as normalized text, if it names anything.
-    fn text(&self) -> Option<String> {
-        if self.segs.is_empty() || self.segs == ["?"] {
-            None
-        } else {
-            Some(self.segs.join("."))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -925,23 +869,25 @@ mod tests {
         let p = parse("impl Widget { fn poll(&mut self) -> u64 { 0 } fn helper() {} }");
         assert_eq!(p.fns.len(), 2);
         assert_eq!(p.fns[0].qualified(), "Widget::poll");
-        assert_eq!(p.fns[0].params, vec!["self"]);
+        assert_eq!(p.fns[0].param_types, vec![""]);
         assert_eq!(p.fns[1].qualified(), "Widget::helper");
     }
 
     #[test]
     fn free_fn_params_and_ret() {
-        let p = parse("fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> { m }");
-        assert_eq!(p.fns[0].name, "lock_recover");
-        assert_eq!(p.fns[0].params, vec!["m"]);
-        assert_eq!(p.fns[0].param_types, vec!["Mutex T"]);
-        assert!(p.fns[0].ret.contains("MutexGuard"));
+        let p = parse("fn rates<T>(m: &Vec<T>) -> std::vec::Vec<f64> { m }");
+        assert_eq!(p.fns[0].name, "rates");
+        assert_eq!(p.fns[0].param_types, vec!["Vec T"]);
+        assert!(p.fns[0].ret.contains("f64"));
     }
 
     #[test]
     fn param_types_stay_parallel_to_names() {
-        let p = parse("impl W { fn f(&self, start: Ns, sizes: &[u32], rate: Bps) -> Bytes { x } }");
-        assert_eq!(p.fns[0].params, vec!["self", "start", "sizes", "rate"]);
+        // One entry per named parameter; a tuple pattern names nothing.
+        let p = parse(
+            "impl W { fn f(&self, start: Ns, (a, b): (f64, u8), sizes: &[u32], rate: Bps) \
+             -> Bytes { x } }",
+        );
         assert_eq!(p.fns[0].param_types, vec!["", "Ns", "u32", "Bps"]);
         assert_eq!(p.fns[0].ret, "Bytes");
     }
@@ -998,17 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn arg0_captures_reference_chain() {
-        let p = parse("fn f(&self) { lock_recover(&self.deques[own]); drop(g); }");
-        let b = &p.fns[0].body;
-        assert_eq!(
-            calls(&b.stmts[0])[0].arg0.as_deref(),
-            Some("self.deques[_]")
-        );
-        assert_eq!(calls(&b.stmts[1])[0].arg0.as_deref(), Some("g"));
-    }
-
-    #[test]
     fn let_bindings_and_blocks() {
         let p = parse(
             "fn f(&self) {\n\
@@ -1019,7 +954,7 @@ mod tests {
         );
         let b = &p.fns[0].body;
         assert_eq!(b.stmts.len(), 3);
-        assert_eq!(b.stmts[0].let_name.as_deref(), Some("g"));
+        assert_eq!(calls(&b.stmts[0])[0].name, "lock");
         assert!(b.stmts[1].control);
         assert!(matches!(
             b.stmts[1].nodes.last(),
@@ -1033,7 +968,7 @@ mod tests {
         let p = parse("fn f() { if a { x(); } let g = m.lock(); }");
         let b = &p.fns[0].body;
         assert_eq!(b.stmts.len(), 2, "{b:?}");
-        assert_eq!(b.stmts[1].let_name.as_deref(), Some("g"));
+        assert_eq!(calls(&b.stmts[1])[0].name, "lock");
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!   the value.
 //!
 //! The hot-path family moved to [`crate::hotpath`], which checks whole
-//! call trees over the [`crate::graph`] instead of single bodies; the
-//! lock-order rule lives in [`crate::locks`]. Findings are emitted
-//! *raw* — suppression (inline and file-level) is applied centrally by
+//! call trees over the [`crate::graph`] instead of single bodies.
+//! Findings are emitted *raw* — suppression (inline and file-level) is applied centrally by
 //! [`crate::suppress`], which is what lets stale allows be audited.
 
 use crate::diag::Diagnostic;

@@ -1,7 +1,7 @@
 //! Rule-by-rule fixture tests: every rule must fire on its bad fixture,
 //! every suppression mechanism (inline allow, file-level config allow,
 //! `tests/` exemption, `#[cfg(test)]` exemption) must suppress, and the
-//! three interprocedural passes must see through call indirection.
+//! hot-path and float passes must see through call indirection.
 
 use simlint::config::FileAllow;
 use simlint::{analyze, render_json, Config, Diagnostic};
@@ -206,36 +206,6 @@ fn transitive_fixture_is_silent_when_its_fn_is_not_hot() {
 }
 
 #[test]
-fn two_mutex_lock_order_cycle_fires_on_both_edges() {
-    let d = run(&base_config());
-    let f = "locks/cycle.rs";
-    assert!(has(&d, f, "lock-cycle", 15), "a→b edge, anchored at b");
-    assert!(has(&d, f, "lock-cycle", 21), "b→a edge, anchored at a");
-    let cycle = d
-        .iter()
-        .find(|d| d.file == f && d.rule == "lock-cycle" && d.line == 15)
-        .unwrap();
-    assert!(
-        cycle.message.contains("Pair::a") && cycle.message.contains("Pair::b"),
-        "{}",
-        cycle.message
-    );
-    assert!(
-        !cycle.chain.is_empty(),
-        "cycle findings carry the acquisition chain"
-    );
-}
-
-#[test]
-fn consistent_lock_hierarchy_is_not_a_finding() {
-    let d = run(&base_config());
-    assert!(
-        d.iter().all(|d| d.file != "locks/hierarchy.rs"),
-        "coarse-before-fine everywhere is a clean hierarchy: {d:?}"
-    );
-}
-
-#[test]
 fn stale_allow_is_flagged_at_its_directive_line() {
     let d = run(&base_config());
     let f = "suppress/unused_allow.rs";
@@ -254,47 +224,6 @@ fn stale_allow_is_flagged_at_its_directive_line() {
     assert!(
         !d.iter().any(|d| d.file == f && d.line > 5),
         "used allow must not be audited: {d:?}"
-    );
-}
-
-#[test]
-fn unit_mismatch_fires_on_each_planted_line() {
-    let d = run(&base_config());
-    let f = "units/units_bad.rs";
-    assert!(has(&d, f, "unit-mismatch", 5), "ns + us: {d:?}");
-    assert!(has(&d, f, "unit-mismatch", 9), "ns < bytes: {d:?}");
-    assert!(has(&d, f, "unit-mismatch", 13), "bps * bytes: {d:?}");
-    assert!(has(&d, f, "unit-mismatch", 17), "Ns(us): {d:?}");
-    assert!(
-        has(&d, f, "unit-mismatch", 21),
-        "let total_ns = t_us: {d:?}"
-    );
-    let add = d
-        .iter()
-        .find(|d| d.file == f && d.line == 5)
-        .expect("the add finding");
-    assert!(
-        add.message.contains("adds `ns` and `us`") && add.message.contains("`deadline`"),
-        "{}",
-        add.message
-    );
-    // The inline allow in `allowed` and the same-dimension `fine`
-    // arithmetic stay silent.
-    assert!(
-        !d.iter().any(|d| d.file == f && d.line > 21),
-        "allowed/fine must not flag: {d:?}"
-    );
-}
-
-#[test]
-fn unchecked_scale_fires_on_raw_multiplies_only() {
-    let d = run(&base_config());
-    let f = "scale/scale_bad.rs";
-    assert!(has(&d, f, "unchecked-scale", 5), "us * 1_000: {d:?}");
-    assert!(has(&d, f, "unchecked-scale", 9), "bytes * 8: {d:?}");
-    assert!(
-        !d.iter().any(|d| d.file == f && d.line == 13),
-        "the u128-widened multiply is the sanctioned form: {d:?}"
     );
 }
 
@@ -436,12 +365,9 @@ fn golden_json_snapshot_and_fingerprint_stability() {
     let cfg = Config {
         crates: vec![
             "floatpath".to_string(),
-            "locks".to_string(),
             "monotonic".to_string(),
-            "scale".to_string(),
             "suppress".to_string(),
             "transitive".to_string(),
-            "units".to_string(),
         ],
         hot_functions: vec!["Meter::record".to_string(), "Merge::pump".to_string()],
         float_roots: vec!["EventQueue::schedule".to_string()],

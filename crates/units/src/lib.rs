@@ -5,8 +5,8 @@
 //! determinism bar (same seed ⇒ byte-identical traces) only holds if
 //! scheduling-relevant arithmetic never runs through floats or silently
 //! mixes dimensions. [`Bytes`] and [`Bps`] give volumes and rates distinct
-//! types so a rate can't be added to a volume by accident, and simlint's
-//! `unit-mismatch` pass seeds its dimension lattice from these names.
+//! types so a rate can't be added to a volume by accident: mixing
+//! dimensions is a compile error, not a lint finding.
 //!
 //! `Ns` (simulation time) lives in `ms_dcsim::time`; the physics that mixes
 //! the three dimensions — serialization time, drain volume — lives there
