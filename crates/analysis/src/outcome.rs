@@ -139,7 +139,7 @@ impl RunOutcome {
     pub fn decode(data: &[u8]) -> Result<Self, DecodeError> {
         let mut r = WireReader::new(data);
         r.expect_magic(OUTCOME_MAGIC)?;
-        Ok(RunOutcome {
+        let outcome = RunOutcome {
             switch_ingress_bytes: r.u64()?,
             switch_discard_bytes: r.u64()?,
             flows_started: r.u64()?,
@@ -151,16 +151,14 @@ impl RunOutcome {
             contended_bursts: r.u64()?,
             lossy_bursts: r.u64()?,
             contention_avg: r.f64()?,
-            // simlint: allow(cast-truncation): encoded from u32 fields
-            contention_p90: r.u64()? as u32,
-            // simlint: allow(cast-truncation): encoded from u32 fields
-            contention_max: r.u64()? as u32,
-            // simlint: allow(cast-truncation): encoded from u32 fields
-            active_servers: r.u64()? as u32,
-            // simlint: allow(cast-truncation): encoded from u32 fields
-            bursty_servers: r.u64()? as u32,
-            policy: PolicyKind::from_code(r.u64()?).ok_or(DecodeError::Overlong)?,
-        })
+            contention_p90: r.u32()?,
+            contention_max: r.u32()?,
+            active_servers: r.u32()?,
+            bursty_servers: r.u32()?,
+            policy: PolicyKind::from_code(r.u64()?).ok_or(DecodeError::OutOfRange)?,
+        };
+        r.expect_end()?;
+        Ok(outcome)
     }
 
     /// The CSV column names matching [`RunOutcome::csv_cells`].

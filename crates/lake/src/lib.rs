@@ -9,10 +9,11 @@
 //! - [`segment`] — the `MSL1` segment format: delta+zigzag+varint
 //!   columns (the same primitives as `millisampler::codec`), chunked
 //!   with per-chunk min/max/count footers for predicate pushdown, and
-//!   FNV-1a checksums over every byte so corruption is an `Err`, never
-//!   a panic.
+//!   XXH64 checksums (`millisampler::codec::xxh64`) over every byte so
+//!   corruption is an `Err`, never a panic.
 //! - [`shard`] — per-worker append-only shard files of [`CellRows`]
-//!   records; workers stream cells out as they finish.
+//!   records (`MSC2`, each XXH64-checksummed); workers stream cells out
+//!   as they finish.
 //! - [`writer`] — [`LakeWriter`]: shard creation plus deterministic
 //!   grid-order compaction into final segments. Identical `(spec, seed)`
 //!   sweeps produce byte-identical lakes regardless of worker count.

@@ -204,9 +204,7 @@ impl Operator for TableScan {
                 let mut r = ColumnReader::new(col, rows);
                 let dst = &mut out.cols[slot];
                 dst.reserve(rows as usize);
-                while let Some(v) = r.next()? {
-                    dst.push(v);
-                }
+                r.for_each(|v| dst.push(v))?;
                 if !r.fully_consumed() {
                     return Err(LakeError::Corrupt("column has trailing bytes"));
                 }

@@ -1,4 +1,4 @@
-//! The `MSL1` columnar segment format.
+//! The `MSL1` columnar segment format, version 2.
 //!
 //! A segment is one append-only file holding the rows of one table as
 //! columns, split into fixed-row-count chunks:
@@ -7,17 +7,19 @@
 //! [header]   "MSL1", version, table kind, column names
 //! [chunks]   per chunk: varint row count, then per column a
 //!            length-prefixed delta + zigzag + varint byte run
-//! [footer]   header length + FNV, per-chunk {offset, len, rows, FNV,
+//! [footer]   header length + XXH64, per-chunk {offset, len, rows, XXH64,
 //!            per-column min/max}, string dictionary, total rows
-//! [trailer]  footer length (8 LE) + footer FNV (8 LE) + "MSLF"
+//! [trailer]  footer length (8 LE) + footer XXH64 (8 LE) + "MSLF"
 //! ```
 //!
 //! The fixed-width trailer lets a reader open a segment by seeking to
 //! the end, so queries never scan bytes they will skip. Every byte of
-//! the file is covered by some checksum (header and footer FNVs are
-//! verified at open, chunk FNVs before each chunk is decoded), so any
-//! single-byte corruption or truncation surfaces as `Err` — never a
-//! panic, never a loop — while reads stay chunk-at-a-time out-of-core.
+//! the file is covered by some XXH64 checksum (`millisampler::codec::
+//! xxh64`, seed 0): header and footer sums are verified at open, chunk
+//! sums before each chunk is decoded, so any single-byte corruption or
+//! truncation surfaces as `Err` — never a panic, never a loop — while
+//! reads stay chunk-at-a-time out-of-core. Version 1 segments (FNV-1a
+//! sums) are refused at open as "unsupported segment version".
 //!
 //! Determinism: a segment's bytes are a pure function of the row
 //! sequence pushed into [`SegmentWriter`] (delta state resets at every
@@ -34,10 +36,10 @@ pub const SEGMENT_MAGIC: &[u8; 4] = b"MSL1";
 /// Trailer magic (distinct, so a truncated header is never mistaken for
 /// a trailer).
 pub const TRAILER_MAGIC: &[u8; 4] = b"MSLF";
-/// Fixed trailer size: footer length + footer FNV + magic.
+/// Fixed trailer size: footer length + footer checksum + magic.
 pub const TRAILER_LEN: u64 = 20;
-/// Format version.
-pub const SEGMENT_VERSION: u64 = 1;
+/// Format version: 2 = XXH64 checksums.
+pub const SEGMENT_VERSION: u64 = 2;
 
 /// The tables a lake holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,10 +267,13 @@ impl ColumnWriter {
 
 /// Streaming decoder for one column chunk.
 ///
-/// `next` is on simlint's hot-path list (one call per value scanned):
-/// no panics, no allocation. Values are reconstructed with wrapping
-/// two's-complement arithmetic and **no clamping**, so `u64` bit
-/// patterns (including stored `f64` bits) round-trip losslessly.
+/// [`ColumnReader::for_each`] is the scan loop: one call per chunk
+/// column, with the position and delta base held in locals.
+/// [`ColumnReader::next`] decodes one value per call. Both sit on
+/// simlint's hot-path list (no panics, no allocation) and share one
+/// varint step. Values are reconstructed with wrapping two's-complement
+/// arithmetic and **no clamping**, so `u64` bit patterns (including
+/// stored `f64` bits) round-trip losslessly.
 #[derive(Debug)]
 pub struct ColumnReader<'a> {
     data: &'a [u8],
@@ -294,26 +299,27 @@ impl<'a> ColumnReader<'a> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = match self.data.get(self.pos) {
-                Some(&b) => b,
-                None => return Err(DecodeError::Truncated),
-            };
-            self.pos += 1;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift >= 64 {
-                return Err(DecodeError::Overlong);
-            }
-        }
-        self.prev = self.prev.wrapping_add(codec::unzigzag(v));
+        let z = varint_at(self.data, &mut self.pos)?;
+        self.prev = self.prev.wrapping_add(codec::unzigzag(z));
         self.remaining -= 1;
         Ok(Some(self.prev as u64))
+    }
+
+    /// Decodes every remaining value in order, calling `f` on each. On
+    /// error the reader is left where this call found it.
+    #[inline]
+    pub fn for_each(&mut self, mut f: impl FnMut(u64)) -> Result<(), DecodeError> {
+        let data = self.data;
+        let mut pos = self.pos;
+        let mut prev = self.prev;
+        for _ in 0..self.remaining {
+            prev = prev.wrapping_add(codec::unzigzag(varint_at(data, &mut pos)?));
+            f(prev as u64);
+        }
+        self.pos = pos;
+        self.prev = prev;
+        self.remaining = 0;
+        Ok(())
     }
 
     /// Whether every encoded byte was consumed (writer-side sanity).
@@ -331,8 +337,8 @@ pub struct ChunkInfo {
     pub len: u64,
     /// Rows in the chunk.
     pub rows: u64,
-    /// FNV-1a 64 of the chunk record bytes.
-    pub fnv: u64,
+    /// XXH64 of the chunk record bytes.
+    pub checksum: u64,
     /// Per-column `(min, max)` over the chunk, for predicate pushdown.
     pub minmax: Vec<(u64, u64)>,
 }
@@ -419,7 +425,7 @@ impl SegmentWriter {
             offset: self.body.len() as u64, // body-relative; absolute at finish
             len: record.len() as u64,
             rows: self.rows_in_chunk as u64,
-            fnv: codec::fnv1a64(&record),
+            checksum: codec::xxh64(&record),
             minmax,
         });
         self.body.extend_from_slice(&record);
@@ -442,13 +448,13 @@ impl SegmentWriter {
 
         let mut fw = WireWriter::new();
         fw.u64(header_len);
-        fw.u64(codec::fnv1a64(&header));
+        fw.u64(codec::xxh64(&header));
         fw.u64(self.chunks.len() as u64);
         for c in &self.chunks {
             fw.u64(c.offset + header_len);
             fw.u64(c.len);
             fw.u64(c.rows);
-            fw.u64(c.fnv);
+            fw.u64(c.checksum);
             for &(min, max) in &c.minmax {
                 fw.u64(min);
                 fw.u64(max);
@@ -465,7 +471,7 @@ impl SegmentWriter {
         out.extend_from_slice(&self.body);
         out.extend_from_slice(&footer);
         out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
-        out.extend_from_slice(&codec::fnv1a64(&footer).to_le_bytes());
+        out.extend_from_slice(&codec::xxh64(&footer).to_le_bytes());
         out.extend_from_slice(TRAILER_MAGIC);
         out
     }
@@ -489,13 +495,21 @@ pub struct SegmentReader<R> {
 }
 
 impl<R: Read + Seek> SegmentReader<R> {
-    /// Opens a segment: verifies the trailer magic, footer FNV, header
-    /// FNV, and the internal consistency of the chunk index.
+    /// Opens a segment: checks the header magic and version, then
+    /// verifies the trailer magic, footer checksum, header checksum, and
+    /// the internal consistency of the chunk index.
     pub fn open(mut src: R) -> Result<Self, LakeError> {
         let file_len = src.seek(SeekFrom::End(0))?;
         if file_len < TRAILER_LEN + 4 {
             return Err(LakeError::Corrupt("segment shorter than trailer"));
         }
+        // Magic and version first, so a segment of another version is
+        // refused by name rather than as a checksum mismatch. Both fit
+        // in the first five bytes while the version is below 128.
+        let mut head = [0u8; 5];
+        src.seek(SeekFrom::Start(0))?;
+        src.read_exact(&mut head)?;
+        check_magic_and_version(&mut WireReader::new(&head))?;
         src.seek(SeekFrom::Start(file_len - TRAILER_LEN))?;
         let mut trailer = [0u8; TRAILER_LEN as usize];
         src.read_exact(&mut trailer)?;
@@ -507,7 +521,7 @@ impl<R: Read + Seek> SegmentReader<R> {
                 .try_into()
                 .map_err(|_| LakeError::Corrupt("trailer slice"))?,
         );
-        let stored_footer_fnv = u64::from_le_bytes(
+        let stored_footer_sum = u64::from_le_bytes(
             trailer[8..16]
                 .try_into()
                 .map_err(|_| LakeError::Corrupt("trailer slice"))?,
@@ -519,27 +533,24 @@ impl<R: Read + Seek> SegmentReader<R> {
         src.seek(SeekFrom::Start(footer_start))?;
         let mut footer = vec![0u8; footer_len as usize];
         src.read_exact(&mut footer)?;
-        if codec::fnv1a64(&footer) != stored_footer_fnv {
+        if codec::xxh64(&footer) != stored_footer_sum {
             return Err(LakeError::Corrupt("footer checksum mismatch"));
         }
 
         let mut fr = WireReader::new(&footer);
         let header_len = fr.u64()?;
-        let header_fnv = fr.u64()?;
+        let header_sum = fr.u64()?;
         if header_len > footer_start || header_len < 4 {
             return Err(LakeError::Corrupt("header length out of range"));
         }
         src.seek(SeekFrom::Start(0))?;
         let mut header = vec![0u8; header_len as usize];
         src.read_exact(&mut header)?;
-        if codec::fnv1a64(&header) != header_fnv {
+        if codec::xxh64(&header) != header_sum {
             return Err(LakeError::Corrupt("header checksum mismatch"));
         }
         let mut hr = WireReader::new(&header);
-        hr.expect_magic(SEGMENT_MAGIC)?;
-        if hr.u64()? != SEGMENT_VERSION {
-            return Err(LakeError::Corrupt("unsupported segment version"));
-        }
+        check_magic_and_version(&mut hr)?;
         let kind = TableKind::from_id(hr.u64()?).ok_or(LakeError::Corrupt("unknown table kind"))?;
         let ncols = hr.u64()?;
         if ncols as usize != kind.columns().len() {
@@ -561,7 +572,7 @@ impl<R: Read + Seek> SegmentReader<R> {
             let offset = fr.u64()?;
             let len = fr.u64()?;
             let rows = fr.u64()?;
-            let fnv = fr.u64()?;
+            let checksum = fr.u64()?;
             let mut minmax = Vec::with_capacity(ncols as usize);
             for _ in 0..ncols {
                 minmax.push((fr.u64()?, fr.u64()?));
@@ -576,7 +587,7 @@ impl<R: Read + Seek> SegmentReader<R> {
                 offset,
                 len,
                 rows,
-                fnv,
+                checksum,
                 minmax,
             });
         }
@@ -613,7 +624,7 @@ impl<R: Read + Seek> SegmentReader<R> {
         self.src.seek(SeekFrom::Start(info.offset))?;
         buf.resize(info.len as usize, 0);
         self.src.read_exact(buf)?;
-        if codec::fnv1a64(buf) != info.fnv {
+        if codec::xxh64(buf) != info.checksum {
             return Err(LakeError::Corrupt("chunk checksum mismatch"));
         }
         Ok(())
@@ -630,13 +641,13 @@ impl<R: Read + Seek> SegmentReader<R> {
             .get(idx)
             .ok_or(LakeError::Corrupt("chunk index out of range"))?;
         let mut pos = 0usize;
-        let rows = read_varint(buf, &mut pos)?;
+        let rows = varint_at(buf, &mut pos)?;
         if rows != info.rows {
             return Err(LakeError::Corrupt("chunk row count disagrees with footer"));
         }
         let mut cols = Vec::with_capacity(self.col_names.len());
         for _ in 0..self.col_names.len() {
-            let len = read_varint(buf, &mut pos)? as usize;
+            let len = varint_at(buf, &mut pos)? as usize;
             let end = pos
                 .checked_add(len)
                 .ok_or(LakeError::Corrupt("column extent overflow"))?;
@@ -653,22 +664,38 @@ impl<R: Read + Seek> SegmentReader<R> {
     }
 }
 
-/// Reads one LEB128 varint out of `data` at `*pos`.
-pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, LakeError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
+/// Consumes the header's magic and version, refusing any version but
+/// [`SEGMENT_VERSION`].
+fn check_magic_and_version(r: &mut WireReader<'_>) -> Result<(), LakeError> {
+    r.expect_magic(SEGMENT_MAGIC)?;
+    if r.u64()? != SEGMENT_VERSION {
+        return Err(LakeError::Corrupt("unsupported segment version"));
+    }
+    Ok(())
+}
+
+/// Reads the LEB128 varint at `*pos` and advances past it: the one
+/// varint step of every chunk read. Most column deltas fit in seven
+/// bits, so a one-byte value returns before the multi-byte loop.
+#[inline(always)]
+fn varint_at(data: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+    let first = *data.get(*pos).ok_or(DecodeError::Truncated)?;
+    *pos += 1;
+    if first < 0x80 {
+        return Ok(u64::from(first));
+    }
+    let mut v = u64::from(first & 0x7f);
+    let mut shift = 7u32;
     loop {
-        let byte = *data
-            .get(*pos)
-            .ok_or(LakeError::Decode(DecodeError::Truncated))?;
+        let byte = *data.get(*pos).ok_or(DecodeError::Truncated)?;
         *pos += 1;
         v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
+        if byte < 0x80 {
             return Ok(v);
         }
         shift += 7;
         if shift >= 64 {
-            return Err(LakeError::Decode(DecodeError::Overlong));
+            return Err(DecodeError::Overlong);
         }
     }
 }
@@ -686,17 +713,16 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<u64, LakeError> {
         let (rows, cols) = reader.chunk_columns(idx, &buf)?;
         for (ci, col) in cols.iter().enumerate() {
             let mut r = ColumnReader::new(col, rows);
-            let (mut min, mut max, mut any) = (u64::MAX, 0u64, false);
-            while let Some(v) = r.next()? {
+            let (mut min, mut max) = (u64::MAX, 0u64);
+            r.for_each(|v| {
                 min = min.min(v);
                 max = max.max(v);
-                any = true;
-            }
+            })?;
             if !r.fully_consumed() {
                 return Err(LakeError::Corrupt("column has trailing bytes"));
             }
             let expect = reader.chunks[idx].minmax[ci];
-            if any && (min, max) != expect {
+            if rows > 0 && (min, max) != expect {
                 return Err(LakeError::Corrupt("footer min/max disagree with data"));
             }
         }
@@ -806,6 +832,67 @@ mod tests {
     fn wrong_arity_row_is_rejected() {
         let mut w = SegmentWriter::new(TableKind::Series, 8);
         assert!(w.push_row(&[1, 2, 3]).is_err());
+    }
+
+    /// `bytes` with the header version set to `version` and the header
+    /// and footer checksums recomputed, so only the version can be wrong.
+    fn with_version(bytes: &[u8], version: u8) -> Vec<u8> {
+        let trailer_at = bytes.len() - TRAILER_LEN as usize;
+        let footer_len = u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap());
+        let footer_at = trailer_at - footer_len as usize;
+        let mut fr = WireReader::new(&bytes[footer_at..trailer_at]);
+        let header_len = fr.u64().unwrap();
+        fr.u64().unwrap(); // the old header checksum
+        let footer_rest = &bytes[trailer_at - fr.remaining()..trailer_at];
+        let mut header = bytes[..header_len as usize].to_vec();
+        header[4] = version; // the version varint follows the magic
+        let mut fw = WireWriter::new();
+        fw.u64(header_len);
+        fw.u64(codec::xxh64(&header));
+        let mut footer = fw.finish();
+        footer.extend_from_slice(footer_rest);
+        let mut out = header;
+        out.extend_from_slice(&bytes[header_len as usize..footer_at]);
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+        out.extend_from_slice(&codec::xxh64(&footer).to_le_bytes());
+        out.extend_from_slice(TRAILER_MAGIC);
+        out
+    }
+
+    #[test]
+    fn previous_segment_version_is_refused_by_name() {
+        let bytes = sample_segment(40, 16);
+        assert_eq!(with_version(&bytes, 2), bytes, "the re-seal is exact");
+        let old = with_version(&bytes, 1);
+        let err = SegmentReader::open(std::io::Cursor::new(&old)).unwrap_err();
+        assert!(
+            matches!(err, LakeError::Corrupt("unsupported segment version")),
+            "expected the version by name, got {err}"
+        );
+        assert!(verify_segment_bytes(&old).is_err());
+    }
+
+    #[test]
+    fn for_each_matches_next_and_leaves_the_reader_on_error() {
+        let mut w = ColumnWriter::new();
+        let values = [3u64, 200, 0, u64::MAX, 70_000, 5];
+        for &v in &values {
+            w.push(v);
+        }
+        let (bytes, ..) = w.take_chunk();
+        let mut seen = Vec::new();
+        let mut r = ColumnReader::new(&bytes, values.len() as u64);
+        r.for_each(|v| seen.push(v)).unwrap();
+        assert_eq!(seen, values);
+        assert!(r.fully_consumed());
+        assert_eq!(r.next().unwrap(), None);
+        // Cut mid-varint: the loop fails and the reader has not moved.
+        let cut = &bytes[..bytes.len() - 1];
+        let mut r = ColumnReader::new(cut, values.len() as u64);
+        assert_eq!(r.next().unwrap(), Some(3));
+        assert_eq!(r.for_each(|_| {}), Err(DecodeError::Truncated));
+        assert_eq!(r.next().unwrap(), Some(200));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::segment::{SegmentWriter, TableKind};
 use crate::shard::{CellRows, ShardWriter};
 use crate::LakeError;
+use millisampler::codec::WireReader;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
@@ -256,11 +257,9 @@ impl LakeWriter {
 
 /// Reads the cell id out of a record prefix (magic + first varint).
 fn peek_cell(head: &[u8]) -> Result<u64, LakeError> {
-    if head.len() < 5 || &head[..4] != crate::shard::CELL_MAGIC {
-        return Err(LakeError::Corrupt("bad shard record magic"));
-    }
-    let mut pos = 4usize;
-    crate::segment::read_varint(head, &mut pos)
+    let mut r = WireReader::new(head);
+    r.expect_magic(crate::shard::CELL_MAGIC)?;
+    Ok(r.u64()?)
 }
 
 /// Explodes one cell's rows into the four tables.

@@ -10,9 +10,10 @@
 //!
 //! The encoding is canonical: a given [`HostSeries`] always produces the
 //! same byte string, which is what the determinism regression tests compare.
-//! A trailing FNV-1a checksum ([`fnv1a64`]) makes any single-byte
-//! corruption of a stored run decode to [`DecodeError::Checksum`] instead
-//! of a silently different series.
+//! A stored run is framed as `MSR3`: the magic, the varint header and
+//! columns, then a trailing 8-byte little-endian XXH64 checksum
+//! ([`xxh64`]) over everything before it, so any single-byte corruption
+//! decodes to an error instead of a silently different series.
 
 use crate::run::HostSeries;
 use ms_dcsim::Ns;
@@ -26,7 +27,12 @@ pub enum DecodeError {
     Overlong,
     /// The header did not carry the expected magic bytes.
     BadMagic,
-    /// The trailing FNV-1a checksum did not match the decoded bytes.
+    /// A well-formed varint outside its field's range: an unknown tag, a
+    /// boolean above 1, a 32-bit field above `u32::MAX`, or bytes left
+    /// after the last field.
+    OutOfRange,
+    /// The trailing XXH64 checksum ([`xxh64`]) did not match the bytes
+    /// it covers.
     Checksum,
 }
 
@@ -36,6 +42,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "encoded run truncated"),
             DecodeError::Overlong => write!(f, "overlong varint"),
             DecodeError::BadMagic => write!(f, "bad magic (not a millisampler run)"),
+            DecodeError::OutOfRange => write!(f, "value out of range for its field"),
             DecodeError::Checksum => write!(f, "checksum mismatch (corrupted encoding)"),
         }
     }
@@ -43,22 +50,85 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// `MSR2` = `MSR1` (delta + zig-zag + varint columns) plus a trailing
-/// FNV-1a checksum, so any single-byte corruption of a stored run is
-/// detected instead of silently decoding into a different series.
-const MAGIC: &[u8; 4] = b"MSR2";
+/// `MSR3` = delta + zig-zag + varint columns plus a trailing [`xxh64`]
+/// checksum, so any single-byte corruption of a stored run is detected
+/// instead of silently decoding into a different series. (`MSR2` carried
+/// an FNV-1a checksum and is refused as [`DecodeError::BadMagic`].)
+const MAGIC: &[u8; 4] = b"MSR3";
 
-/// FNV-1a over `bytes` — the workspace's integrity hash for stored
-/// encodings (runs here, lake segments in `ms-lake`). Not cryptographic;
-/// it exists to turn bit rot into a [`DecodeError::Checksum`] instead of
-/// a silently different time series.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// XXH64 (seed 0) over `bytes` — the workspace's integrity hash for
+/// stored encodings (runs here, shard records and lake segments in
+/// `ms-lake`). Written from the public XXH64 specification: four 64-bit
+/// lanes over 32-byte stripes, then 8-, 4- and 1-byte tails and the
+/// avalanche, so it reads eight bytes per dependent step where a
+/// byte-serial hash reads one. Not cryptographic; it exists to turn bit
+/// rot into a [`DecodeError::Checksum`] instead of a silently different
+/// time series.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    h
+    // `chunks_exact` hands these exactly 8 or 4 bytes, so the conversions
+    // cannot fail and compile to plain loads.
+    fn le64(b: &[u8]) -> u64 {
+        b.try_into().map_or(0, u64::from_le_bytes)
+    }
+    fn le32(b: &[u8]) -> u64 {
+        b.try_into().map_or(0, |w| u64::from(u32::from_le_bytes(w)))
+    }
+
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() < 32 {
+        P5
+    } else {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (a, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *a = round(*a, le64(lane));
+            }
+        }
+        let mut h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        for a in acc {
+            h = (h ^ round(0, a)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ round(0, le64(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut quads = words.remainder().chunks_exact(4);
+    for q in &mut quads {
+        h = (h ^ le32(q).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+    }
+    for &b in quads.remainder() {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Canonical append-only varint writer — the public face of this module's
@@ -172,6 +242,11 @@ impl<'a> WireReader<'a> {
         get_varint(&mut self.inner)
     }
 
+    /// Reads a varint that must fit in 32 bits.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        u32::try_from(self.u64()?).map_err(|_| DecodeError::OutOfRange)
+    }
+
     /// Reads a zig-zag varint.
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
         Ok(unzigzag(self.u64()?))
@@ -182,9 +257,13 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a boolean.
+    /// Reads a boolean (0 or 1; anything else is out of range).
     pub fn bool(&mut self) -> Result<bool, DecodeError> {
-        Ok(self.u64()? != 0)
+        match self.u64()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError::OutOfRange),
+        }
     }
 
     /// Reads a length-prefixed byte string (capped like series lengths so
@@ -210,6 +289,16 @@ impl<'a> WireReader<'a> {
     /// Bytes left unread.
     pub fn remaining(&self) -> usize {
         self.inner.remaining()
+    }
+
+    /// Fails unless every byte has been read: a schema's last field ends
+    /// its encoding.
+    pub fn expect_end(&self) -> Result<(), DecodeError> {
+        if self.remaining() == 0 {
+            Ok(())
+        } else {
+            Err(DecodeError::OutOfRange)
+        }
     }
 }
 
@@ -260,12 +349,18 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Reads one varint in the canonical form [`put_varint`] writes, so each
+/// value has exactly one accepted encoding: a final byte after the first
+/// must add bits (is not zero), and none may fall past the 64th.
 fn get_varint(buf: &mut Reader<'_>) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
         let byte = buf.get_u8()?;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
+            if shift > 0 && (byte == 0 || (shift == 63 && byte > 1)) {
+                return Err(DecodeError::Overlong);
+            }
             return Ok(v);
         }
     }
@@ -327,7 +422,7 @@ pub fn encode(series: &HostSeries) -> Vec<u8> {
     }
     // Trailing integrity hash over everything before it: a store serving
     // week-old runs must detect corruption, not decode a different series.
-    let sum = fnv1a64(&buf);
+    let sum = xxh64(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
@@ -359,7 +454,7 @@ pub fn decode(data: &[u8]) -> Result<HostSeries, DecodeError> {
             .try_into()
             .map_err(|_| DecodeError::Truncated)?,
     );
-    if stored != fnv1a64(&data[..covered]) {
+    if stored != xxh64(&data[..covered]) {
         return Err(DecodeError::Checksum);
     }
     Ok(HostSeries {
@@ -422,6 +517,27 @@ mod tests {
             let mut r = Reader::new(&buf);
             assert_eq!(get_varint(&mut r).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn only_canonical_varints_and_in_range_fields_decode() {
+        let overlong: [&[u8]; 3] = [
+            &[0x80, 0x00],                                                 // zero in two bytes
+            &[0x85, 0x80, 0x00],                                           // five in three bytes
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02], // bit 65
+        ];
+        for bytes in overlong {
+            assert_eq!(WireReader::new(bytes).u64(), Err(DecodeError::Overlong));
+        }
+        let mut w = WireWriter::new();
+        w.u64(2);
+        w.u64(u64::from(u32::MAX) + 1);
+        let bytes = w.finish();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.bool(), Err(DecodeError::OutOfRange));
+        assert_eq!(r.expect_end(), Err(DecodeError::OutOfRange));
+        assert_eq!(r.u32(), Err(DecodeError::OutOfRange));
+        assert_eq!(r.expect_end(), Ok(()));
     }
 
     #[test]
@@ -490,7 +606,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_corruption_is_rejected() {
-        // The trailing FNV-1a hash turns any one-byte flip anywhere in
+        // The trailing XXH64 hash turns any one-byte flip anywhere in
         // the encoding into an error: either a structural decode failure
         // or a checksum mismatch — never a silently different series.
         let enc = encode(&sample_series());
@@ -515,11 +631,52 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64-bit vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn xxh64_matches_spec_vectors() {
+        // Seed-0 vectors of the reference XXH64 implementation.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+    }
+
+    fn test_buffer(len: usize) -> Vec<u8> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[0]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn xxh64_prefixes_cover_every_tail_path_and_stay_distinct() {
+        // Lengths 0..=96 walk the short path, one to three 32-byte
+        // stripes, and every 8/4/1-byte tail combination after each.
+        let buf = test_buffer(96);
+        let mut hashes: Vec<u64> = (0..=buf.len()).map(|n| xxh64(&buf[..n])).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 97);
+    }
+
+    #[test]
+    fn xxh64_sees_every_single_bit_flip() {
+        let mut buf = test_buffer(4096);
+        let clean = xxh64(&buf);
+        for bit in 0..buf.len() * 8 {
+            buf[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(xxh64(&buf), clean, "flipping bit {bit} kept the hash");
+            buf[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn previous_run_format_is_refused_by_name() {
+        let mut enc = encode(&sample_series());
+        enc[..4].copy_from_slice(b"MSR2");
+        assert_eq!(decode(&enc), Err(DecodeError::BadMagic));
     }
 
     #[test]

@@ -84,8 +84,8 @@ fn strip_positions(s: &str) -> String {
     out
 }
 
-/// FNV-1a 64 — the same hash the lake uses for checksums; good enough
-/// for fingerprint identity and trivially stable across platforms.
+/// FNV-1a 64 — good enough for fingerprint identity and trivially
+/// stable across platforms.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

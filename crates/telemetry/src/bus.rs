@@ -1,13 +1,15 @@
-//! The trace bus: typed simulation events in a pre-allocated ring.
+//! The trace bus: typed simulation events in a capacity-reserved ring.
 //!
 //! [`TraceBus::record`] is on the simulator's per-packet path when tracing
 //! is enabled, so it follows the same rules `simlint` enforces on the tc
-//! filter: the ring is allocated once in the constructor, and recording is
-//! a store plus index arithmetic — no allocation, no panic path. When the
-//! ring wraps, the **oldest** events are overwritten (a trace is a window
-//! onto the tail of the run, like a flight recorder), and the number of
-//! lost events is reported so exporters can say so instead of silently
-//! presenting a truncated trace as complete.
+//! filter: the ring's capacity is reserved once in the constructor and
+//! its pages are touched only as events fill it, and recording is a push
+//! into that reserved capacity or a store plus index arithmetic — no
+//! allocation, no panic path. When the ring wraps, the **oldest** events
+//! are overwritten (a trace is a window onto the tail of the run, like a
+//! flight recorder), and the number of lost events is reported so
+//! exporters can say so instead of silently presenting a truncated trace
+//! as complete.
 
 use crate::forensics::DropCause;
 use ms_units::Bytes;
@@ -339,29 +341,28 @@ impl TraceEvent {
 
 /// Fixed-capacity ring buffer of [`TraceEvent`]s.
 pub struct TraceBus {
-    /// Pre-filled storage; `head`/`len` delimit the valid window.
+    /// The held events: pushed in order until `cap`, then overwritten
+    /// in place from `head`.
     ring: Vec<TraceEvent>,
-    /// Next write index.
+    /// Ring capacity in events (the reserved `Vec` capacity may be larger).
+    cap: usize,
+    /// The oldest held event, which is the next one overwritten once the
+    /// ring is full; 0 until then.
     head: usize,
-    /// Number of valid events (≤ capacity).
-    len: usize,
     /// Total `record` calls ever.
     recorded: u64,
     /// Events lost to ring wrap-around.
     overwritten: u64,
 }
 
-/// Filler for unwritten slots (never observable through `iter`).
-const FILLER: TraceEvent = TraceEvent::RtoFired { ns: 0, flow: 0 };
-
 impl TraceBus {
-    /// Allocates a ring of `capacity` events. All allocation happens here;
+    /// Reserves a ring of `capacity` events. All allocation happens here;
     /// [`TraceBus::record`] never touches the heap.
     pub fn with_capacity(capacity: usize) -> Self {
         TraceBus {
-            ring: vec![FILLER; capacity],
+            ring: Vec::with_capacity(capacity),
+            cap: capacity,
             head: 0,
-            len: 0,
             recorded: 0,
             overwritten: 0,
         }
@@ -369,17 +370,17 @@ impl TraceBus {
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.ring.len()
+        self.cap
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     /// Whether no events are held.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
     }
 
     /// Total events ever recorded (including overwritten ones).
@@ -392,38 +393,32 @@ impl TraceBus {
         self.overwritten
     }
 
-    /// Records one event. The per-event hot path: a bounded store plus
-    /// index bookkeeping — no allocation, no panic (`head` is always in
-    /// range by construction; a zero-capacity ring only counts).
+    /// Records one event. The per-event hot path: a push into reserved
+    /// capacity until the ring is full, then a bounded overwrite of the
+    /// oldest event — no allocation, no panic (a zero-capacity ring only
+    /// counts).
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
         self.recorded += 1;
-        let cap = self.ring.len();
-        if cap == 0 {
-            self.overwritten += 1;
+        if self.ring.len() < self.cap {
+            self.ring.push(ev);
             return;
         }
-        self.ring[self.head] = ev;
-        self.head += 1;
-        if self.head == cap {
-            self.head = 0;
-        }
-        if self.len < cap {
-            self.len += 1;
-        } else {
-            self.overwritten += 1;
+        self.overwritten += 1;
+        if let Some(slot) = self.ring.get_mut(self.head) {
+            *slot = ev;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
         }
     }
 
     /// Iterates the held events oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (older, newer) = if self.len < self.ring.len() {
-            // Not yet wrapped: valid events are `[0, len)` and `head == len`.
-            (&self.ring[..self.len], &self.ring[..0])
-        } else {
-            // Wrapped: oldest at `head`, newest just before it.
-            (&self.ring[self.head..], &self.ring[..self.head])
-        };
+        // Oldest at `head`, newest just before it (`head` is 0 until the
+        // ring first wraps).
+        let (newer, older) = self.ring.split_at(self.head);
         older.iter().chain(newer.iter())
     }
 
@@ -434,13 +429,12 @@ impl TraceBus {
     /// path, so no allocation and no panic (bounds are checked up front).
     #[inline]
     pub fn recent(&self, i: usize) -> Option<&TraceEvent> {
-        if i >= self.len {
+        let len = self.ring.len();
+        if i >= len {
             return None;
         }
-        let cap = self.ring.len();
-        // Newest lives just before `head`; walk backwards modulo cap.
-        let idx = (self.head + cap - 1 - i) % cap;
-        Some(&self.ring[idx])
+        // Newest lives just before `head`; walk backwards modulo len.
+        self.ring.get((self.head + len - 1 - i) % len)
     }
 
     /// Kind codes of the eight newest events, one per byte, newest in the
@@ -457,10 +451,11 @@ impl TraceBus {
         packed
     }
 
-    /// Forgets all held events (counters keep accumulating).
+    /// Forgets all held events (counters keep accumulating; the
+    /// reserved capacity is kept).
     pub fn clear(&mut self) {
+        self.ring.clear();
         self.head = 0;
-        self.len = 0;
     }
 }
 
@@ -469,8 +464,8 @@ impl TraceBus {
 impl std::fmt::Debug for TraceBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceBus")
-            .field("len", &self.len)
-            .field("capacity", &self.ring.len())
+            .field("len", &self.ring.len())
+            .field("capacity", &self.cap)
             .field("recorded", &self.recorded)
             .field("overwritten", &self.overwritten)
             .finish()
@@ -630,6 +625,27 @@ mod tests {
         assert_eq!(codes.len(), events.len(), "kind codes must be distinct");
         assert!(!codes.contains(&6), "6 was DequeueIdle and stays retired");
         assert_eq!(codes.last(), Some(&20), "the other codes kept their values");
+    }
+
+    #[test]
+    fn recent_and_iter_agree_before_and_after_the_first_wrap() {
+        let mut bus = TraceBus::with_capacity(5);
+        for n in 0..13u64 {
+            let held: Vec<u64> = bus.iter().map(TraceEvent::ns).collect();
+            let lo = n.saturating_sub(5);
+            assert_eq!(held, (lo..n).collect::<Vec<_>>(), "after {n} records");
+            for (i, &ns) in held.iter().rev().enumerate() {
+                assert_eq!(bus.recent(i).map(TraceEvent::ns), Some(ns));
+            }
+            assert_eq!(bus.recent(held.len()), None);
+            assert_eq!(bus.overwritten(), lo);
+            bus.record(ev(n));
+        }
+        assert_eq!(bus.capacity(), 5);
+        bus.clear();
+        assert!(bus.iter().next().is_none() && bus.recent(0).is_none());
+        bus.record(ev(99));
+        assert_eq!(bus.iter().map(TraceEvent::ns).collect::<Vec<_>>(), [99]);
     }
 
     #[test]

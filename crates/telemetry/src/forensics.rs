@@ -20,9 +20,10 @@
 //!   firmware-bug injector): transient, not buffer-share arithmetic.
 //!
 //! [`ForensicStore::record`] is on the simulator's per-drop path, so it
-//! follows the trace-bus discipline: storage is allocated once in the
-//! constructor and recording is a bounded store — no allocation, no
-//! panic, no floats (the DT threshold arrives as a precomputed integer).
+//! follows the trace-bus discipline: storage is reserved once in the
+//! constructor and touched only as records arrive, and recording is a
+//! bounded push — no allocation, no panic, no floats (the DT threshold
+//! arrives as a precomputed integer).
 
 use crate::bus::DropReason;
 
@@ -118,25 +119,6 @@ pub struct DropForensic {
     pub recent_kinds: u64,
 }
 
-/// Filler for unwritten slots (never observable through `records`).
-const FILLER: DropForensic = DropForensic {
-    ns: 0,
-    queue: 0,
-    flow: 0,
-    size: 0,
-    reason: DropReason::SharedBufferFull,
-    cause: DropCause::FabricTransient,
-    queue_occupancy: 0,
-    shared_occupancy: 0,
-    dt_threshold: 0,
-    burst_len: 0,
-    competing_flows: 0,
-    self_bytes: 0,
-    other_bytes: 0,
-    ecn_on: false,
-    recent_kinds: 0,
-};
-
 /// Fixed-capacity store of [`DropForensic`] records plus always-exact
 /// per-cause counters.
 ///
@@ -146,19 +128,22 @@ const FILLER: DropForensic = DropForensic {
 /// per-cause attribution counters never saturate, so the §8 histogram is
 /// exact even when individual records are shed.
 pub struct ForensicStore {
+    /// The held records, pushed into capacity reserved up front.
     records: Vec<DropForensic>,
-    len: usize,
+    /// Store capacity in records (the reserved `Vec` capacity may be
+    /// larger).
+    cap: usize,
     shed: u64,
     by_cause: [u64; 3],
 }
 
 impl ForensicStore {
-    /// Allocates storage for `capacity` records. All allocation happens
+    /// Reserves storage for `capacity` records. All allocation happens
     /// here; [`ForensicStore::record`] never touches the heap.
     pub fn with_capacity(capacity: usize) -> Self {
         ForensicStore {
-            records: vec![FILLER; capacity],
-            len: 0,
+            records: Vec::with_capacity(capacity),
+            cap: capacity,
             shed: 0,
             by_cause: [0; 3],
         }
@@ -167,28 +152,27 @@ impl ForensicStore {
     /// Store capacity in records. Zero means forensics are disabled
     /// (recording still maintains the per-cause counters).
     pub fn capacity(&self) -> usize {
-        self.records.len()
+        self.cap
     }
 
     /// Records held.
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// Whether no records are held.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
-    /// Records one drop. The per-drop hot path: a bounded store plus
-    /// counter bookkeeping — no allocation, no panic (`len` is bounded
-    /// by the pre-allocated capacity by construction).
+    /// Records one drop. The per-drop hot path: a push into reserved
+    /// capacity plus counter bookkeeping — no allocation, no panic (the
+    /// push stops at the capacity reserved up front).
     #[inline]
     pub fn record(&mut self, f: DropForensic) {
         self.by_cause[(f.cause.code() & 3).min(2) as usize] += 1;
-        if self.len < self.records.len() {
-            self.records[self.len] = f;
-            self.len += 1;
+        if self.records.len() < self.cap {
+            self.records.push(f);
         } else {
             self.shed += 1;
         }
@@ -196,7 +180,7 @@ impl ForensicStore {
 
     /// The held records, oldest first.
     pub fn records(&self) -> &[DropForensic] {
-        &self.records[..self.len]
+        &self.records
     }
 
     /// Records lost to capacity exhaustion (counters stay exact).
@@ -220,8 +204,8 @@ impl ForensicStore {
 impl std::fmt::Debug for ForensicStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ForensicStore")
-            .field("len", &self.len)
-            .field("capacity", &self.records.len())
+            .field("len", &self.records.len())
+            .field("capacity", &self.cap)
             .field("shed", &self.shed)
             .field("by_cause", &self.by_cause)
             .finish()
@@ -231,6 +215,25 @@ impl std::fmt::Debug for ForensicStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An all-zero record for tests to override field by field.
+    const FILLER: DropForensic = DropForensic {
+        ns: 0,
+        queue: 0,
+        flow: 0,
+        size: 0,
+        reason: DropReason::SharedBufferFull,
+        cause: DropCause::FabricTransient,
+        queue_occupancy: 0,
+        shared_occupancy: 0,
+        dt_threshold: 0,
+        burst_len: 0,
+        competing_flows: 0,
+        self_bytes: 0,
+        other_bytes: 0,
+        ecn_on: false,
+        recent_kinds: 0,
+    };
 
     fn forensic(ns: u64, cause: DropCause) -> DropForensic {
         DropForensic {

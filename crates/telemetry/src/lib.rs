@@ -5,7 +5,7 @@
 //! and buffer contention that cause loss (§1, §7.2). This crate removes the
 //! same blind spot from the simulator itself. It provides:
 //!
-//! * [`TraceBus`] — a fixed-capacity, pre-allocated ring buffer of typed
+//! * [`TraceBus`] — a fixed-capacity, capacity-reserved ring buffer of typed
 //!   [`TraceEvent`]s (enqueues, drops with a [`DropReason`], ECN marks,
 //!   threshold crossings, cwnd changes, RTO firings, sampler window
 //!   closes…), each stamped with **simulation time in nanoseconds, never
@@ -31,7 +31,7 @@
 //! Instrumented code holds an `Option<`[`SharedTelemetry`]`>`; when it is
 //! `None` the per-packet cost is a single branch (mirroring the tc filter's
 //! 7 ns disabled path). When attached, [`TraceBus::record`] writes into
-//! pre-allocated storage: no allocation, no panic — `simlint` holds it to
+//! capacity reserved at construction: no allocation, no panic — `simlint` holds it to
 //! the same discipline as the switch and sampler hot paths.
 //!
 //! This crate sits *below* `ms-dcsim` in the dependency graph (the

@@ -218,7 +218,7 @@ const SECTION_TOPO_FLOWS: u64 = 2;
 /// Longest list the codec decodes, and so the widest rack and the
 /// longest sampler window [`ScenarioSpec::validate`] lets through: a
 /// spec from outside bytes must not size an allocation beyond it.
-const MAX_LIST_LEN: u64 = 1 << 20;
+pub const MAX_LIST_LEN: u64 = 1 << 20;
 
 impl ScenarioSpec {
     /// Paper-like defaults on a rack of `num_servers`: 12.5 Gbps links,
@@ -525,16 +525,14 @@ impl ScenarioSpec {
             buckets: r.u64()? as usize,
             count_flows: r.bool()?,
         };
-        // simlint: allow(cast-truncation): mss is u32 by construction
-        let mss = r.u64()? as u32;
+        let mss = r.u32()?;
         let warmup = Ns(r.u64()?);
         let max_clock_skew = Ns(r.u64()?);
         let policy = decode_policy(&mut r)?;
         let ecn_threshold = opt_u64_from(&mut r)?.map(Bytes);
         let gro = if r.bool()? {
             Some(GroConfig {
-                // simlint: allow(cast-truncation): GRO cap is u32 by construction
-                max_bytes: r.u64()? as u32,
+                max_bytes: r.u32()?,
                 timeout: Ns(r.u64()?),
             })
         } else {
@@ -549,8 +547,7 @@ impl ScenarioSpec {
                 at: Ns(r.u64()?),
                 flow: FlowSpec {
                     dst_server: r.u64()? as usize,
-                    // simlint: allow(cast-truncation): connection counts are u32 by construction
-                    connections: r.u64()? as u32,
+                    connections: r.u32()?,
                     total_bytes: r.u64()?,
                     algorithm: cc_from(r.u64()?)?,
                     paced_bps: opt_u64_from(&mut r)?.map(Bps),
@@ -608,19 +605,15 @@ impl ScenarioSpec {
         }
         let mut mcast_members = Vec::new();
         for _ in 0..bounded_len(&mut r)? {
-            // simlint: allow(cast-truncation): group ids are u32 by construction
-            mcast_members.push((r.u64()? as u32, r.u64()? as usize));
+            mcast_members.push((r.u32()?, r.u64()? as usize));
         }
         let mut mcast_bursts = Vec::new();
         for _ in 0..bounded_len(&mut r)? {
             mcast_bursts.push(McastBurstSpec {
                 at: Ns(r.u64()?),
-                // simlint: allow(cast-truncation): group ids are u32 by construction
-                group: r.u64()? as u32,
-                // simlint: allow(cast-truncation): burst sizing is u32 by construction
-                packets: r.u64()? as u32,
-                // simlint: allow(cast-truncation): burst sizing is u32 by construction
-                size: r.u64()? as u32,
+                group: r.u32()?,
+                packets: r.u32()?,
+                size: r.u32()?,
                 paced_bps: Bps(r.u64()?),
             });
         }
@@ -657,12 +650,9 @@ impl ScenarioSpec {
                         topo_flows.push(ScheduledTopoFlow {
                             at: Ns(r.u64()?),
                             flow: TopoFlowSpec {
-                                // simlint: allow(cast-truncation): host ids are u32 by construction
-                                src_host: r.u64()? as u32,
-                                // simlint: allow(cast-truncation): host ids are u32 by construction
-                                dst_host: r.u64()? as u32,
-                                // simlint: allow(cast-truncation): connection counts are u32 by construction
-                                connections: r.u64()? as u32,
+                                src_host: r.u32()?,
+                                dst_host: r.u32()?,
+                                connections: r.u32()?,
                                 total_bytes: r.u64()?,
                                 algorithm: cc_from(r.u64()?)?,
                                 paced_bps: opt_u64_from(&mut r)?.map(Bps),
@@ -671,9 +661,10 @@ impl ScenarioSpec {
                         });
                     }
                 }
-                _ => return Err(DecodeError::Overlong),
+                _ => return Err(DecodeError::OutOfRange),
             }
         }
+        r.expect_end()?;
         Ok(ScenarioSpec {
             num_servers,
             seed,
@@ -722,7 +713,7 @@ fn opt_u64_from(r: &mut WireReader<'_>) -> Result<Option<u64>, DecodeError> {
 fn bounded_len(r: &mut WireReader<'_>) -> Result<u64, DecodeError> {
     let len = r.u64()?;
     if len > MAX_LIST_LEN {
-        return Err(DecodeError::Overlong);
+        return Err(DecodeError::OutOfRange);
     }
     Ok(len)
 }
@@ -745,7 +736,7 @@ fn encode_policy(w: &mut WireWriter, p: BufferPolicySpec) {
 }
 
 fn decode_policy(r: &mut WireReader<'_>) -> Result<BufferPolicySpec, DecodeError> {
-    let kind = PolicyKind::from_code(r.u64()?).ok_or(DecodeError::Overlong)?;
+    let kind = PolicyKind::from_code(r.u64()?).ok_or(DecodeError::OutOfRange)?;
     Ok(match kind {
         PolicyKind::DtAlpha => BufferPolicySpec::DtAlpha { alpha: r.f64()? },
         PolicyKind::CompleteSharing => BufferPolicySpec::CompleteSharing,
@@ -787,8 +778,7 @@ fn decode_topology(r: &mut WireReader<'_>) -> Result<TopologySpec, DecodeError> 
         })),
         1 => {
             let opts = FatTreeOpts {
-                // simlint: allow(cast-truncation): radix is u32 by construction
-                k: r.u64()? as u32,
+                k: r.u32()?,
                 link_gbps: r.u64()?,
                 link_latency_ns: r.u64()?,
                 buffer_bytes: Bytes(r.u64()?),
@@ -797,7 +787,7 @@ fn decode_topology(r: &mut WireReader<'_>) -> Result<TopologySpec, DecodeError> 
             let ecmp_seed = r.u64()?;
             Ok(TopologySpec::FatTree { opts, ecmp_seed })
         }
-        _ => Err(DecodeError::Overlong),
+        _ => Err(DecodeError::OutOfRange),
     }
 }
 
@@ -814,7 +804,7 @@ fn cc_from(tag: u64) -> Result<CcAlgorithm, DecodeError> {
         0 => Ok(CcAlgorithm::Dctcp),
         1 => Ok(CcAlgorithm::Cubic),
         2 => Ok(CcAlgorithm::Reno),
-        _ => Err(DecodeError::Overlong),
+        _ => Err(DecodeError::OutOfRange),
     }
 }
 
@@ -835,7 +825,7 @@ fn task_from(tag: u64) -> Result<TaskKind, DecodeError> {
         2 => Ok(TaskKind::MlTrainer),
         3 => Ok(TaskKind::Batch),
         4 => Ok(TaskKind::Background),
-        _ => Err(DecodeError::Overlong),
+        _ => Err(DecodeError::OutOfRange),
     }
 }
 

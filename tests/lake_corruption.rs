@@ -3,10 +3,17 @@
 //! a hang, never a silently wrong decode. Mutations are driven by the
 //! deterministic `SimRng`, so a failure reproduces exactly.
 //!
-//! Covers all three on-disk formats ms-lake touches: the millisampler
-//! run codec (`MSR2`), shard cell records (`MSC1`), and full lake
-//! segments (`MSL1`), the last via `verify_segment_bytes`, which also
-//! decodes every column value and cross-checks footer min/max.
+//! Covers all three checksummed on-disk formats ms-lake touches: the
+//! millisampler run codec (`MSR3`), shard cell records (`MSC2`), and full
+//! lake segments (`MSL1` version 2), the last via `verify_segment_bytes`,
+//! which also decodes every column value and cross-checks footer
+//! min/max. Each ends in an 8-byte XXH64 checksum
+//! (`millisampler::codec::xxh64`) over the bytes it guards.
+//!
+//! The two formats without a checksum, scenario specs (`MSS1`) and run
+//! outcomes (`MSO1`), get hostile bytes instead: flips, truncations and
+//! length fields inflated to `MAX_LIST_LEN` and beyond. There a mutant
+//! may decode, but only to a value that re-encodes to exactly its bytes.
 
 use millisampler::codec;
 use millisampler::HostSeries;
@@ -14,6 +21,12 @@ use ms_analysis::{BurstRow, RunOutcome};
 use ms_dcsim::{Ns, SimRng};
 use ms_lake::segment::{verify_segment_bytes, SegmentWriter, TableKind};
 use ms_lake::CellRows;
+use ms_transport::CcAlgorithm;
+use ms_workload::spec::MAX_LIST_LEN;
+use ms_workload::{
+    Bps, Bytes, FatTreeOpts, FlowSpec, ScenarioBuilder, ScenarioSpec, TopoFlowSpec, TopologySpec,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn sample_series(seed: u64) -> HostSeries {
     let mut rng = SimRng::new(seed);
@@ -160,4 +173,147 @@ fn corrupted_decode_is_err_not_wrong_data() {
             ),
         }
     }
+}
+
+/// A rack spec that fills every list and option of the `MSS1` layout.
+fn rack_spec() -> ScenarioSpec {
+    let mut b = ScenarioBuilder::new(8, 42);
+    b.buckets(200)
+        .interval(Ns::from_millis(1))
+        .count_flows(true)
+        .warmup(Ns::from_millis(20))
+        .alpha(2.0)
+        .ecn_threshold(Bytes::from_kib(60))
+        .alpha_tune_period(Ns::from_millis(5))
+        .fabric_smoothing(Bps(11_000_000_000))
+        .forensics()
+        .flow_at(
+            Ns::from_millis(30),
+            FlowSpec {
+                dst_server: 1,
+                connections: 20,
+                total_bytes: 4_000_000,
+                algorithm: CcAlgorithm::Cubic,
+                paced_bps: Some(Bps(9_000_000_000)),
+                task: 7,
+            },
+        )
+        .nic_drops(5, 7, 0.015)
+        .stall(3, Ns::from_millis(10), Ns::from_millis(20))
+        .chatter(1, 40, 8_000)
+        .join_multicast(77, 4)
+        .multicast_burst(Ns::from_millis(50), 77, 100, 1500, Bps(2_000_000_000))
+        .probe_queue_depth(1);
+    b.spec()
+}
+
+/// A fat-tree spec, so both trailing tagged sections are present.
+fn tree_spec() -> ScenarioSpec {
+    let opts = FatTreeOpts {
+        k: 4,
+        ..FatTreeOpts::default()
+    };
+    let mut b = ScenarioBuilder::new(16, 11);
+    b.buckets(100)
+        .topology(TopologySpec::fat_tree(opts, 7))
+        .topo_flow_at(
+            Ns::from_millis(5),
+            TopoFlowSpec {
+                src_host: 12,
+                dst_host: 0,
+                connections: 8,
+                total_bytes: 2_000_000,
+                algorithm: CcAlgorithm::Reno,
+                paced_bps: None,
+                task: 3,
+            },
+        );
+    b.spec()
+}
+
+fn sample_outcome() -> RunOutcome {
+    let mut o = RunOutcome::empty();
+    o.switch_ingress_bytes = 123_456_789;
+    o.switch_discard_bytes = 4_242;
+    o.events = 999_999;
+    o.bursts = 41;
+    o.lossy_bursts = 3;
+    o.contention_avg = 1.625;
+    o.contention_max = 5;
+    o.active_servers = 8;
+    o
+}
+
+/// Every hostile variant of `bytes`, each with a description: all
+/// truncations, all eight single-bit flips and one seeded byte XOR per
+/// position, and the varint starting at each position replaced by a
+/// length at, just past, and far past `MAX_LIST_LEN`.
+fn hostile_mutants(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = (0..bytes.len())
+        .map(|cut| (format!("truncation to {cut}"), bytes[..cut].to_vec()))
+        .collect();
+    let mut rng = SimRng::new(0x5EED);
+    for pos in 0..bytes.len() {
+        // simlint: allow(cast-truncation): value is masked to a byte
+        let xor = (1 + rng.gen_range(255)) as u8;
+        for flip in (0..8).map(|bit| 1u8 << bit).chain([xor]) {
+            let mut m = bytes.to_vec();
+            m[pos] ^= flip;
+            out.push((format!("xor {flip:#04x} at byte {pos}"), m));
+        }
+        let varint_len = bytes[pos..]
+            .iter()
+            .position(|b| b & 0x80 == 0)
+            .map_or(bytes.len() - pos, |i| i + 1);
+        for len in [MAX_LIST_LEN, MAX_LIST_LEN + 1, 1 << 40, u64::MAX] {
+            let mut w = codec::WireWriter::new();
+            w.u64(len);
+            let mut m = bytes[..pos].to_vec();
+            m.extend_from_slice(&w.finish());
+            m.extend_from_slice(&bytes[pos + varint_len..]);
+            out.push((format!("varint at byte {pos} inflated to {len}"), m));
+        }
+    }
+    out
+}
+
+/// Asserts `reencode` (decode, then encode the value) turns every
+/// hostile mutant of `bytes` into `None` or into exactly the mutant's
+/// bytes, and never panics. A length field sized into an allocation
+/// before the bytes behind it were read would abort the run at 2^40.
+fn assert_hostile_total(name: &str, bytes: &[u8], reencode: &dyn Fn(&[u8]) -> Option<Vec<u8>>) {
+    assert_eq!(reencode(bytes).as_deref(), Some(bytes), "{name}: pristine");
+    let mut findings = Vec::new();
+    for (what, m) in hostile_mutants(bytes) {
+        match catch_unwind(AssertUnwindSafe(|| reencode(&m))) {
+            Err(_) => findings.push(format!("{what}: panicked")),
+            Ok(Some(again)) if again != m => {
+                findings.push(format!(
+                    "{what}: decoded to a value that re-encodes differently"
+                ));
+            }
+            Ok(_) => {}
+        }
+    }
+    assert!(
+        findings.is_empty(),
+        "{name}: {} hostile mutants misbehaved, first: {:#?}",
+        findings.len(),
+        &findings[..findings.len().min(8)]
+    );
+}
+
+#[test]
+fn scenario_specs_survive_hostile_bytes() {
+    let spec = |b: &[u8]| ScenarioSpec::decode(b).ok().map(|s| s.encode());
+    assert_hostile_total("rack spec", &rack_spec().encode(), &spec);
+    assert_hostile_total("tree spec", &tree_spec().encode(), &spec);
+}
+
+#[test]
+fn run_outcomes_survive_hostile_bytes() {
+    let bytes = sample_outcome().encode();
+    assert_hostile_total("outcome", &bytes, &|b| {
+        RunOutcome::decode(b).ok().map(|o| o.encode())
+    });
 }
