@@ -31,12 +31,6 @@ impl Report {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of displayable cells.
-    pub fn rowf(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Number of rows so far.
     pub fn len(&self) -> usize {
         self.rows.len()

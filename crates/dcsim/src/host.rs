@@ -19,32 +19,14 @@ use crate::packet::FlowId;
 use crate::time::Ns;
 use ms_units::Bps;
 
-/// Index of a host within its rack (also its ToR egress queue index).
-pub type HostId = u32;
-
-/// Per-host cumulative counters (NIC-level, not sampler-level).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HostStats {
-    /// Bytes received from the ToR.
-    pub rx_bytes: u64,
-    /// Packets received from the ToR.
-    pub rx_packets: u64,
-    /// Bytes sent toward the ToR.
-    pub tx_bytes: u64,
-    /// Packets sent toward the ToR.
-    pub tx_packets: u64,
-}
-
 /// A server in the rack.
 #[derive(Debug)]
 pub struct Host {
-    id: HostId,
     num_cpus: usize,
     /// Signed clock offset: host clock = sim time + offset.
     clock_offset_ns: i64,
     /// NIC uplink toward the ToR.
     uplink: Link,
-    stats: HostStats,
     /// Optional NIC stall window: while `now` is inside, the "kernel" does
     /// not process interrupts — packets arrive at the NIC but the tc filter
     /// never sees them (models the locking bugs described in §4.6).
@@ -54,36 +36,19 @@ pub struct Host {
 impl Host {
     /// Creates a host. `uplink_rate` is the server link rate toward the
     /// ToR (12.5 Gbps for the studied server type).
-    pub fn new(id: HostId, num_cpus: usize, uplink_rate: Bps, uplink_delay: Ns) -> Self {
+    pub fn new(num_cpus: usize, uplink_rate: Bps, uplink_delay: Ns) -> Self {
         assert!(num_cpus > 0, "host needs at least one CPU");
         Host {
-            id,
             num_cpus,
             clock_offset_ns: 0,
             uplink: Link::new(uplink_rate, uplink_delay),
-            stats: HostStats::default(),
             stall: None,
         }
-    }
-
-    /// The host id (== ToR egress queue index).
-    pub fn id(&self) -> HostId {
-        self.id
-    }
-
-    /// Number of simulated CPUs.
-    pub fn num_cpus(&self) -> usize {
-        self.num_cpus
     }
 
     /// Sets the host clock offset (positive = clock runs ahead of sim time).
     pub fn set_clock_offset(&mut self, offset_ns: i64) {
         self.clock_offset_ns = offset_ns;
-    }
-
-    /// The host clock offset.
-    pub fn clock_offset(&self) -> i64 {
-        self.clock_offset_ns
     }
 
     /// Reads the host's local clock at simulation time `now`.
@@ -105,28 +70,6 @@ impl Host {
         &mut self.uplink
     }
 
-    /// The NIC uplink.
-    pub fn uplink(&self) -> &Link {
-        &self.uplink
-    }
-
-    /// Records reception of a packet (NIC counters).
-    pub fn note_rx(&mut self, bytes: u32) {
-        self.stats.rx_bytes += bytes as u64;
-        self.stats.rx_packets += 1;
-    }
-
-    /// Records transmission of a packet (NIC counters).
-    pub fn note_tx(&mut self, bytes: u32) {
-        self.stats.tx_bytes += bytes as u64;
-        self.stats.tx_packets += 1;
-    }
-
-    /// Cumulative NIC counters.
-    pub fn stats(&self) -> HostStats {
-        self.stats
-    }
-
     /// Installs a NIC/kernel stall during `[from, to)` (fault injection).
     pub fn set_stall(&mut self, from: Ns, to: Ns) {
         assert!(from < to, "stall window must be non-empty");
@@ -145,7 +88,7 @@ mod tests {
 
     #[test]
     fn clock_offset_applies() {
-        let mut h = Host::new(0, 4, Bps(12_500_000_000), Ns::from_micros(1));
+        let mut h = Host::new(4, Bps(12_500_000_000), Ns::from_micros(1));
         h.set_clock_offset(500_000); // +0.5ms
         assert_eq!(h.local_clock(Ns::from_millis(1)), Ns(1_500_000));
         h.set_clock_offset(-500_000);
@@ -154,14 +97,14 @@ mod tests {
 
     #[test]
     fn negative_clock_saturates_at_zero() {
-        let mut h = Host::new(0, 4, Bps(1_000_000_000), Ns::ZERO);
+        let mut h = Host::new(4, Bps(1_000_000_000), Ns::ZERO);
         h.set_clock_offset(-1_000_000);
         assert_eq!(h.local_clock(Ns(100)), Ns::ZERO);
     }
 
     #[test]
     fn rss_spreads_flows_over_cpus() {
-        let h = Host::new(0, 4, Bps(1_000_000_000), Ns::ZERO);
+        let h = Host::new(4, Bps(1_000_000_000), Ns::ZERO);
         let mut seen = [false; 4];
         for i in 0..64 {
             seen[h.rss_cpu(FlowId(i))] = true;
@@ -171,7 +114,7 @@ mod tests {
 
     #[test]
     fn rss_is_stable_per_flow() {
-        let h = Host::new(0, 4, Bps(1_000_000_000), Ns::ZERO);
+        let h = Host::new(4, Bps(1_000_000_000), Ns::ZERO);
         let cpu = h.rss_cpu(FlowId(42));
         for _ in 0..10 {
             assert_eq!(h.rss_cpu(FlowId(42)), cpu);
@@ -180,28 +123,11 @@ mod tests {
 
     #[test]
     fn stall_window_is_half_open() {
-        let mut h = Host::new(0, 1, Bps(1_000_000_000), Ns::ZERO);
+        let mut h = Host::new(1, Bps(1_000_000_000), Ns::ZERO);
         h.set_stall(Ns(100), Ns(200));
         assert!(!h.is_stalled(Ns(99)));
         assert!(h.is_stalled(Ns(100)));
         assert!(h.is_stalled(Ns(199)));
         assert!(!h.is_stalled(Ns(200)));
-    }
-
-    #[test]
-    fn nic_counters_accumulate() {
-        let mut h = Host::new(0, 1, Bps(1_000_000_000), Ns::ZERO);
-        h.note_rx(1500);
-        h.note_rx(1500);
-        h.note_tx(64);
-        assert_eq!(
-            h.stats(),
-            HostStats {
-                rx_bytes: 3000,
-                rx_packets: 2,
-                tx_bytes: 64,
-                tx_packets: 1
-            }
-        );
     }
 }

@@ -18,8 +18,8 @@
 //!   pluggable buffer sharing ([`policy::BufferPolicy`]: Choudhury–Hahne
 //!   **Dynamic Threshold** by default, plus FB-style flexible bounds and
 //!   BShare-style delay-driven admission), buffer quadrants, per-queue
-//!   dedicated reserves, a static ECN marking threshold, and
-//!   per-queue/1-minute discard counters,
+//!   dedicated reserves, a static ECN marking threshold, and cumulative
+//!   per-queue admitted/discarded byte counters,
 //! * [`host::Host`] — server model with a multi-queue NIC, RSS-style flow
 //!   steering across simulated CPUs, and a host clock with injectable skew,
 //! * [`fault`] — fault injection (random drop, NIC stalls) in the style of
@@ -50,7 +50,7 @@ pub mod switch;
 pub mod time;
 
 pub use engine::{DrainSlot, EventQueue, TimerSlot};
-pub use host::{Host, HostId};
+pub use host::Host;
 pub use link::Link;
 /// Re-exported from `ms-telemetry`: the drop taxonomy shared by
 /// [`EnqueueOutcome`] and the trace bus, and the shared telemetry handle.

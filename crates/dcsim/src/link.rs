@@ -8,9 +8,7 @@
 //!
 //! Links deliberately have **no queue of their own** — queueing happens in
 //! the switch ([`crate::switch`]) or is closed-loop-limited by transport
-//! windows at the hosts. Where a sender could otherwise offer unbounded
-//! packets (e.g. the fabric-side pacer), callers use [`Link::idle_at`] to
-//! self-clock.
+//! windows at the hosts.
 //!
 //! All timing arithmetic here is exact integer math: the pacer's token
 //! bucket counts in *bit-nanoseconds* (bytes × 8 × 10⁹) so refill and
@@ -28,22 +26,12 @@ use ms_units::{Bps, Bytes};
 /// exact.
 const TOKEN_SCALE: u128 = 8_000_000_000;
 
-/// Counters every link maintains; cheap enough to keep always-on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Packets fully serialized onto the wire.
-    pub packets: u64,
-    /// Bytes fully serialized onto the wire.
-    pub bytes: u64,
-}
-
 /// A unidirectional link with a fixed rate and propagation delay.
 #[derive(Debug, Clone)]
 pub struct Link {
     rate: Bps,
     prop_delay: Ns,
     busy_until: Ns,
-    stats: LinkStats,
 }
 
 impl Link {
@@ -54,33 +42,7 @@ impl Link {
             rate,
             prop_delay,
             busy_until: Ns::ZERO,
-            stats: LinkStats::default(),
         }
-    }
-
-    /// The link rate.
-    pub fn rate(&self) -> Bps {
-        self.rate
-    }
-
-    /// The propagation delay.
-    pub fn prop_delay(&self) -> Ns {
-        self.prop_delay
-    }
-
-    /// When the wire becomes free (>= any earlier `transmit` completion).
-    pub fn idle_at(&self) -> Ns {
-        self.busy_until
-    }
-
-    /// Whether the wire is free at `now`.
-    pub fn is_idle(&self, now: Ns) -> bool {
-        self.busy_until <= now
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> LinkStats {
-        self.stats
     }
 
     /// Offers a packet of `size` bytes to the link at time `now`.
@@ -92,16 +54,8 @@ impl Link {
         let start = self.busy_until.max(now);
         let departed = start + Ns::tx_time(Bytes(u64::from(size)), self.rate);
         self.busy_until = departed;
-        self.stats.packets += 1;
-        self.stats.bytes += u64::from(size);
         let arrived = departed + self.prop_delay;
         (departed, arrived)
-    }
-
-    /// Resets the busy horizon and counters (between independent runs).
-    pub fn reset(&mut self) {
-        self.busy_until = Ns::ZERO;
-        self.stats = LinkStats::default();
     }
 }
 
@@ -137,11 +91,6 @@ impl Pacer {
             tokens: Pacer::scaled(burst),
             updated: Ns::ZERO,
         }
-    }
-
-    /// The pacing rate.
-    pub fn rate(&self) -> Bps {
-        self.rate
     }
 
     /// A byte count in bucket units.
@@ -183,12 +132,6 @@ impl Pacer {
             now + Ns(u64::try_from(wait_ns).unwrap_or(u64::MAX))
         }
     }
-
-    /// Resets to a full bucket at time zero.
-    pub fn reset(&mut self) {
-        self.tokens = Pacer::scaled(self.burst);
-        self.updated = Ns::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -216,20 +159,6 @@ mod tests {
         // Offer the next packet long after the first completed.
         let (d, _) = l.transmit(Ns::from_millis(1), 1500);
         assert_eq!(d, Ns::from_millis(1) + Ns(120));
-    }
-
-    #[test]
-    fn link_counts_bytes_and_packets() {
-        let mut l = Link::new(Bps(GBPS), Ns::ZERO);
-        l.transmit(Ns::ZERO, 1000);
-        l.transmit(Ns::ZERO, 500);
-        assert_eq!(
-            l.stats(),
-            LinkStats {
-                packets: 2,
-                bytes: 1500
-            }
-        );
     }
 
     #[test]

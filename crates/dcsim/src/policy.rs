@@ -44,7 +44,7 @@ use ms_telemetry::DropReason;
 use ms_units::{Bps, Bytes};
 
 /// Serializable policy selection, carried by `SwitchConfig` and
-/// `ScenarioSpec` (MSS1 codec) and swept by the fleet's `--policies`
+/// `ScenarioSpec` (MSS2 codec) and swept by the fleet's `--policies`
 /// axis. Parameters ride inside the variant so a spec is one value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BufferPolicySpec {

@@ -23,9 +23,11 @@
 //! * a **static ECN marking threshold** (120 KB deployed fleet-wide):
 //!   ECN-capable packets are CE-marked on enqueue when the queue's total
 //!   occupancy exceeds the threshold;
-//! * per-queue and per-switch counters, including **congestion discards
-//!   aggregated at one-minute granularity** — the production counters used
-//!   for Figs. 14 and 17.
+//! * cumulative per-queue counters ([`QueueStats`]): admitted and
+//!   discarded bytes. Figs. 14 and 17 read their sums through the run
+//!   outcome: Fig. 14 scales admitted bytes to a per-minute rate, standing
+//!   in for the production switches' one-minute counters (§7.2), and
+//!   Fig. 17 divides discards by admitted bytes.
 //!
 //! The switch holds packets; it never schedules events. Egress serialization
 //! is the caller's job (pair each queue with a [`crate::link::Link`] and pull
@@ -34,7 +36,7 @@
 use crate::packet::{EcnCodepoint, Packet};
 use crate::policy::{ActivePolicy, BufferPolicySpec, QueueCtx, SharedCtx};
 use crate::time::Ns;
-use ms_telemetry::{DropCause, DropForensic, DropReason, SharedTelemetry, TraceEvent};
+use ms_telemetry::{DropCause, DropForensic, DropReason, SharedTelemetry, TraceBus, TraceEvent};
 use ms_units::{Bps, Bytes};
 use std::collections::VecDeque;
 
@@ -148,21 +150,14 @@ struct Buffered {
     pool: Pool,
 }
 
-/// Per-queue live state and counters.
+/// Per-queue cumulative counters, each with a reader: the run outcome
+/// sums the byte counters, the metrics registry the high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct QueueStats {
-    /// Packets admitted.
-    pub enq_packets: u64,
     /// Bytes admitted.
     pub enq_bytes: u64,
-    /// Packets discarded by DT admission.
-    pub drop_packets: u64,
-    /// Bytes discarded by DT admission.
+    /// Bytes discarded by the buffer policy or pool exhaustion.
     pub drop_bytes: u64,
-    /// Packets CE-marked on enqueue.
-    pub marked_packets: u64,
-    /// Bytes CE-marked on enqueue.
-    pub marked_bytes: u64,
     /// High-water mark of queue occupancy.
     pub max_occupancy: Bytes,
 }
@@ -197,19 +192,6 @@ impl QueueState {
     }
 }
 
-/// One-minute aggregate counters, mirroring production switch telemetry
-/// ("production switches at Meta only support collecting traffic volume
-/// statistics at 1 minute time granularity", §7.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinuteBin {
-    /// Bytes admitted across all queues during the minute.
-    pub ingress_bytes: u64,
-    /// Bytes discarded across all queues during the minute.
-    pub discard_bytes: u64,
-    /// Packets discarded across all queues during the minute.
-    pub discard_packets: u64,
-}
-
 /// The shared-memory switch.
 #[derive(Debug)]
 pub struct SharedBufferSwitch {
@@ -217,12 +199,8 @@ pub struct SharedBufferSwitch {
     queues: Vec<QueueState>,
     /// Shared-pool occupancy per quadrant.
     shared_occupancy: Vec<Bytes>,
-    /// 1-minute telemetry bins, indexed by minute number.
-    minutes: Vec<MinuteBin>,
     /// Multicast groups: group id → member queues.
     groups: Vec<(u32, Vec<usize>)>,
-    /// Optional depth probe: (queue, samples).
-    depth_probe: Option<(usize, Vec<(Ns, Bytes)>)>,
     /// Runtime buffer-sharing policy instantiated from `cfg.policy`
     /// (enum dispatch — see [`crate::policy::ActivePolicy`]).
     policy: ActivePolicy,
@@ -259,9 +237,7 @@ impl SharedBufferSwitch {
             queues,
             shared_occupancy,
             policy,
-            minutes: Vec::new(),
             groups: Vec::new(),
-            depth_probe: None,
             telemetry: None,
             forensics_on: false,
             arrivals: Vec::new(),
@@ -312,31 +288,11 @@ impl SharedBufferSwitch {
         self.queue_id_base = base;
     }
 
-    /// Attaches a depth probe to `queue`: occupancy is recorded after
-    /// every admission to that queue (opt-in; used by tests and debugging,
-    /// never by the sweeps). The probe is a thin shim over the same
-    /// admission instrumentation that feeds the telemetry occupancy tracks
-    /// ([`SharedBufferSwitch::set_telemetry`]); it traces the occupancy's
-    /// upper envelope — which is what ECN-marking and overflow analysis
-    /// need — without requiring a full telemetry hub.
-    pub fn probe_queue_depth(&mut self, queue: usize) {
-        assert!(queue < self.cfg.num_queues);
-        self.depth_probe = Some((queue, Vec::new()));
-    }
-
-    /// The recorded `(time, occupancy)` samples of the probed queue.
-    pub fn depth_samples(&self) -> &[(Ns, Bytes)] {
-        self.depth_probe
-            .as_ref()
-            .map(|(_, v)| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Unified admission instrumentation: feeds the depth probe and, when a
-    /// telemetry hub is attached, records the enqueue plus any
-    /// ECN-threshold crossing and CE mark on the trace bus.
+    /// Admission instrumentation: when a telemetry hub is attached,
+    /// records the enqueue plus any ECN-threshold crossing and CE mark on
+    /// the trace bus.
     fn note_admit(
-        &mut self,
+        &self,
         queue: usize,
         now: Ns,
         size: u32,
@@ -344,11 +300,6 @@ impl SharedBufferSwitch {
         occ_after: Bytes,
         marked: bool,
     ) {
-        if let Some((probed, log)) = &mut self.depth_probe {
-            if *probed == queue {
-                log.push((now, occ_after));
-            }
-        }
         if let Some(tr) = &self.telemetry {
             let mut tr = tr.borrow_mut();
             let ns = now.as_nanos();
@@ -361,16 +312,7 @@ impl SharedBufferSwitch {
                 occupancy: occ_after,
                 marked,
             });
-            let threshold = self.cfg.ecn_threshold;
-            if occ_before <= threshold && occ_after > threshold {
-                tr.bus.record(TraceEvent::ThresholdCross {
-                    ns,
-                    queue: q,
-                    occupancy: occ_after,
-                    threshold,
-                    up: true,
-                });
-            }
+            self.note_threshold_cross(&mut tr.bus, ns, q, occ_before, occ_after);
             if marked {
                 tr.bus.record(TraceEvent::EcnMark {
                     ns,
@@ -378,6 +320,29 @@ impl SharedBufferSwitch {
                     occupancy: occ_after,
                 });
             }
+        }
+    }
+
+    /// Records a `ThresholdCross` when a queue's occupancy moves across
+    /// the static ECN threshold: up on an admission, down on a dequeue.
+    fn note_threshold_cross(
+        &self,
+        bus: &mut TraceBus,
+        ns: u64,
+        queue: u32,
+        occ_before: Bytes,
+        occ_after: Bytes,
+    ) {
+        let threshold = self.cfg.ecn_threshold;
+        let up = occ_after > threshold;
+        if (occ_before > threshold) != up {
+            bus.record(TraceEvent::ThresholdCross {
+                ns,
+                queue,
+                occupancy: occ_after,
+                threshold,
+                up,
+            });
         }
     }
 
@@ -517,19 +482,6 @@ impl SharedBufferSwitch {
         &self.queues[queue].stats
     }
 
-    /// The 1-minute telemetry bins recorded so far.
-    pub fn minute_bins(&self) -> &[MinuteBin] {
-        &self.minutes
-    }
-
-    fn minute_bin_mut(&mut self, now: Ns) -> &mut MinuteBin {
-        let idx = (now.as_nanos() / 60_000_000_000) as usize;
-        if self.minutes.len() <= idx {
-            self.minutes.resize(idx + 1, MinuteBin::default());
-        }
-        &mut self.minutes[idx]
-    }
-
     /// Offers `pkt` to egress `queue` at time `now`.
     ///
     /// Admission: the packet takes dedicated-reserve space if any remains
@@ -572,71 +524,42 @@ impl SharedBufferSwitch {
                 } else {
                     DropReason::SharedBufferFull
                 };
-                let dt_threshold = decision.threshold().as_u64();
-                let q = &mut self.queues[queue];
-                q.stats.drop_packets += 1;
-                q.stats.drop_bytes += size.as_u64();
-                let bin = self.minute_bin_mut(now);
-                bin.discard_bytes += size.as_u64();
-                bin.discard_packets += 1;
+                self.queues[queue].stats.drop_bytes += size.as_u64();
                 if let Some(tr) = &self.telemetry {
-                    let mut tr = tr.borrow_mut();
-                    let ns = now.as_nanos();
-                    // simlint: allow(cast-truncation): queue index < num_queues
-                    let q32 = self.queue_id_base + queue as u32;
-                    if self.forensics_on {
-                        // Pack the flight recorder *before* the drop event
-                        // lands on the bus: "the preceding N events".
-                        let recent = tr.bus.recent_kinds();
-                        let flow = pkt.flow.0;
-                        let (self_bytes, other_bytes, competing) =
-                            self.arrival_shares(quadrant, flow);
-                        // §8 attribution: the loss is self-inflicted when
-                        // the dropping flow itself dominates the recent
-                        // arrival window; otherwise it lost a buffer
-                        // contention against competing traffic.
-                        let cause = if self_bytes >= other_bytes {
-                            DropCause::SelfBurst
-                        } else {
-                            DropCause::CrossContention
-                        };
-                        tr.bus.record(TraceEvent::PacketDrop {
-                            ns,
-                            queue: q32,
-                            size: pkt.size,
-                            reason,
-                        });
-                        tr.bus.record(TraceEvent::ForensicDrop {
-                            ns,
-                            queue: q32,
-                            flow,
-                            cause,
-                        });
-                        tr.forensics.record(DropForensic {
-                            ns,
-                            queue: q32,
-                            flow,
-                            size: pkt.size,
-                            reason,
-                            cause,
-                            queue_occupancy: occ_before.as_u64(),
-                            shared_occupancy: self.shared_occupancy[quadrant].as_u64(),
-                            dt_threshold,
-                            burst_len: self.queues[queue].burst_len,
-                            competing_flows: competing,
-                            self_bytes,
-                            other_bytes,
-                            ecn_on: occ_before > self.cfg.ecn_threshold,
-                            recent_kinds: recent,
-                        });
+                    let flow = pkt.flow.0;
+                    // The §8 attribution inputs exist only while the
+                    // blackbox keeps its arrival window.
+                    let (self_bytes, other_bytes, competing) = if self.forensics_on {
+                        self.arrival_shares(quadrant, flow)
                     } else {
-                        tr.bus.record(TraceEvent::PacketDrop {
-                            ns,
-                            queue: q32,
-                            size: pkt.size,
-                            reason,
-                        });
-                    }
+                        (0, 0, 0)
+                    };
+                    // The loss is self-inflicted when the dropping flow
+                    // itself dominates the recent arrival window; otherwise
+                    // it lost a buffer contention against competing traffic.
+                    let cause = if self_bytes >= other_bytes {
+                        DropCause::SelfBurst
+                    } else {
+                        DropCause::CrossContention
+                    };
+                    tr.borrow_mut().record_drop(DropForensic {
+                        ns: now.as_nanos(),
+                        // simlint: allow(cast-truncation): queue index < num_queues
+                        queue: self.queue_id_base + queue as u32,
+                        flow,
+                        size: pkt.size,
+                        reason,
+                        cause,
+                        queue_occupancy: occ_before.as_u64(),
+                        shared_occupancy: self.shared_occupancy[quadrant].as_u64(),
+                        dt_threshold: decision.threshold().as_u64(),
+                        burst_len: self.queues[queue].burst_len,
+                        competing_flows: competing,
+                        self_bytes,
+                        other_bytes,
+                        ecn_on: occ_before > self.cfg.ecn_threshold,
+                        recent_kinds: 0,
+                    });
                 }
                 return EnqueueOutcome::Dropped { reason };
             }
@@ -652,21 +575,16 @@ impl SharedBufferSwitch {
 
         let q = &mut self.queues[queue];
         let occupancy = q.occupancy();
-        q.stats.enq_packets += 1;
         q.stats.enq_bytes += size.as_u64();
         q.stats.max_occupancy = q.stats.max_occupancy.max(occupancy);
 
-        let mut marked = false;
-        if pkt.ecn == EcnCodepoint::Ect && self.policy.mark(occ_before, occupancy) {
+        let marked = pkt.ecn == EcnCodepoint::Ect && self.policy.mark(occ_before, occupancy);
+        if marked {
             pkt.ecn = EcnCodepoint::Ce;
-            marked = true;
-            q.stats.marked_packets += 1;
-            q.stats.marked_bytes += size.as_u64();
         }
 
         let psize = pkt.size;
         q.fifo.push_back(Buffered { pkt, pool });
-        self.minute_bin_mut(now).ingress_bytes += size.as_u64();
         self.note_admit(queue, now, psize, occ_before, occupancy, marked);
         EnqueueOutcome::Enqueued { marked }
     }
@@ -711,16 +629,7 @@ impl SharedBufferSwitch {
                 size: pkt.size,
                 occupancy: occ_after,
             });
-            let threshold = self.cfg.ecn_threshold;
-            if occ_before > threshold && occ_after <= threshold {
-                tr.bus.record(TraceEvent::ThresholdCross {
-                    ns,
-                    queue: qid,
-                    occupancy: occ_after,
-                    threshold,
-                    up: false,
-                });
-            }
+            self.note_threshold_cross(&mut tr.bus, ns, qid, occ_before, occ_after);
         }
         Some(pkt)
     }
@@ -938,11 +847,10 @@ mod tests {
                 assert!(!marked);
             }
         }
-        assert_eq!(sw.queue_stats(0).marked_packets, 0);
     }
 
     #[test]
-    fn drops_are_counted_per_queue_and_per_minute() {
+    fn drops_are_counted_per_queue() {
         let mut sw = SharedBufferSwitch::new(small_cfg());
         let mut drops = 0;
         for i in 0..200 {
@@ -954,10 +862,8 @@ mod tests {
             }
         }
         assert!(drops > 0);
-        assert_eq!(sw.queue_stats(0).drop_packets, drops);
-        // Second minute bin (index 1) holds the drops.
-        assert_eq!(sw.minute_bins()[1].discard_packets, drops);
-        assert_eq!(sw.minute_bins()[0], MinuteBin::default());
+        assert_eq!(sw.queue_stats(0).drop_bytes, drops * 1500);
+        assert_eq!(sw.total_discard_bytes(), drops * 1500);
     }
 
     #[test]
@@ -990,16 +896,8 @@ mod tests {
     }
 
     #[test]
-    fn depth_probe_traces_admissions() {
+    fn set_policy_retunes_admission() {
         let mut sw = SharedBufferSwitch::new(small_cfg());
-        sw.probe_queue_depth(1);
-        sw.try_enqueue(1, pkt(1, 1000), Ns(10));
-        sw.try_enqueue(0, pkt(2, 500), Ns(20)); // other queue: not traced
-        sw.try_enqueue(1, pkt(3, 1000), Ns(30));
-        assert_eq!(
-            sw.depth_samples(),
-            &[(Ns(10), Bytes(1000)), (Ns(30), Bytes(2000))]
-        );
         // Runtime policy retuning is visible in admission behaviour.
         sw.set_policy(BufferPolicySpec::DtAlpha { alpha: 0.25 });
         assert!(sw.dynamic_threshold(0) < sw.config().shared_capacity() / 2);
@@ -1195,7 +1093,6 @@ mod tests {
         let mut sw = SharedBufferSwitch::new(small_cfg());
         let hub = Telemetry::shared(TelemetryConfig::default());
         sw.set_telemetry(hub.clone());
-        sw.probe_queue_depth(0);
         let mut i = 0;
         loop {
             i += 1;
@@ -1213,16 +1110,14 @@ mod tests {
         );
 
         let hub = hub.borrow();
-        let mut enqueues = Vec::new();
+        let mut enqueues = 0;
         let mut drops = 0;
         let mut marks = 0;
         let mut crossings_up = 0;
         let mut dequeues = 0;
         for ev in hub.bus.iter() {
             match *ev {
-                TraceEvent::PacketEnqueue { ns, occupancy, .. } => {
-                    enqueues.push((Ns(ns), occupancy));
-                }
+                TraceEvent::PacketEnqueue { .. } => enqueues += 1,
                 TraceEvent::PacketDrop { reason, .. } => {
                     assert_eq!(reason, DropReason::DynamicThresholdReject);
                     drops += 1;
@@ -1233,9 +1128,7 @@ mod tests {
                 _ => {}
             }
         }
-        // The depth probe is a shim over the same admission track: its
-        // samples must equal the telemetry occupancy sequence exactly.
-        assert_eq!(enqueues.as_slice(), sw.depth_samples());
+        assert_eq!(enqueues * 1000, sw.queue_stats(0).enq_bytes);
         assert_eq!(drops, 1);
         assert!(marks > 0, "ECN threshold 20k must mark");
         assert_eq!(crossings_up, 1, "occupancy crossed the ECN threshold once");

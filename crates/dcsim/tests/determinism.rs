@@ -1,6 +1,6 @@
 //! Determinism regression for the switch: two runs of the same seeded
 //! enqueue/dequeue schedule must produce byte-identical serialized
-//! traces — outcomes, occupancies, and telemetry bins included. Paired
+//! traces — outcomes, occupancies, and queue counters included. Paired
 //! with `millisampler/tests/determinism.rs`, this pins the whole
 //! pipeline's reproducibility claim at its two ends.
 
@@ -13,8 +13,7 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Drives a seeded workload against a fresh switch and serializes every
-/// observable: per-op outcome, per-op occupancy, final stats, minute
-/// bins.
+/// observable: per-op outcome, per-op occupancy, final stats.
 fn switch_trace(seed: u64) -> Vec<u8> {
     let mut rng = SimRng::new(seed);
     let cfg = SwitchConfig::meta_tor(16);
@@ -55,22 +54,9 @@ fn switch_trace(seed: u64) -> Vec<u8> {
     sw.check_invariants();
     for q in 0..queues {
         let st = sw.queue_stats(q);
-        for v in [
-            st.enq_packets,
-            st.enq_bytes,
-            st.drop_packets,
-            st.drop_bytes,
-            st.marked_packets,
-            st.marked_bytes,
-            st.max_occupancy.as_u64(),
-        ] {
+        for v in [st.enq_bytes, st.drop_bytes, st.max_occupancy.as_u64()] {
             push_u64(&mut trace, v);
         }
-    }
-    for bin in sw.minute_bins() {
-        push_u64(&mut trace, bin.ingress_bytes);
-        push_u64(&mut trace, bin.discard_bytes);
-        push_u64(&mut trace, bin.discard_packets);
     }
     trace
 }

@@ -130,11 +130,15 @@ pub struct CellRun {
 /// runs its sync window as rack `rack_id`, analyses what the samplers
 /// saw and flattens it. A silent rack analyses the empty run, so its
 /// outcome is the five ground-truth counters over all-zero scalars.
+/// Debug builds then check the run's byte conservation
+/// ([`RackSim::check_conservation`](ms_workload::RackSim::check_conservation)).
 /// Panics (an invalid spec, a runaway workload) are the caller's to
 /// catch — [`run_pool`] does.
 pub fn run_cell(spec: &ScenarioSpec, rack_id: u32, cfg: &FleetConfig) -> CellRun {
     let mut sim = spec.build();
     let report = sim.run_sync_window(rack_id);
+    #[cfg(debug_assertions)]
+    sim.check_conservation();
     // Harvest the drop-forensics blackbox before the sim goes away; the
     // store is empty (capacity 0) unless the spec asked for forensics.
     let forensics = sim

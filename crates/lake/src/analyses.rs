@@ -33,14 +33,14 @@ pub fn lake_sweep_aggregate(lake: &Lake) -> Result<SweepAggregate, LakeError> {
                 agg.add_failed_cell();
                 continue;
             }
-            agg.add_outcome(&outcome_from_row(&batch, row));
+            agg.add_outcome(&outcome_from_row(&batch, row)?);
         }
     }
 
     let mut bursts = TableScan::full(lake, TableKind::Bursts)?;
     while bursts.next_batch(&mut batch)? {
         for row in 0..batch.rows {
-            agg.add_burst(&burst_from_row(&batch, row));
+            agg.add_burst(&burst_from_row(&batch, row)?);
         }
     }
     Ok(agg)
@@ -49,9 +49,10 @@ pub fn lake_sweep_aggregate(lake: &Lake) -> Result<SweepAggregate, LakeError> {
 /// Reconstructs a [`RunOutcome`] from a full-projection outcomes row.
 /// Inverse of the flattening in `writer::append_cell`; floats come back
 /// from their stored bit patterns, so the round trip is exact.
-fn outcome_from_row(batch: &Batch, row: usize) -> RunOutcome {
+fn outcome_from_row(batch: &Batch, row: usize) -> Result<RunOutcome, LakeError> {
     let m = |i: usize| batch.value(OC_FIRST_METRIC + i, row);
-    RunOutcome {
+    let m32 = |i: usize| batch.value_u32(OC_FIRST_METRIC + i, row);
+    Ok(RunOutcome {
         switch_ingress_bytes: m(0),
         switch_discard_bytes: m(1),
         flows_started: m(2),
@@ -63,18 +64,14 @@ fn outcome_from_row(batch: &Batch, row: usize) -> RunOutcome {
         contended_bursts: m(8),
         lossy_bursts: m(9),
         contention_avg: f64::from_bits(m(10)),
-        // simlint: allow(cast-truncation): stored from u32 fields
-        contention_p90: m(11) as u32,
-        // simlint: allow(cast-truncation): stored from u32 fields
-        contention_max: m(12) as u32,
-        // simlint: allow(cast-truncation): stored from u32 fields
-        active_servers: m(13) as u32,
-        // simlint: allow(cast-truncation): stored from u32 fields
-        bursty_servers: m(14) as u32,
+        contention_p90: m32(11)?,
+        contention_max: m32(12)?,
+        active_servers: m32(13)?,
+        bursty_servers: m32(14)?,
         // An unknown code means a lake written by a newer schema; fall
         // back to DT rather than refusing the whole scan.
         policy: PolicyKind::from_code(m(15)).unwrap_or(PolicyKind::DtAlpha),
-    }
+    })
 }
 
 /// Scans the outcomes table into a `(cell, policy)` list, in cell
@@ -114,25 +111,21 @@ fn policy_of(cells: &[(u64, PolicyKind)], cell: u64) -> PolicyKind {
 }
 
 /// Reconstructs a [`BurstRow`] from a full-projection bursts row.
-fn burst_from_row(batch: &Batch, row: usize) -> BurstRow {
+fn burst_from_row(batch: &Batch, row: usize) -> Result<BurstRow, LakeError> {
     let v = |i: usize| batch.value(i, row);
-    BurstRow {
-        // simlint: allow(cast-truncation): stored from u32 fields
-        cell: v(0) as u32,
-        // simlint: allow(cast-truncation): stored from u32 fields
-        server: v(1) as u32,
-        // simlint: allow(cast-truncation): stored from u32 fields
-        start: v(2) as u32,
-        // simlint: allow(cast-truncation): stored from u32 fields
-        len: v(3) as u32,
+    let v32 = |i: usize| batch.value_u32(i, row);
+    Ok(BurstRow {
+        cell: v32(0)?,
+        server: v32(1)?,
+        start: v32(2)?,
+        len: v32(3)?,
         bytes: v(4),
         avg_conns: f64::from_bits(v(5)),
-        // simlint: allow(cast-truncation): stored from u32 fields
-        max_contention: v(6) as u32,
+        max_contention: v32(6)?,
         contended: v(7) != 0,
         lossy: v(8) != 0,
         retx_bytes: v(9),
-    }
+    })
 }
 
 /// Streams the outcomes table back out as the exact CSV the in-memory
@@ -157,7 +150,7 @@ pub fn outcomes_csv(lake: &Lake) -> Result<String, LakeError> {
             out.push_str(label);
             if batch.value(OC_STATUS, row) == 0 {
                 out.push_str(",ok,");
-                out.push_str(&outcome_from_row(&batch, row).csv_cells());
+                out.push_str(&outcome_from_row(&batch, row)?.csv_cells());
             } else {
                 out.push_str(",failed");
                 for _ in 0..empty_cells {
@@ -416,7 +409,7 @@ pub fn lake_policy_compare(lake: &Lake) -> Result<Vec<PolicyCompare>, LakeError>
             if batch.value(OC_STATUS, row) != 0 {
                 continue;
             }
-            let o = outcome_from_row(&batch, row);
+            let o = outcome_from_row(&batch, row)?;
             let i = slot(&mut per, o.policy);
             let p = per[i].as_mut().expect("slot initialised above");
             p.cells += 1;
@@ -616,6 +609,41 @@ mod tests {
             other_bytes: 9_000 * i,
             ecn_on: i % 2 == 0,
             recent_kinds: 0x0101 * i,
+        }
+    }
+
+    /// One zero row of `cols` columns, with 2^32 in column `bad`.
+    fn row_with(cols: usize, bad: Option<usize>) -> Batch {
+        Batch {
+            cols: (0..cols)
+                .map(|c| vec![if Some(c) == bad { 1 << 32 } else { 0 }])
+                .collect(),
+            rows: 1,
+        }
+    }
+
+    #[test]
+    fn u32_columns_past_u32_max_are_corrupt_not_truncated() {
+        use crate::segment::{BURST_COLS, OUTCOME_COLS};
+        let n = OUTCOME_COLS.len();
+        assert!(outcome_from_row(&row_with(n, None), 0).is_ok());
+        for m in 11..=14 {
+            let bad = row_with(n, Some(OC_FIRST_METRIC + m));
+            assert!(
+                matches!(outcome_from_row(&bad, 0), Err(LakeError::Corrupt(_))),
+                "outcome metric {m}"
+            );
+        }
+        let n = BURST_COLS.len();
+        assert!(burst_from_row(&row_with(n, None), 0).is_ok());
+        for col in [0, 1, 2, 3, 6] {
+            assert!(
+                matches!(
+                    burst_from_row(&row_with(n, Some(col)), 0),
+                    Err(LakeError::Corrupt(_))
+                ),
+                "burst column {col}"
+            );
         }
     }
 

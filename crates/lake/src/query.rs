@@ -40,6 +40,13 @@ impl Batch {
         self.cols[col][row]
     }
 
+    /// Value of a column written from a `u32` field; a stored value past
+    /// `u32::MAX` is corruption, not something to truncate.
+    pub(crate) fn value_u32(&self, col: usize, row: usize) -> Result<u32, LakeError> {
+        u32::try_from(self.value(col, row))
+            .map_err(|_| LakeError::Corrupt("u32 column value past u32::MAX"))
+    }
+
     fn reset(&mut self, ncols: usize) {
         self.cols.resize(ncols, Vec::new());
         self.cols.truncate(ncols);

@@ -152,8 +152,8 @@ impl CellRows {
         let mut bursts = Vec::with_capacity(n_bursts as usize);
         for _ in 0..n_bursts {
             bursts.push(BurstRow {
-                // simlint: allow(cast-truncation): encoded from u32 fields
-                cell: cell as u32,
+                cell: u32::try_from(cell)
+                    .map_err(|_| LakeError::Corrupt("burst cell index past u32"))?,
                 server: r.u32()?,
                 start: r.u32()?,
                 len: r.u32()?,

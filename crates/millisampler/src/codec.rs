@@ -433,7 +433,7 @@ pub fn decode(data: &[u8]) -> Result<HostSeries, DecodeError> {
     if buf.remaining() < 4 || buf.get_bytes(4)? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let host = get_varint(&mut buf)? as u32; // simlint: allow(cast-truncation): host ids are u32 by construction
+    let host = get_varint(&mut buf)?;
     let start = Ns(get_varint(&mut buf)?);
     let interval = Ns(get_varint(&mut buf)?);
     let len = get_varint(&mut buf)? as usize;
@@ -458,7 +458,7 @@ pub fn decode(data: &[u8]) -> Result<HostSeries, DecodeError> {
         return Err(DecodeError::Checksum);
     }
     Ok(HostSeries {
-        host,
+        host: u32::try_from(host).map_err(|_| DecodeError::OutOfRange)?,
         start,
         interval,
         in_bytes,
@@ -677,6 +677,20 @@ mod tests {
         let mut enc = encode(&sample_series());
         enc[..4].copy_from_slice(b"MSR2");
         assert_eq!(decode(&enc), Err(DecodeError::BadMagic));
+    }
+
+    #[test]
+    fn host_id_past_u32_is_out_of_range() {
+        // Host 5 is the one-byte varint after the magic; splice in 2^32
+        // and re-seal, so only the range check can refuse the run.
+        let enc = encode(&sample_series());
+        assert_eq!(enc[4], 5);
+        let mut patched = enc[..4].to_vec();
+        put_varint(&mut patched, 1 << 32);
+        patched.extend_from_slice(&enc[5..enc.len() - 8]);
+        let sum = xxh64(&patched);
+        patched.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode(&patched), Err(DecodeError::OutOfRange));
     }
 
     #[test]

@@ -120,7 +120,14 @@ pub struct CallGraph {
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-const ALLOC_METHODS: [&str; 5] = ["to_string", "to_owned", "to_vec", "collect", "clone"];
+const ALLOC_METHODS: [&str; 6] = [
+    "to_string",
+    "to_owned",
+    "to_vec",
+    "collect",
+    "clone",
+    "resize",
+];
 const ALLOC_CTORS: [&str; 6] = ["Box", "Vec", "String", "VecDeque", "BTreeMap", "BTreeSet"];
 const BLOCK_METHODS: [&str; 5] = ["lock", "recv", "join", "wait", "park"];
 

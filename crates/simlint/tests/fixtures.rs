@@ -69,6 +69,7 @@ fn hot_path_rules_fire_only_in_hot_functions() {
     assert!(has(&d, f, "hot-path-alloc", 25), "Vec::new");
     assert!(has(&d, f, "hot-path-alloc", 27), ".clone()");
     assert!(has(&d, f, "hot-path-alloc", 28), ".collect()");
+    assert!(has(&d, f, "hot-path-alloc", 29), ".resize()");
     // The identical constructs in the cold `Widget::setup` stay legal.
     assert!(
         d.iter().all(|d| d.file != f || d.line >= 17),
@@ -369,7 +370,11 @@ fn golden_json_snapshot_and_fingerprint_stability() {
             "suppress".to_string(),
             "transitive".to_string(),
         ],
-        hot_functions: vec!["Meter::record".to_string(), "Merge::pump".to_string()],
+        hot_functions: vec![
+            "Meter::record".to_string(),
+            "Merge::pump".to_string(),
+            "Bins::note".to_string(),
+        ],
         float_roots: vec!["EventQueue::schedule".to_string()],
         monotonic_sinks: vec!["EventQueue::schedule".to_string()],
         ..Config::default()

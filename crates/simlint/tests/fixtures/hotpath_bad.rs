@@ -26,6 +26,7 @@ impl Widget {
         scratch.push(owned.len() as u64);
         let doubled = self.buf.clone();
         let総: Vec<u64> = scratch.iter().map(|a| a + doubled.len() as u64).collect();
+        self.buf.resize(v as usize, 0);
         *boxed + 総.len() as u64
     }
 }

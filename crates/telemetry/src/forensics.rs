@@ -273,6 +273,31 @@ mod tests {
     }
 
     #[test]
+    fn record_drop_fixes_the_order_and_gates_the_forensic() {
+        use crate::{Telemetry, TelemetryConfig, TraceEvent};
+        let drop = forensic(9, DropCause::CrossContention);
+        let mut on = Telemetry::new(TelemetryConfig::default().with_forensics());
+        on.bus.record(TraceEvent::RtoFired { ns: 5, flow: 1 });
+        on.record_drop(drop);
+        assert_eq!(on.bus.len(), 3);
+        assert!(matches!(
+            (on.bus.recent(1), on.bus.recent(0)),
+            (
+                Some(TraceEvent::PacketDrop { .. }),
+                Some(TraceEvent::ForensicDrop { .. })
+            )
+        ));
+        // The flight record holds only what preceded the drop.
+        let rto = TraceEvent::RtoFired { ns: 0, flow: 0 }.kind_code();
+        assert_eq!(on.forensics.records()[0].recent_kinds, u64::from(rto));
+
+        let mut off = Telemetry::new(TelemetryConfig::default());
+        off.record_drop(drop);
+        assert_eq!(off.bus.len(), 1, "the PacketDrop alone");
+        assert_eq!(off.forensics.total(), 0);
+    }
+
+    #[test]
     fn zero_capacity_store_only_counts() {
         let mut s = ForensicStore::with_capacity(0);
         s.record(forensic(1, DropCause::FabricTransient));

@@ -120,6 +120,36 @@ impl Telemetry {
     pub fn shared(cfg: TelemetryConfig) -> SharedTelemetry {
         Rc::new(RefCell::new(Telemetry::new(cfg)))
     }
+
+    /// Records one packet drop; every drop site calls this, so the order
+    /// is fixed here alone. When the forensic store has capacity, the
+    /// flight recorder is packed from the events *before* the drop into
+    /// `drop.recent_kinds`; then the `PacketDrop` lands on the bus; then,
+    /// with the store on, a `ForensicDrop` and the record itself. With the
+    /// store off, only the `PacketDrop` is written and the attribution
+    /// fields of `drop` are ignored.
+    #[inline]
+    pub fn record_drop(&mut self, mut drop: DropForensic) {
+        let forensics_on = self.forensics.capacity() > 0;
+        if forensics_on {
+            drop.recent_kinds = self.bus.recent_kinds();
+        }
+        self.bus.record(TraceEvent::PacketDrop {
+            ns: drop.ns,
+            queue: drop.queue,
+            size: drop.size,
+            reason: drop.reason,
+        });
+        if forensics_on {
+            self.bus.record(TraceEvent::ForensicDrop {
+                ns: drop.ns,
+                queue: drop.queue,
+                flow: drop.flow,
+                cause: drop.cause,
+            });
+            self.forensics.record(drop);
+        }
+    }
 }
 
 impl std::fmt::Debug for Telemetry {

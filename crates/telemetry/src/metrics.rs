@@ -215,11 +215,6 @@ impl MetricsRegistry {
         self.histograms[id.0].1.record(value);
     }
 
-    /// Read access to a histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
-    }
-
     /// Whether nothing was registered.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()

@@ -304,7 +304,7 @@ pub struct RackSim {
     rng: SimRng,
     /// The switch mesh by flat switch ordinal: `[ToR]` for a single
     /// rack, ToRs then aggs then spines for a fat-tree. Node 0 is the
-    /// switch α-tuning, multicast membership and depth probes address.
+    /// switch α-tuning and multicast membership address.
     nodes: Vec<PlaneSwitch>,
     /// Fat-tree shape and ECMP hash. Absent for a single rack, where
     /// the egress port is `pkt.dst` and every port faces a host.
@@ -397,7 +397,7 @@ impl RackSim {
         let mut rng = SimRng::new(spec.seed);
         let s = u32::try_from(spec.num_servers).expect("rack size fits u32");
         let mut hosts: Vec<Host> = (0..s)
-            .map(|id| Host::new(id, CPUS_PER_SERVER, SERVER_LINK_BPS, SERVER_LINK_DELAY))
+            .map(|_| Host::new(CPUS_PER_SERVER, SERVER_LINK_BPS, SERVER_LINK_DELAY))
             .collect();
         // NTP skew: uniform in ±max_clock_skew per host.
         let skew = spec.max_clock_skew.as_nanos() as i64;
@@ -533,9 +533,6 @@ impl RackSim {
                 },
             );
         }
-        for &queue in &spec.probe_queues {
-            sim.nodes[0].switch.probe_queue_depth(queue);
-        }
         for a in &spec.agents {
             let mut scheduler = millisampler::Scheduler::new(a.config.clone());
             let first = scheduler.next_run(Ns::ZERO);
@@ -627,6 +624,37 @@ impl RackSim {
         tiers
     }
 
+    /// Checks that the bytes the finished run moved add up, panicking
+    /// with the broken rule otherwise: every mesh switch's pool and queue
+    /// accounting holds ([`SharedBufferSwitch::check_invariants`]), and,
+    /// when forensics are on and none were shed, each tier's forensic
+    /// bytes equal its discard counters ([`RackSim::tier_discard_bytes`]).
+    /// Off-switch drops carry [`DropCause::FabricTransient`] and belong
+    /// to no tier, as in the lake's tier report.
+    pub fn check_conservation(&self) {
+        for node in &self.nodes {
+            node.switch.check_invariants();
+        }
+        let Some(hub) = &self.telemetry else {
+            return;
+        };
+        let hub = hub.borrow();
+        if hub.forensics.capacity() == 0 || hub.forensics.shed() > 0 {
+            return;
+        }
+        let mut tiers = [0u64; 3];
+        for f in hub.forensics.records() {
+            if f.cause != DropCause::FabricTransient {
+                tiers[usize::from(ms_telemetry::qid::qid_tier(f.queue))] += u64::from(f.size);
+            }
+        }
+        assert_eq!(
+            tiers,
+            self.tier_discard_bytes(),
+            "forensic bytes per [ToR, agg, spine] tier diverged from the switch discard counters"
+        );
+    }
+
     /// The on-host store of `server`'s agent (None if no agent started).
     pub fn agent_store(&self, server: usize) -> Option<&millisampler::HostStore> {
         self.agents[server].as_ref().map(|a| &a.store)
@@ -702,11 +730,6 @@ impl RackSim {
             .iter()
             .map(|n| n.switch.total_ingress_bytes())
             .sum()
-    }
-
-    /// The probed queue's `(time, occupancy)` admission samples.
-    pub fn depth_samples(&self) -> &[(Ns, Bytes)] {
-        self.nodes[0].switch.depth_samples()
     }
 
     /// The telemetry hub the spec asked for (`telemetry_ring` or
@@ -880,7 +903,6 @@ impl RackSim {
                 Source::Host { host, .. } => {
                     let src = *host as usize;
                     Self::record_host(&self.hosts, &mut self.filters, src, release, Egress, &pkt);
-                    self.hosts[src].note_tx(pkt.size);
                     self.hosts[src].uplink_mut()
                 }
             };
@@ -899,7 +921,7 @@ impl RackSim {
     /// drops happen outside any ToR buffer contention, which is exactly
     /// the §8 "not explained by rack-local bursts" residue.
     fn note_offswitch_drop(
-        &mut self,
+        &self,
         queue: u32,
         pkt: &Packet,
         reason: DropReason,
@@ -910,42 +932,23 @@ impl RackSim {
         let Some(hub) = &self.telemetry else {
             return;
         };
-        let mut tr = hub.borrow_mut();
-        let ns = now.as_nanos();
-        // With forensics on, pack the preceding bus events *before* this
-        // drop lands.
-        let recent_kinds = (tr.forensics.capacity() > 0).then(|| tr.bus.recent_kinds());
-        tr.bus.record(TraceEvent::PacketDrop {
-            ns,
+        hub.borrow_mut().record_drop(DropForensic {
+            ns: now.as_nanos(),
             queue,
+            flow: pkt.flow.0,
             size: pkt.size,
             reason,
+            cause: DropCause::FabricTransient,
+            queue_occupancy: occupancy,
+            shared_occupancy: occupancy,
+            dt_threshold: limit,
+            burst_len: 0,
+            competing_flows: 0,
+            self_bytes: 0,
+            other_bytes: 0,
+            ecn_on: false,
+            recent_kinds: 0,
         });
-        if let Some(recent_kinds) = recent_kinds {
-            tr.bus.record(TraceEvent::ForensicDrop {
-                ns,
-                queue,
-                flow: pkt.flow.0,
-                cause: DropCause::FabricTransient,
-            });
-            tr.forensics.record(DropForensic {
-                ns,
-                queue,
-                flow: pkt.flow.0,
-                size: pkt.size,
-                reason,
-                cause: DropCause::FabricTransient,
-                queue_occupancy: occupancy,
-                shared_occupancy: occupancy,
-                dt_threshold: limit,
-                burst_len: 0,
-                competing_flows: 0,
-                self_bytes: 0,
-                other_bytes: 0,
-                ecn_on: false,
-                recent_kinds,
-            });
-        }
     }
 
     fn handle_trunk_arrive(&mut self, pkt: Packet, now: Ns) {
@@ -1249,7 +1252,6 @@ impl RackSim {
     /// The kernel receive path proper: tc filter, then the socket.
     fn deliver_to_host(&mut self, server: usize, pkt: Packet, now: Ns) {
         Self::record_host(&self.hosts, &mut self.filters, server, now, Ingress, &pkt);
-        self.hosts[server].note_rx(pkt.size);
         if pkt.kind == PacketKind::Multicast {
             return; // validation traffic has no transport above it
         }
@@ -1324,7 +1326,6 @@ impl RackSim {
     /// path (ToR → fabric → source) in its flow's static `ack_delay`.
     fn emit_ack(&mut self, server: usize, ack: Packet, ack_delay: Ns, now: Ns) {
         Self::record_host(&self.hosts, &mut self.filters, server, now, Egress, &ack);
-        self.hosts[server].note_tx(ack.size);
         let (_dep, arrive_at_tor) = self.hosts[server].uplink_mut().transmit(now, ack.size);
         self.q
             .schedule(arrive_at_tor + ack_delay, Ev::SourceDeliver { pkt: ack });
@@ -1752,10 +1753,11 @@ mod tests {
         let mut sim = b.build();
         sim.run_until(Ns::from_millis(35));
         assert_eq!(live_flows(&sim), vec![1, 2, 3, 4], "mid-transfer");
-        // Server 3 gets nothing but chatter and the burst, and has by now
-        // had both through `deliver_to_host`.
+        // Server 3 gets nothing but chatter and the burst, and its ToR
+        // queue has by now passed both on toward `deliver_to_host`.
+        let tor = &sim.nodes[0].switch;
         assert!(
-            sim.hosts[3].stats().rx_bytes > 200 * 256,
+            tor.queue_stats(3).enq_bytes > 200 * 256 && tor.queue_len(3) == 0,
             "burst and chatter"
         );
         // One more of each by hand: ids in the chatter namespace and at the
@@ -2077,18 +2079,10 @@ mod tests {
         let mut sim = b.build();
         let report = sim.run_sync_window(0);
         assert!(report.switch_discard_bytes > 0, "incast must drop");
-        let hub = sim.telemetry().expect("forensics attaches a hub").borrow();
-        assert_eq!(hub.forensics.shed(), 0, "store sized for the run");
-        let total_size: u64 = hub
-            .forensics
-            .records()
-            .iter()
-            .map(|f| u64::from(f.size))
-            .sum();
-        assert_eq!(
-            total_size, report.switch_discard_bytes,
-            "every dropped byte is accounted to exactly one forensic"
-        );
+        let hub = sim.telemetry().expect("forensics attaches a hub");
+        assert_eq!(hub.borrow().forensics.shed(), 0, "store sized for the run");
+        // Every dropped byte is accounted to exactly one forensic.
+        sim.check_conservation();
         // A many-flow incast is cross-flow contention, not self-burst.
         let [self_burst, cross, fabric] = sim.forensic_counts();
         assert!(cross > self_burst, "incast drops classify as contention");
@@ -2109,6 +2103,7 @@ mod tests {
         let [self_burst, cross, fabric] = sim.forensic_counts();
         assert_eq!((self_burst, cross), (0, 0));
         assert!(fabric > 0, "NIC fault drops must be captured");
+        sim.check_conservation();
     }
 
     #[test]
@@ -2342,14 +2337,10 @@ mod tests {
         // Forensic attribution agrees with the per-tier ledger: summing
         // record sizes by the tier packed into each record's queue id
         // reproduces tier_discard_bytes exactly.
-        let hub = sim.telemetry().expect("forensics attaches a hub").borrow();
-        let mut by_tier = [0u64; 3];
-        for f in hub.forensics.records() {
-            assert_ne!(f.cause, ms_telemetry::DropCause::FabricTransient);
-            by_tier[ms_telemetry::qid::qid_tier(f.queue) as usize] += u64::from(f.size);
-        }
-        assert_eq!(hub.forensics.shed(), 0, "store sized for the run");
-        assert_eq!(by_tier, [tor, agg, spine]);
+        let hub = sim.telemetry().expect("forensics attaches a hub");
+        assert_eq!(hub.borrow().forensics.shed(), 0, "store sized for the run");
+        assert_eq!(sim.forensic_counts()[2], 0, "every drop is on a switch");
+        sim.check_conservation();
     }
 
     #[test]
@@ -2415,31 +2406,24 @@ mod tests {
             b.forensics().interval(Ns::from_millis(10)).buckets(2400);
             let mut sim = b.build();
             let report = sim.run_sync_window(0);
-            let mut by_tier = [0u64; 3];
-            {
-                let hub = sim.telemetry().expect("forensics attaches a hub").borrow();
-                assert_eq!(hub.forensics.shed(), 0, "store sized for the run");
-                for f in hub.forensics.records() {
-                    by_tier[ms_telemetry::qid::qid_tier(f.queue) as usize] += u64::from(f.size);
-                }
-            }
+            let hub = sim.telemetry().expect("forensics attaches a hub");
+            assert_eq!(hub.borrow().forensics.shed(), 0, "store sized for the run");
+            sim.check_conservation();
             (
                 sim.tier_discard_bytes(),
-                by_tier,
                 report.conns_completed,
                 report.events,
                 report.rack_run.map(|r| r.servers[0].in_bytes.clone()),
             )
         };
         let first = run();
-        let (tiers, by_tier, completed, ..) = &first;
+        let (tiers, completed, ..) = &first;
         let sources = u64::from(k * k * k / 4 - k * k / 4);
         assert_eq!(*completed, sources * u64::from(conns), "k={k}");
         assert!(
             tiers.iter().sum::<u64>() > 0,
             "k={k} incast is sized to drop"
         );
-        assert_eq!(tiers, by_tier, "k={k} forensic bytes per tier");
         assert_eq!(first, run(), "k={k} same seeds, same run");
     }
 

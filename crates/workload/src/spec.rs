@@ -197,8 +197,6 @@ pub struct ScenarioSpec {
     pub mcast_members: Vec<(u32, usize)>,
     /// Paced multicast bursts.
     pub mcast_bursts: Vec<McastBurstSpec>,
-    /// ToR egress queues with occupancy probes attached.
-    pub probe_queues: Vec<usize>,
     /// User-space collection agents.
     pub agents: Vec<AgentSpec>,
     /// Capture a classified [`ms_telemetry::DropForensic`] for every drop
@@ -206,7 +204,10 @@ pub struct ScenarioSpec {
     pub forensics: bool,
 }
 
-const SPEC_MAGIC: &[u8; 4] = b"MSS1";
+/// Spec magic. `MSS1` carried a list of depth-probed queues in its fixed
+/// prefix; it is refused as [`DecodeError::BadMagic`] rather than
+/// misread.
+const SPEC_MAGIC: &[u8; 4] = b"MSS2";
 
 /// Terminates the trailing tagged-section list.
 const SECTION_END: u64 = 0;
@@ -248,7 +249,6 @@ impl ScenarioSpec {
             chatter: Vec::new(),
             mcast_members: Vec::new(),
             mcast_bursts: Vec::new(),
-            probe_queues: Vec::new(),
             agents: Vec::new(),
             forensics: false,
         }
@@ -324,9 +324,6 @@ impl ScenarioSpec {
         for &(_, server) in &self.mcast_members {
             check("multicast member", server);
         }
-        for &q in &self.probe_queues {
-            check("queue probe", q);
-        }
         for a in &self.agents {
             check("agent", a.server);
             for run in &a.config.rotation {
@@ -358,7 +355,6 @@ impl ScenarioSpec {
             forbid("chatter", !self.chatter.is_empty());
             forbid("multicast membership", !self.mcast_members.is_empty());
             forbid("multicast burst", !self.mcast_bursts.is_empty());
-            forbid("queue probe", !self.probe_queues.is_empty());
             forbid("alpha_tune_period", self.alpha_tune_period.is_some());
         }
         if !self.topo_flows.is_empty() {
@@ -472,10 +468,6 @@ impl ScenarioSpec {
             w.u64(u64::from(b.packets));
             w.u64(u64::from(b.size));
             w.u64(b.paced_bps.as_u64());
-        }
-        w.u64(self.probe_queues.len() as u64);
-        for &q in &self.probe_queues {
-            w.u64(q as u64);
         }
         w.u64(self.agents.len() as u64);
         for a in &self.agents {
@@ -617,10 +609,6 @@ impl ScenarioSpec {
                 paced_bps: Bps(r.u64()?),
             });
         }
-        let mut probe_queues = Vec::new();
-        for _ in 0..bounded_len(&mut r)? {
-            probe_queues.push(r.u64()? as usize);
-        }
         let mut agents = Vec::new();
         for _ in 0..bounded_len(&mut r)? {
             let server = r.u64()? as usize;
@@ -687,7 +675,6 @@ impl ScenarioSpec {
             chatter,
             mcast_members,
             mcast_bursts,
-            probe_queues,
             agents,
             forensics,
         })
@@ -1055,12 +1042,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Attaches an occupancy probe to `server`'s ToR egress queue.
-    pub fn probe_queue_depth(&mut self, server: usize) -> &mut Self {
-        self.spec.probe_queues.push(server);
-        self
-    }
-
     /// Starts a §4.1 user-space collection agent on `server`.
     pub fn agent(&mut self, server: usize, config: SchedulerConfig) -> &mut Self {
         self.spec.agents.push(AgentSpec { server, config });
@@ -1129,7 +1110,6 @@ mod tests {
             .join_multicast(77, 0)
             .join_multicast(77, 4)
             .multicast_burst(Ns::from_millis(50), 77, 100, 1500, Bps(2_000_000_000))
-            .probe_queue_depth(1)
             .agent(
                 6,
                 SchedulerConfig {
@@ -1349,6 +1329,14 @@ mod tests {
         let dec = ScenarioSpec::decode(&enc).expect("decodable");
         assert_eq!(dec, spec);
         assert_eq!(enc, dec.encode());
+    }
+
+    #[test]
+    fn mss1_specs_are_refused_by_name() {
+        let mut enc = rich_spec().encode();
+        assert_eq!(&enc[..4], SPEC_MAGIC);
+        enc[..4].copy_from_slice(b"MSS1");
+        assert_eq!(ScenarioSpec::decode(&enc), Err(DecodeError::BadMagic));
     }
 
     #[test]

@@ -202,9 +202,10 @@ fn failure_reports_are_thread_count_independent_too() {
     let mut cells = small_grid().cells();
     cells.truncate(4);
     let mut bad = ScenarioBuilder::new(2, 1);
-    bad.buckets(10).probe_queue_depth(7); // out of range for 2 servers
+    bad.buckets(10)
+        .stall(7, Ns::from_millis(1), Ns::from_millis(2)); // out of range for 2 servers
     cells[1] = FleetCell {
-        label: String::from("bad-probe"),
+        label: String::from("bad-stall"),
         spec: bad.spec(),
     };
     let a = run_fleet(&cells, &cfg(1));

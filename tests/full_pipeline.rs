@@ -101,7 +101,9 @@ fn dctcp_holds_queue_near_ecn_threshold() {
     // §3: DCTCP + the 120 KB static ECN threshold keep steady-state queues
     // shallow — the mechanism behind "smaller stable buffers" on contended
     // racks. Drive one queue with a long greedy transfer and check the
-    // occupancy distribution at the ToR.
+    // occupancy distribution at the ToR, read off the trace ring's
+    // admission records.
+    use ms_telemetry::{TelemetryConfig, TraceEvent};
     use ms_transport::CcAlgorithm;
     use ms_workload::{FlowSpec, ScenarioBuilder};
 
@@ -109,7 +111,12 @@ fn dctcp_holds_queue_near_ecn_threshold() {
     scenario
         .buckets(300)
         .warmup(Ns::from_millis(10))
-        .probe_queue_depth(1)
+        // The ring keeps the newest events: 2^16 of them cover the last
+        // few tens of ms of the run, all well past slow start.
+        .telemetry(TelemetryConfig {
+            ring_capacity: 1 << 16,
+            ..TelemetryConfig::default()
+        })
         .flow_at(
             Ns::from_millis(20),
             FlowSpec {
@@ -126,11 +133,19 @@ fn dctcp_holds_queue_near_ecn_threshold() {
 
     // Skip slow-start (first 30ms of samples); then the queue should sit
     // near the 120KB threshold, far below the ~1.8MB DT cap.
-    let samples: Vec<u64> = sim
-        .depth_samples()
+    let hub = sim.telemetry().expect("telemetry attached").borrow();
+    let samples: Vec<u64> = hub
+        .bus
         .iter()
-        .filter(|(t, _)| *t > Ns::from_millis(50))
-        .map(|(_, occ)| occ.as_u64())
+        .filter_map(|ev| match *ev {
+            TraceEvent::PacketEnqueue {
+                ns,
+                queue: 1,
+                occupancy,
+                ..
+            } if ns > Ns::from_millis(50).as_nanos() => Some(occupancy.as_u64()),
+            _ => None,
+        })
         .collect();
     assert!(
         samples.len() > 1000,

@@ -10,7 +10,7 @@
 //! min/max. Each ends in an 8-byte XXH64 checksum
 //! (`millisampler::codec::xxh64`) over the bytes it guards.
 //!
-//! The two formats without a checksum, scenario specs (`MSS1`) and run
+//! The two formats without a checksum, scenario specs (`MSS2`) and run
 //! outcomes (`MSO1`), get hostile bytes instead: flips, truncations and
 //! length fields inflated to `MAX_LIST_LEN` and beyond. There a mutant
 //! may decode, but only to a value that re-encodes to exactly its bytes.
@@ -175,7 +175,7 @@ fn corrupted_decode_is_err_not_wrong_data() {
     }
 }
 
-/// A rack spec that fills every list and option of the `MSS1` layout.
+/// A rack spec that fills every list and option of the `MSS2` layout.
 fn rack_spec() -> ScenarioSpec {
     let mut b = ScenarioBuilder::new(8, 42);
     b.buckets(200)
@@ -202,8 +202,7 @@ fn rack_spec() -> ScenarioSpec {
         .stall(3, Ns::from_millis(10), Ns::from_millis(20))
         .chatter(1, 40, 8_000)
         .join_multicast(77, 4)
-        .multicast_burst(Ns::from_millis(50), 77, 100, 1500, Bps(2_000_000_000))
-        .probe_queue_depth(1);
+        .multicast_burst(Ns::from_millis(50), 77, 100, 1500, Bps(2_000_000_000));
     b.spec()
 }
 

@@ -199,16 +199,8 @@ fn every_drop_yields_exactly_one_classified_forensic() {
 
     let hub = sim.telemetry().expect("forensics attaches a hub").borrow();
     assert_eq!(hub.forensics.shed(), 0, "store must hold the whole run");
-    let attributed: u64 = hub
-        .forensics
-        .records()
-        .iter()
-        .map(|f| u64::from(f.size))
-        .sum();
-    assert_eq!(
-        attributed, report.switch_discard_bytes,
-        "every dropped byte must land in exactly one forensic"
-    );
+    // Every dropped byte must land in exactly one forensic.
+    sim.check_conservation();
     // Every record got a definite cause and a populated context.
     for f in hub.forensics.records() {
         assert!(f.dt_threshold > 0, "DT threshold not captured");
