@@ -40,7 +40,15 @@
 //! (with `recent_kinds` masked, all eight rows matched the parent) and
 //! no `EVENTS` row did. The drain change itself (`dcsim::DrainSlot`) then
 //! lowered every `EVENTS` row and touched no `GOLDEN` row.
+//!
+//! The last row pins agent mode (§4.1): a per-host scheduler that
+//! reconfigures, reads and detaches its tc filter on a rotation and keeps
+//! the runs in an on-host store. It was captured on an unchanged
+//! simulator before per-server state moved into one record per host;
+//! its stored runs are folded into the fingerprint, which no other row
+//! has.
 
+use millisampler::{RunConfig, SchedulerConfig};
 use ms_analysis::analyze_run;
 use ms_dcsim::{Bps, Bytes, Ns};
 use ms_telemetry::TelemetryConfig;
@@ -164,6 +172,33 @@ fn gro_nic_drops_stall() -> ScenarioBuilder {
     b
 }
 
+/// The §4.1 agent on the incast's destination server, rotating a 1 ms
+/// and a 100 µs run every 20 ms: it reconfigures, reads and detaches
+/// that host's tc filter four times inside the sync window and keeps
+/// each run in its on-host store. Keepalive chatter gives every run
+/// packets after the incast has drained.
+fn agent_rotation() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(4, 25);
+    let run = |interval, buckets| RunConfig {
+        interval,
+        buckets,
+        count_flows: true,
+    };
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .telemetry(TelemetryConfig::default())
+        .agent(
+            1,
+            SchedulerConfig {
+                period: Ns::from_millis(20),
+                rotation: vec![run(Ns::from_millis(1), 30), run(Ns::from_micros(100), 100)],
+            },
+        )
+        .chatter(1, 40, 8_000)
+        .flow_at(Ns::from_millis(15), incast(1, 40, 12_000_000));
+    b
+}
+
 /// Runs the scenario and returns `(behaviour fingerprint, dispatches,
 /// FNV of the per-kind dispatch table)`.
 fn run_fingerprint(b: &ScenarioBuilder) -> (u64, u64, u64) {
@@ -250,6 +285,19 @@ fn run_fingerprint(b: &ScenarioBuilder) -> (u64, u64, u64) {
             format!("{} {tor} {agg} {spine}", sim.fabric_drops()).as_bytes(),
         );
     }
+    // Agent stores, folded only where an agent ran so the other rows
+    // keep their original fingerprints: every stored run, re-encoded.
+    for server in 0..b.spec().num_servers {
+        if let Some(store) = sim.agent_store(server) {
+            assert!(store.len() >= 2, "{} agent runs stored", store.len());
+            for run in store
+                .fetch_range(Ns::ZERO, Ns::MAX)
+                .expect("stored runs decode")
+            {
+                fnv(&mut h, &millisampler::codec::encode(&run));
+            }
+        }
+    }
     let mut kinds = 0xcbf2_9ce4_8422_2325_u64;
     fnv(&mut kinds, sim.profile().counts_json().as_bytes());
     (h, report.events, kinds)
@@ -295,6 +343,7 @@ const GOLDEN: &[Case] = &[
         gro_nic_drops_stall,
         0x2bef_bf46_5c9f_81f5,
     ),
+    ("agent rotation", agent_rotation, 0xbada_48f5_41c8_683b),
 ];
 
 /// `(report.events, FNV of profile().counts_json())` of each `GOLDEN`
@@ -309,6 +358,7 @@ const EVENTS: &[(u64, u64)] = &[
     (164_645, 0x581d_3fc2_7056_6eef),
     (40_318, 0xb5e2_a0eb_7732_3386),
     (15_663, 0x8cf5_f2c0_e52d_c721),
+    (33_056, 0xf93f_e6cb_abfd_95fe),
 ];
 
 #[test]
