@@ -167,6 +167,18 @@ cargo run -q --release -p ms-lake --bin lake -- query \
 diff "$LAKE_TMP/report.csv" "$LAKE_TMP/lake_outcomes.csv"
 # Full verification pass over every segment checksum.
 cargo run -q --release -p ms-lake --bin lake -- stat --dir "$LAKE_TMP/j1" > /dev/null
+# Bad-day drill: an outcomes segment cut off mid-chunk must fail the
+# query with the damage named on stderr, never read as a shorter lake.
+cp -r "$LAKE_TMP/j1" "$LAKE_TMP/cut"
+SEG="$LAKE_TMP/cut/outcomes-0000.msl"
+head -c $(($(wc -c < "$SEG") / 2)) "$SEG" > "$SEG.half"
+mv "$SEG.half" "$SEG"
+if cargo run -q --release -p ms-lake --bin lake -- query \
+    --dir "$LAKE_TMP/cut" --report outcomes --out "$LAKE_TMP/cut.csv" 2> "$LAKE_TMP/cut.err"; then
+    echo "a truncated segment was queried without an error"
+    exit 1
+fi
+grep -q 'lake corrupt' "$LAKE_TMP/cut.err"
 echo "==> buffer-policy sweep smoke (--policies dt,fb, jobs-count byte-identity)"
 # A two-policy sweep of one lossy base cell: the per-policy attribution
 # report must come back byte-identical for --jobs 1 and --jobs 2, and

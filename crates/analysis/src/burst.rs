@@ -81,18 +81,6 @@ pub fn is_bursty_run(series: &HostSeries, link: Bps) -> bool {
     series.in_bytes.iter().any(|&b| b > threshold)
 }
 
-/// Fraction of the run's ingress bytes carried inside bursts (§5 reports
-/// 49.7 % for the production dataset).
-pub fn bytes_in_bursts_fraction(series: &HostSeries, link: Bps) -> f64 {
-    let total: u64 = series.in_bytes.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let bursts = detect_bursts(series, link);
-    let in_bursts: u64 = bursts.iter().map(|b| b.bytes).sum();
-    in_bursts as f64 / total as f64
-}
-
 /// Mean per-sample connection estimates inside vs. outside bursts
 /// (Fig. 8). Returns `(inside, outside)`; either is NaN when that side has
 /// no samples.
@@ -184,15 +172,6 @@ mod tests {
         s.conns = vec![10, 30];
         let bursts = detect_bursts(&s, LINK);
         assert_eq!(bursts[0].avg_conns, 20.0);
-    }
-
-    #[test]
-    fn bytes_in_bursts_fraction_splits() {
-        let hi = THRESH * 2;
-        let lo = THRESH / 2;
-        let s = series(&[hi, lo, lo, lo]); // hi = 2T of 3.5T total
-        let f = bytes_in_bursts_fraction(&s, LINK);
-        assert!((f - (2.0 / 3.5)).abs() < 1e-9, "{f}");
     }
 
     #[test]

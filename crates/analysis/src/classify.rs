@@ -180,16 +180,6 @@ impl RunAnalysis {
         }
         self.bursts.iter().filter(|b| b.lossy).count() as f64 / self.bursts.len() as f64
     }
-
-    /// Bursts per second, normalized per bursty server (Fig. 6's metric is
-    /// per server run; this helper is for one run's rack-level rate).
-    pub fn bursts_per_second(&self, interval: ms_dcsim::Ns) -> f64 {
-        let duration_s = interval.as_secs_f64() * self.contention.len() as f64;
-        if duration_s == 0.0 {
-            return 0.0;
-        }
-        self.bursts.len() as f64 / duration_s
-    }
 }
 
 #[cfg(test)]
@@ -299,13 +289,5 @@ mod tests {
         let a = analyze_run(&run, LINK, 1);
         assert!(a.contended_fraction().is_nan());
         assert!(a.lossy_fraction().is_nan());
-    }
-
-    #[test]
-    fn bursts_per_second_normalizes_by_duration() {
-        let run = make_run(vec![(vec![HI, 0, HI, 0, HI, 0, 0, 0, 0, 0], vec![0; 10])]);
-        let a = analyze_run(&run, LINK, 0);
-        // 3 bursts in 10ms = 300/s.
-        assert!((a.bursts_per_second(Ns::from_millis(1)) - 300.0).abs() < 1e-9);
     }
 }

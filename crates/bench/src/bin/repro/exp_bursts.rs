@@ -9,7 +9,7 @@ use ms_workload::placement::RegionKind;
 
 /// Table 1: dataset summary per region over the simulated day.
 pub fn table1(ctx: &mut Ctx) {
-    let buckets = ctx.opts.buckets;
+    let buckets = ctx.opts.sweep.scenario.buckets;
     let mut r = Report::new(
         "table1",
         &[

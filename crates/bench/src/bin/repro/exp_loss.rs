@@ -187,7 +187,7 @@ fn loss_vs_metric(
     metric: impl Fn(&ClassifiedBurst, f64) -> f64,
 ) {
     let out = ctx.opts.out.clone();
-    let interval_ms = ctx.opts.scenario().interval.as_nanos() as f64 / 1e6;
+    let interval_ms = ctx.opts.sweep.scenario.interval.as_nanos() as f64 / 1e6;
     let bursts = all_bursts(ctx);
     let typical: Vec<&ClassifiedBurst> = bursts
         .iter()

@@ -40,7 +40,7 @@ fn validation_scenario(servers: usize, seed: u64) -> ScenarioBuilder {
 /// Fig. 3: multicast bursts to 8 idle servers arrive in the same sample on
 /// every host — SyncMillisampler collection is synchronized.
 pub fn fig3(ctx: &mut Ctx) {
-    let mut scenario = validation_scenario(8, ctx.opts.seed);
+    let mut scenario = validation_scenario(8, ctx.opts.sweep.seed);
     let servers: Vec<usize> = (0..8).collect();
     // Bursts every 100ms over the 2s window; rate limited (multicast is
     // rate limited in production, §4.5) so the burst spans several ms.
@@ -122,7 +122,7 @@ pub fn fig3(ctx: &mut Ctx) {
 /// from five senders; post-analysis identifies 5 simultaneously bursty
 /// servers.
 pub fn fig4(ctx: &mut Ctx) {
-    let mut scenario = validation_scenario(8, ctx.opts.seed ^ 4);
+    let mut scenario = validation_scenario(8, ctx.opts.sweep.seed ^ 4);
     // Paper: 1.8MB bursts ≈ 3ms, every 100ms, to 5 clients.
     for client in 0..5 {
         schedule_burst_requests(

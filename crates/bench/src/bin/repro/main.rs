@@ -8,10 +8,10 @@
 //!   fig14 fig15 fig16 fig17 fig18 fig19 table1 table2 perf all
 //!
 //! OPTIONS
-//!   --racks N        racks per region                 (default 60)
-//!   --servers N      servers per rack                 (default 24)
-//!   --buckets N      1ms samples per run              (default 500)
-//!   --hour-step N    simulate every Nth hour of day   (default 2)
+//!   --racks N        racks per region                 (default 40)
+//!   --servers N      servers per rack                 (default 28)
+//!   --buckets N      1ms samples per run              (default 400)
+//!   --hour-step N    simulate every Nth hour of day   (default 3)
 //!   --seed N         experiment seed                  (default 42)
 //!   --threads N      worker threads                   (default: all cores)
 //!   --quick          tiny sweep for smoke-testing
@@ -30,54 +30,33 @@ mod perf;
 
 use ms_bench::{sweep_region, RegionData, SweepConfig};
 use ms_workload::placement::RegionKind;
-use ms_workload::scenario::ScenarioConfig;
 use std::path::PathBuf;
 
-/// Parsed command-line options.
+/// Parsed command-line options: the sweep every exhibit shares (its
+/// `hours` are chosen per sweep), which hours a daily sweep visits, and
+/// where the CSVs go.
 #[derive(Debug, Clone)]
 pub struct Opts {
-    pub racks: usize,
-    pub servers: usize,
-    pub buckets: usize,
+    pub sweep: SweepConfig,
     pub hour_step: usize,
-    pub seed: u64,
-    pub threads: usize,
-    pub mss: u32,
     pub out: PathBuf,
 }
 
 impl Default for Opts {
     fn default() -> Self {
         Opts {
-            racks: 40,
-            servers: 28,
-            buckets: 400,
+            sweep: SweepConfig::default(),
             hour_step: 3,
-            seed: 42,
-            threads: 0,
-            mss: 4500,
             out: PathBuf::from("results"),
         }
     }
 }
 
 impl Opts {
-    fn scenario(&self) -> ScenarioConfig {
-        ScenarioConfig {
-            buckets: self.buckets,
-            mss: self.mss,
-            ..ScenarioConfig::default()
-        }
-    }
-
     fn sweep_config(&self, hours: Vec<usize>) -> SweepConfig {
         SweepConfig {
-            racks: self.racks,
-            servers: self.servers,
             hours,
-            scenario: self.scenario(),
-            seed: self.seed,
-            threads: self.threads,
+            ..self.sweep.clone()
         }
     }
 
@@ -119,7 +98,10 @@ impl Ctx {
                 view.obs.retain(|o| o.hour == 7);
                 *busy = Some(view);
             } else {
-                eprintln!("[sweep] {kind:?} busy hour ({} racks)...", self.opts.racks);
+                eprintln!(
+                    "[sweep] {kind:?} busy hour ({} racks)...",
+                    self.opts.sweep.racks
+                );
                 let cfg = self.opts.sweep_config(vec![7]);
                 *busy = Some(sweep_region(kind, &cfg));
             }
@@ -141,7 +123,7 @@ impl Ctx {
             }
             eprintln!(
                 "[sweep] {kind:?} daily ({} racks x {} hours)...",
-                self.opts.racks,
+                self.opts.sweep.racks,
                 hours.len()
             );
             let cfg = self.opts.sweep_config(hours);
@@ -201,21 +183,21 @@ fn main() {
             })
         };
         match arg.as_str() {
-            "--racks" => opts.racks = next_num("--racks") as usize,
-            "--servers" => opts.servers = next_num("--servers") as usize,
-            "--buckets" => opts.buckets = next_num("--buckets") as usize,
+            "--racks" => opts.sweep.racks = next_num("--racks") as usize,
+            "--servers" => opts.sweep.servers = next_num("--servers") as usize,
+            "--buckets" => opts.sweep.scenario.buckets = next_num("--buckets") as usize,
             "--hour-step" => opts.hour_step = next_num("--hour-step") as usize,
-            "--seed" => opts.seed = next_num("--seed"),
-            "--threads" => opts.threads = next_num("--threads") as usize,
+            "--seed" => opts.sweep.seed = next_num("--seed"),
+            "--threads" => opts.sweep.threads = next_num("--threads") as usize,
             "--quick" => {
-                opts.racks = 12;
-                opts.servers = 16;
-                opts.buckets = 250;
+                opts.sweep.racks = 12;
+                opts.sweep.servers = 16;
+                opts.sweep.scenario.buckets = 250;
                 opts.hour_step = 6;
             }
             "--paper-scale" => {
-                opts.buckets = 2000;
-                opts.mss = 1500;
+                opts.sweep.scenario.buckets = 2000;
+                opts.sweep.scenario.mss = 1500;
             }
             "--out" => {
                 opts.out = PathBuf::from(args.next().unwrap_or_else(|| {

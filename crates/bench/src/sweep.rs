@@ -26,13 +26,18 @@ pub struct SweepConfig {
     pub threads: usize,
 }
 
+/// The scale `repro` runs at by default: 40 racks of 28 servers, 400 ms
+/// windows, the busy hour.
 impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
-            racks: 60,
-            servers: 24,
+            racks: 40,
+            servers: 28,
             hours: vec![7],
-            scenario: ScenarioConfig::default(),
+            scenario: ScenarioConfig {
+                buckets: 400,
+                ..ScenarioConfig::default()
+            },
             seed: 42,
             threads: 0,
         }

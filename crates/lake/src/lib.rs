@@ -23,14 +23,12 @@
 //! - [`analyses`] — the paper's aggregations (contention bimodality,
 //!   burst-size CDFs, loss-vs-contention) recomputed out-of-core,
 //!   bit-for-bit equal to the in-memory `ms_analysis` fold.
-//! - [`host_ext`] — draining a `HostStore` retention window into a lake.
 //!
 //! Determinism contract: segment bytes are a pure function of the
 //! compacted cell set and [`LakeConfig`]; no timestamps, no randomness,
 //! no map-iteration order anywhere in the write path.
 
 pub mod analyses;
-pub mod host_ext;
 pub mod query;
 pub mod segment;
 pub mod shard;
@@ -41,7 +39,6 @@ pub use analyses::{
     lake_sweep_aggregate, lake_tier_drops, outcomes_csv, policy_compare_csv, synth_diurnal_series,
     tiers_csv, CellAttribution, CellTierDrops, PolicyCompare,
 };
-pub use host_ext::HostStoreExt;
 pub use query::{for_each_row, Batch, ColumnRange, Operator, RowFilter, ScanStats, TableScan};
 pub use segment::{
     verify_segment_bytes, ColumnReader, ColumnWriter, SegmentReader, SegmentWriter, TableKind,

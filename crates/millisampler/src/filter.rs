@@ -144,16 +144,6 @@ impl TcFilter {
         self.buckets
     }
 
-    /// Host-clock time of the first recorded packet, if the run started.
-    pub fn started_at(&self) -> Option<Ns> {
-        self.started
-    }
-
-    /// The wall-clock duration a full run spans.
-    pub fn run_duration(&self) -> Ns {
-        self.interval * self.buckets as u64
-    }
-
     /// Attaches the filter to the packet path (disabled).
     pub fn attach(&mut self) {
         if self.state == FilterState::Detached {
@@ -186,12 +176,6 @@ impl TcFilter {
         }
         self.started = None;
         self.state = FilterState::Enabled;
-    }
-
-    /// Whether a run completed (filter cleared its own enabled flag after
-    /// having started).
-    pub fn run_complete(&self) -> bool {
-        self.state != FilterState::Enabled && self.started.is_some()
     }
 
     /// The per-packet hot path. `now` is the **host clock** (the eBPF
@@ -324,11 +308,11 @@ mod tests {
     #[test]
     fn start_latches_on_first_packet() {
         let mut f = enabled_filter();
-        assert_eq!(f.started_at(), None);
+        assert!(f.read(9).is_none(), "no packet, no start");
         f.record(0, Ns::from_millis(7), &meta(Direction::Ingress, 100));
-        assert_eq!(f.started_at(), Some(Ns::from_millis(7)));
         // Bucketing is relative to the latched start, not zero.
         let s = f.read(9).unwrap();
+        assert_eq!(s.start, Ns::from_millis(7));
         assert_eq!(s.host, 9);
         assert_eq!(s.in_bytes[0], 100);
     }
@@ -361,7 +345,6 @@ mod tests {
         // A packet past bucket 9 clears the enabled flag and is NOT counted.
         f.record(0, Ns::from_millis(10), &meta(Direction::Ingress, 999));
         assert_eq!(f.state(), FilterState::AttachedDisabled);
-        assert!(f.run_complete());
         let s = f.read(0).unwrap();
         assert_eq!(s.total_in_bytes(), 1);
     }
@@ -506,8 +489,8 @@ mod tests {
         let mut f = TcFilter::new(&RunConfig::one_ms(), 2);
         f.reconfigure(&RunConfig::hundred_us());
         assert_eq!(f.interval(), Ns::from_micros(100));
-        assert_eq!(f.run_duration(), Ns::from_millis(200));
+        assert_eq!(f.interval() * f.buckets() as u64, Ns::from_millis(200));
         f.reconfigure(&RunConfig::ten_ms());
-        assert_eq!(f.run_duration(), Ns::from_secs(20));
+        assert_eq!(f.interval() * f.buckets() as u64, Ns::from_secs(20));
     }
 }

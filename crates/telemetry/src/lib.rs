@@ -10,7 +10,7 @@
 //!   threshold crossings, cwnd changes, RTO firings, sampler window
 //!   closes…), each stamped with **simulation time in nanoseconds, never
 //!   wall clock**;
-//! * [`MetricsRegistry`] — named counters, gauges, and log-linear
+//! * [`MetricsRegistry`] — named gauges and log-linear
 //!   [`Histogram`]s with deterministic (insertion-order) iteration, CSV and
 //!   JSON export;
 //! * [`perfetto`] — a Chrome/Perfetto trace-event JSON writer (open the
@@ -49,7 +49,7 @@ pub mod qid;
 
 pub use bus::{DropReason, TraceBus, TraceEvent};
 pub use forensics::{DropCause, DropForensic, ForensicStore};
-pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry};
+pub use metrics::{GaugeId, Histogram, HistogramId, MetricsRegistry};
 pub use perfetto::{summary, validate_json, write_perfetto, PerfettoMeta};
 
 use std::cell::RefCell;
@@ -99,7 +99,7 @@ impl TelemetryConfig {
 pub struct Telemetry {
     /// The event trace ring.
     pub bus: TraceBus,
-    /// Named counters, gauges, and histograms.
+    /// Named gauges and histograms.
     pub metrics: MetricsRegistry,
     /// The drop forensics blackbox (zero-capacity when disabled).
     pub forensics: ForensicStore,

@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges, and log-linear histograms.
+//! The metrics registry: named gauges and log-linear histograms.
 //!
 //! Names are interned once (returning a copyable id) and values live in
 //! plain `Vec`s, so iteration order is insertion order — deterministic by
@@ -6,10 +6,6 @@
 //! recording is bounded integer arithmetic (HDR-style log-linear buckets:
 //! four linear sub-buckets per power-of-two octave), cheap enough for
 //! per-packet use.
-
-/// Interned id of a counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
 
 /// Interned id of a gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +149,6 @@ impl Histogram {
 /// Registry of named metrics with deterministic iteration order.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
     gauges: Vec<(String, u64)>,
     histograms: Vec<(String, Histogram)>,
 }
@@ -170,22 +165,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Interns (or finds) a counter by name.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        CounterId(intern(&mut self.counters, name, || 0))
-    }
-
-    /// Adds `delta` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, delta: u64) {
-        self.counters[id.0].1 += delta;
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
     }
 
     /// Interns (or finds) a gauge by name.
@@ -217,16 +196,13 @@ impl MetricsRegistry {
 
     /// Whether nothing was registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// CSV export: `kind,name,field,value` rows in registration order.
     pub fn to_csv(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("kind,name,field,value\n");
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "counter,{name},value,{v}");
-        }
         for (name, v) in &self.gauges {
             let _ = writeln!(out, "gauge,{name},value,{v}");
         }
@@ -250,12 +226,7 @@ impl MetricsRegistry {
     /// JSON export (deterministic member order = registration order).
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{}\":{v}", escape_json(name));
-        }
-        out.push_str("},\"gauges\":{");
+        let mut out = String::from("{\"gauges\":{");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(out, "{sep}\"{}\":{v}", escape_json(name));
@@ -430,13 +401,8 @@ mod tests {
     #[test]
     fn registry_interns_by_name() {
         let mut m = MetricsRegistry::new();
-        let a = m.counter("drops");
-        let b = m.counter("drops");
-        assert_eq!(a, b);
-        m.inc(a, 2);
-        m.inc(b, 3);
-        assert_eq!(m.counter_value(a), 5);
         let g = m.gauge("depth");
+        assert_eq!(g, m.gauge("depth"));
         m.set_gauge(g, 9);
         m.set_gauge(g, 4);
         assert_eq!(m.gauge_value(g), 4);
@@ -446,10 +412,10 @@ mod tests {
     fn exports_are_deterministic_and_ordered() {
         let build = || {
             let mut m = MetricsRegistry::new();
-            let c = m.counter("z_first");
-            m.inc(c, 1);
-            let c = m.counter("a_second");
-            m.inc(c, 2);
+            let g = m.gauge("z_first");
+            m.set_gauge(g, 1);
+            let g = m.gauge("a_second");
+            m.set_gauge(g, 2);
             let h = m.histogram("depth");
             m.observe(h, 10);
             m.observe(h, 1000);
@@ -471,8 +437,8 @@ mod tests {
     #[test]
     fn json_escapes_metric_names() {
         let mut m = MetricsRegistry::new();
-        let c = m.counter("weird\"name\\x");
-        m.inc(c, 1);
+        let g = m.gauge("weird\"name\\x");
+        m.set_gauge(g, 1);
         let json = m.to_json();
         assert!(crate::perfetto::validate_json(&json).is_ok(), "{json}");
     }

@@ -216,12 +216,6 @@ impl FatTree {
         self.opts.k
     }
 
-    /// Half-radix `r = k/2`: hosts per ToR, ToRs per pod, aggs per
-    /// pod, uplinks per ToR/agg.
-    pub fn radix_half(&self) -> u32 {
-        self.r
-    }
-
     /// Total hosts: `k³/4`.
     pub fn num_hosts(&self) -> u32 {
         self.opts.k * self.r * self.r
@@ -245,13 +239,6 @@ impl FatTree {
     /// Total switches across all tiers.
     pub fn num_switches(&self) -> u32 {
         self.num_tors() + self.num_aggs() + self.num_spines()
-    }
-
-    /// Total directed fabric links (host↕ToR pairs excluded):
-    /// ToR↔agg contributes `k²/2 · r` pairs, agg↔spine the same, and
-    /// each pair is two directed links.
-    pub fn num_fabric_links(&self) -> u32 {
-        2 * 2 * self.num_tors() * self.r
     }
 
     /// Ports (= drain queues) on one switch.
@@ -298,11 +285,6 @@ impl FatTree {
             tor: (host % per_pod) / self.r,
             host: host % self.r,
         }
-    }
-
-    /// Flat host id of a `(pod, tor, host)` address.
-    pub fn host_id(&self, addr: HostAddr) -> u32 {
-        addr.pod * self.r * self.r + addr.tor * self.r + addr.host
     }
 
     /// The ToR a host hangs off.
@@ -449,8 +431,6 @@ mod tests {
             assert_eq!(t.num_aggs(), k * k / 2, "aggs k={k}");
             assert_eq!(t.num_spines(), k * k / 4, "spines k={k}");
             assert_eq!(t.num_switches(), k * k + k * k / 4, "switches k={k}");
-            // Directed fabric links: 2 tiers of (k²/2 · k/2) bidirectional pairs.
-            assert_eq!(t.num_fabric_links(), k * k * k, "links k={k}");
             assert_eq!(t.ports_per_switch(), k);
         }
     }
@@ -468,10 +448,11 @@ mod tests {
     fn host_addressing_round_trips() {
         for k in [2u32, 4, 6] {
             let t = tree(k);
+            let r = k / 2;
             for h in 0..t.num_hosts() {
                 let a = t.host_addr(h);
-                assert!(a.pod < k && a.tor < k / 2 && a.host < k / 2);
-                assert_eq!(t.host_id(a), h, "k={k} host={h}");
+                assert!(a.pod < k && a.tor < r && a.host < r);
+                assert_eq!(a.pod * r * r + a.tor * r + a.host, h, "k={k} host={h}");
             }
         }
     }
@@ -527,7 +508,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                for choice in 0..t.radix_half() {
+                for choice in 0..t.k() / 2 {
                     let mut sw = t.tor_of(src);
                     let mut hops = 0u32;
                     loop {
@@ -554,7 +535,7 @@ mod tests {
     #[test]
     fn up_hops_expose_the_full_uplink_range() {
         let t = tree(6);
-        let r = t.radix_half();
+        let r = t.k() / 2;
         // Host 0's ToR routing to a host in another pod: all r uplinks.
         let nh = t.route(t.tor_of(0), t.num_hosts() - 1);
         assert_eq!((nh.base_port, nh.count), (r, r));

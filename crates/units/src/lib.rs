@@ -153,11 +153,6 @@ impl Bps {
         Bps(bps)
     }
 
-    /// Constructs from whole megabits per second.
-    pub const fn from_mbps(mbps: u64) -> Self {
-        Bps(mbps.saturating_mul(1_000_000))
-    }
-
     /// Constructs from whole gigabits per second.
     pub const fn from_gbps(gbps: u64) -> Self {
         Bps(gbps.saturating_mul(1_000_000_000))
@@ -246,7 +241,6 @@ mod tests {
     #[test]
     fn bps_constructors_and_scale() {
         assert_eq!(Bps::from_gbps(12), Bps(12_000_000_000));
-        assert_eq!(Bps::from_mbps(100), Bps(100_000_000));
         assert_eq!(Bps::from_gbps(25).scale(1, 2), Bps(12_500_000_000));
         assert_eq!(Bps::from_gbps(10).scale(3, 4), Bps(7_500_000_000));
         assert!(Bps(1).is_positive());
@@ -256,7 +250,7 @@ mod tests {
     #[test]
     fn bps_display() {
         assert_eq!(format!("{}", Bps::from_gbps(25)), "25Gbps");
-        assert_eq!(format!("{}", Bps::from_mbps(500)), "500Mbps");
+        assert_eq!(format!("{}", Bps(500_000_000)), "500Mbps");
         assert_eq!(format!("{}", Bps(12_500_000_000)), "12500Mbps");
         assert_eq!(format!("{}", Bps(42)), "42bps");
     }

@@ -13,12 +13,6 @@ pub struct Diurnal {
 }
 
 impl Diurnal {
-    /// Builds a profile from explicit per-hour weights.
-    pub fn from_weights(weights: [f64; 24]) -> Self {
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        Diurnal { weights }
-    }
-
     /// Flat profile (no diurnal effect) — used in ablations.
     pub fn flat() -> Self {
         Diurnal { weights: [1.0; 24] }
@@ -48,17 +42,6 @@ impl Diurnal {
     pub fn weight(&self, hour: usize) -> f64 {
         self.weights[hour % 24]
     }
-
-    /// Mean weight over the busy window (hours 4–10 inclusive).
-    pub fn busy_mean(&self) -> f64 {
-        (4..=10).map(|h| self.weights[h]).sum::<f64>() / 7.0
-    }
-
-    /// Mean weight outside the busy window.
-    pub fn offpeak_mean(&self) -> f64 {
-        let hours: Vec<usize> = (0..24).filter(|h| !(4..=10).contains(h)).collect();
-        hours.iter().map(|&h| self.weights[h]).sum::<f64>() / hours.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +60,11 @@ mod tests {
         let peak = d.weight(7);
         assert!((0..24).all(|h| d.weight(h) <= peak));
         // ~27.6% busy-hour increase (paper, §7.2): allow 15-35%.
-        let lift = d.busy_mean() / d.offpeak_mean() - 1.0;
+        let mean =
+            |hours: &[usize]| hours.iter().map(|&h| d.weight(h)).sum::<f64>() / hours.len() as f64;
+        let busy: Vec<usize> = (4..=10).collect();
+        let offpeak: Vec<usize> = (0..24).filter(|h| !busy.contains(h)).collect();
+        let lift = mean(&busy) / mean(&offpeak) - 1.0;
         assert!((0.15..=0.35).contains(&lift), "lift {lift}");
     }
 
@@ -85,13 +72,5 @@ mod tests {
     fn hours_wrap() {
         let d = Diurnal::meta_like();
         assert_eq!(d.weight(25), d.weight(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_weight_rejected() {
-        let mut w = [1.0; 24];
-        w[3] = 0.0;
-        let _ = Diurnal::from_weights(w);
     }
 }

@@ -51,4 +51,4 @@ pub use spec::{
     AgentSpec, ChatterSpec, GenSpec, McastBurstSpec, NicDropSpec, ScenarioBuilder, ScenarioSpec,
     ScheduledFlow, ScheduledTopoFlow, StallSpec,
 };
-pub use tasks::{FlowSpec, TaskGen, TaskKind, TopoFlowSpec, WorkItem};
+pub use tasks::{FlowSpec, TaskGen, TaskKind, TopoFlowSpec};

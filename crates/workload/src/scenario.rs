@@ -43,14 +43,6 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// The paper's exact collection window: 2000 × 1 ms.
-    pub fn paper_scale() -> Self {
-        ScenarioConfig {
-            buckets: 2000,
-            ..ScenarioConfig::default()
-        }
-    }
-
     /// The effective sampler run configuration.
     pub fn run_config(&self) -> RunConfig {
         RunConfig {
@@ -186,11 +178,5 @@ mod tests {
         let report = sim.run_sync_window(spec.rack_id);
         assert!(report.flows_started > 0);
         assert!(report.rack_run.is_some());
-    }
-
-    #[test]
-    fn paper_scale_is_2000_buckets() {
-        let cfg = ScenarioConfig::paper_scale();
-        assert_eq!(cfg.run_config().duration(), Ns::from_secs(2));
     }
 }

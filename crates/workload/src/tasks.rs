@@ -78,24 +78,6 @@ pub struct TopoFlowSpec {
     pub task: u64,
 }
 
-/// One unit of work emitted by a generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkItem {
-    /// Start a group of connections.
-    Flow(FlowSpec),
-    /// Send a rack-local multicast burst (validation tooling).
-    MulticastBurst {
-        /// Multicast group id.
-        group: u32,
-        /// Number of datagrams in the burst.
-        packets: u32,
-        /// Bytes per datagram.
-        size: u32,
-        /// Rate limit for the burst (multicast is rate limited, §4.5).
-        paced_bps: Bps,
-    },
-}
-
 /// Shared step clock for ML trainers in a rack: period and phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MlPhase {
@@ -174,11 +156,6 @@ impl TaskGen {
         self.kind
     }
 
-    /// The server this generator feeds.
-    pub fn server(&self) -> usize {
-        self.server
-    }
-
     /// When this generator next wants to run.
     pub fn next_wakeup(&self) -> Ns {
         match &self.state {
@@ -189,7 +166,8 @@ impl TaskGen {
 
     fn sample_flow(&mut self) -> FlowSpec {
         let rng = &mut self.rng;
-        match self.kind {
+        let dctcp = CcAlgorithm::Dctcp;
+        let (connections, total_bytes, algorithm, paced_bps) = match self.kind {
             TaskKind::Web => {
                 // simlint: allow(cast-truncation): gen_range(n) < n fits u32
                 let connections = 1 + rng.gen_range(3) as u32;
@@ -200,16 +178,9 @@ impl TaskGen {
                 let algorithm = if rng.gen_bool(0.08) {
                     CcAlgorithm::Cubic
                 } else {
-                    CcAlgorithm::Dctcp
+                    dctcp
                 };
-                FlowSpec {
-                    dst_server: self.server,
-                    connections,
-                    total_bytes,
-                    algorithm,
-                    paced_bps: None,
-                    task: self.task,
-                }
+                (connections, total_bytes, algorithm, None)
             }
             TaskKind::CacheFollower => {
                 // Incast: many peers answer a fan-out read simultaneously.
@@ -221,14 +192,8 @@ impl TaskGen {
                                                                  // Heavy-tailed response sizes: the typical fetch is easily
                                                                  // absorbed; the tail is what overflows.
                 let per_conn = rng.bounded_pareto(1.8, 35_000.0, 300_000.0);
-                FlowSpec {
-                    dst_server: self.server,
-                    connections,
-                    total_bytes: (per_conn * connections as f64) as u64,
-                    algorithm: CcAlgorithm::Dctcp,
-                    paced_bps: None,
-                    task: self.task,
-                }
+                let total_bytes = (per_conn * connections as f64) as u64;
+                (connections, total_bytes, dctcp, None)
             }
             TaskKind::MlTrainer => {
                 // One training step: a paced multi-MB transfer. The step
@@ -240,70 +205,56 @@ impl TaskGen {
                 // simlint: allow(cast-truncation): gen_range(n) < n fits u32
                 let connections = 4 + rng.gen_range(5) as u32; // 4..=8
                 let mb = (8.0 + rng.next_f64() * 4.0) * self.load.clamp(0.4, 1.6);
-                FlowSpec {
-                    dst_server: self.server,
-                    connections,
-                    total_bytes: (mb * 1e6) as u64,
-                    algorithm: CcAlgorithm::Dctcp,
-                    // Fabric smoothing: arrives at ~80% of server line rate.
-                    paced_bps: Some(Bps(10_000_000_000)),
-                    task: self.task,
-                }
+                // Fabric smoothing: arrives at ~80% of server line rate.
+                let paced = Some(Bps(10_000_000_000));
+                (connections, (mb * 1e6) as u64, dctcp, paced)
             }
             TaskKind::Batch => {
                 // simlint: allow(cast-truncation): gen_range(n) < n fits u32
                 let connections = 2 + rng.gen_range(5) as u32; // 2..=6
                 let total_bytes = rng.bounded_pareto(1.1, 200_000.0, 8_000_000.0) as u64;
-                FlowSpec {
-                    dst_server: self.server,
-                    connections,
-                    total_bytes,
-                    algorithm: CcAlgorithm::Dctcp,
-                    paced_bps: None,
-                    task: self.task,
-                }
+                (connections, total_bytes, dctcp, None)
             }
-            TaskKind::Background => FlowSpec {
-                dst_server: self.server,
-                connections: 1,
-                total_bytes: self.rng.bounded_pareto(1.3, 1_000.0, 64_000.0) as u64,
-                algorithm: CcAlgorithm::Dctcp,
-                paced_bps: None,
-                task: self.task,
-            },
+            TaskKind::Background => {
+                let total_bytes = rng.bounded_pareto(1.3, 1_000.0, 64_000.0) as u64;
+                (1, total_bytes, dctcp, None)
+            }
+        };
+        FlowSpec {
+            dst_server: self.server,
+            connections,
+            total_bytes,
+            algorithm,
+            paced_bps,
+            task: self.task,
         }
     }
 
-    /// Emits the work due at `now` (callers invoke this at
-    /// [`TaskGen::next_wakeup`]) and advances the internal clock.
-    pub fn poll(&mut self, now: Ns) -> Vec<WorkItem> {
-        let mut out = Vec::new();
+    /// The flow due at `now`, if any (callers invoke this at
+    /// [`TaskGen::next_wakeup`]); advances the internal clock past it.
+    pub fn poll(&mut self, now: Ns) -> Option<FlowSpec> {
         match &mut self.state {
             GenState::Poisson { mean_gap_ns, next } => {
                 if now < *next {
-                    return out;
+                    return None;
                 }
                 let mean = *mean_gap_ns;
                 let gap = self.rng.exp(mean / self.load);
                 *next = now + Ns(gap.max(1.0) as u64);
-                out.push(WorkItem::Flow(self.sample_flow()));
             }
             GenState::MlSteps { phase, step } => {
-                let due = phase.phase + phase.period * *step;
-                if now < due {
-                    return out;
+                if now < phase.phase + phase.period * *step {
+                    return None;
                 }
                 *step += 1;
                 // Small per-server jitter is modeled by the driver applying
                 // the spec when the event fires; step cadence stays locked
                 // to the shared clock so trainers overlap.
-                out.push(WorkItem::Flow(self.sample_flow()));
             }
         }
-        out
+        Some(self.sample_flow())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,8 +274,7 @@ mod tests {
                 if t >= horizon {
                     break;
                 }
-                let items = g.poll(t);
-                n += items.len();
+                n += g.poll(t).iter().count();
             }
             n
         };
@@ -340,8 +290,8 @@ mod tests {
     fn poll_before_wakeup_is_empty() {
         let mut g = TaskGen::new(TaskKind::Batch, 0, 1, 1.0, rng(), None);
         let t = g.next_wakeup();
-        assert!(g.poll(t.saturating_sub(Ns(1))).is_empty());
-        assert_eq!(g.poll(t).len(), 1);
+        assert!(g.poll(t.saturating_sub(Ns(1))).is_none());
+        assert!(g.poll(t).is_some());
     }
 
     #[test]
@@ -349,13 +299,11 @@ mod tests {
         let mut g = TaskGen::new(TaskKind::CacheFollower, 3, 9, 1.0, rng(), None);
         for _ in 0..20 {
             let t = g.next_wakeup();
-            for item in g.poll(t) {
-                let WorkItem::Flow(f) = item else { panic!() };
-                assert!((15..=100).contains(&f.connections), "{}", f.connections);
-                assert!(f.total_bytes >= 15 * 35_000);
-                assert_eq!(f.dst_server, 3);
-                assert_eq!(f.task, 9);
-            }
+            let f = g.poll(t).expect("a flow at its wakeup");
+            assert!((15..=100).contains(&f.connections), "{}", f.connections);
+            assert!(f.total_bytes >= 15 * 35_000);
+            assert_eq!(f.dst_server, 3);
+            assert_eq!(f.task, 9);
         }
     }
 
@@ -378,8 +326,8 @@ mod tests {
             let due = phase.phase + phase.period * step;
             assert_eq!(a.next_wakeup(), due);
             assert_eq!(b.next_wakeup(), due, "trainers share the step clock");
-            assert_eq!(a.poll(due).len(), 1);
-            assert_eq!(b.poll(due).len(), 1);
+            assert!(a.poll(due).is_some());
+            assert!(b.poll(due).is_some());
         }
     }
 
@@ -390,9 +338,7 @@ mod tests {
             phase: Ns::ZERO,
         };
         let mut g = TaskGen::new(TaskKind::MlTrainer, 0, 1, 1.0, rng(), Some(phase));
-        let WorkItem::Flow(f) = g.poll(Ns::ZERO)[0] else {
-            panic!()
-        };
+        let f = g.poll(Ns::ZERO).expect("step 0 is due");
         assert!(f.paced_bps.is_some(), "ML traffic is fabric-smoothed");
         assert!((8_000_000..=12_000_000).contains(&f.total_bytes));
     }
@@ -402,11 +348,9 @@ mod tests {
         let mut g = TaskGen::new(TaskKind::Background, 0, 1, 1.0, rng(), None);
         for _ in 0..50 {
             let t = g.next_wakeup();
-            for item in g.poll(t) {
-                let WorkItem::Flow(f) = item else { panic!() };
-                assert!(f.total_bytes <= 64_001);
-                assert_eq!(f.connections, 1);
-            }
+            let f = g.poll(t).expect("a flow at its wakeup");
+            assert!(f.total_bytes <= 64_001);
+            assert_eq!(f.connections, 1);
         }
     }
 
@@ -423,10 +367,7 @@ mod tests {
             let mut sizes = Vec::new();
             for _ in 0..20 {
                 let t = g.next_wakeup();
-                for i in g.poll(t) {
-                    let WorkItem::Flow(f) = i else { panic!() };
-                    sizes.push(f.total_bytes);
-                }
+                sizes.extend(g.poll(t).map(|f| f.total_bytes));
             }
             sizes
         };

@@ -48,7 +48,6 @@ pub fn schedule_multicast_validation(
 /// `client_server`, one every `period` (based on the client's local clock —
 /// modeled as a fixed schedule plus the client's clock offset, which is
 /// sub-millisecond and thus immaterial to the 3 ms bursts).
-#[allow(clippy::too_many_arguments)]
 pub fn schedule_burst_requests(
     builder: &mut ScenarioBuilder,
     client_server: usize,
