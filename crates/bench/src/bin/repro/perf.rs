@@ -41,12 +41,21 @@ impl PcapLike {
     }
 }
 
+/// Median ns per call of `f` over five timed passes of `iters` calls
+/// each, after one untimed warm-up pass (caches, branch predictors and
+/// the filter's buckets are hot before the clock starts).
 fn time_per_op<F: FnMut(u64)>(iters: u64, mut f: F) -> f64 {
-    let t0 = std::time::Instant::now();
-    for i in 0..iters {
-        f(i);
-    }
-    t0.elapsed().as_nanos() as f64 / iters as f64
+    let mut pass = || {
+        let t0 = std::time::Instant::now();
+        for i in 0..iters {
+            f(i);
+        }
+        t0.elapsed().as_nanos() as f64 / iters as f64
+    };
+    pass();
+    let mut ns: [f64; 5] = std::array::from_fn(|_| pass());
+    ns.sort_by(f64::total_cmp);
+    ns[2]
 }
 
 /// Runs the in-process performance comparison.
@@ -113,14 +122,9 @@ pub fn perf(ctx: &mut Ctx) {
     black_box(pcap.ring[0]);
 
     // The fixed-cost map read (§4.3: 4.3 ms regardless of packet count).
-    let read_ns = {
-        let t0 = std::time::Instant::now();
-        let reads = 200;
-        for _ in 0..reads {
-            black_box(full.read(0));
-        }
-        t0.elapsed().as_nanos() as f64 / reads as f64
-    };
+    let read_ns = time_per_op(200, |_| {
+        black_box(full.read(0));
+    });
 
     let mut r = Report::new("perf", &["operation", "ns_per_op", "paper_ns"]);
     r.row(&["record (all features)".into(), f3(ns_full), "88".into()]);

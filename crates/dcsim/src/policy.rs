@@ -13,7 +13,7 @@
 //!   threshold is computed by an exact integer emulation of the old
 //!   `(alpha * free as f64) as u64` (see [`DtAlpha::threshold`]), so
 //!   existing seeds reproduce byte-identical traces while the enqueue
-//!   path stays float-free for simlint's float-determinism roots.
+//!   path stays integer arithmetic.
 //! * [`FlexibleBounds`] — FB-style sharing (Apostolaki et al., arXiv
 //!   2105.10553): every queue keeps a guaranteed floor of the shared
 //!   pool, and above the floor its ceiling is the even split of the
@@ -32,8 +32,8 @@
 //! Dispatch is by enum ([`ActivePolicy`]), never `Box<dyn>`: the
 //! admission test runs per packet and must not allocate. The match
 //! arms call the impls by explicit path (`DtAlpha::admit(p, ..)`) so
-//! simlint's call-graph resolution follows the hot-path and
-//! float-determinism facts through every implementation.
+//! simlint's call-graph resolution follows the hot-path facts through
+//! every implementation.
 //!
 //! Forensics stay policy-agnostic: [`AdmitDecision`] always carries
 //! the governing threshold, which the switch records verbatim in each

@@ -6,7 +6,7 @@
 //! and `BurstRow`s directly — over a lake of any size, holding at most
 //! one chunk per open column.
 
-use crate::query::{Batch, Operator, TableScan};
+use crate::query::{Batch, TableScan};
 use crate::segment::TableKind;
 use crate::writer::Lake;
 use crate::LakeError;

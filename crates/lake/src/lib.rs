@@ -17,9 +17,9 @@
 //! - [`writer`] — [`LakeWriter`]: shard creation plus deterministic
 //!   grid-order compaction into final segments. Identical `(spec, seed)`
 //!   sweeps produce byte-identical lakes regardless of worker count.
-//! - [`query`] — pull-based streaming operators ([`TableScan`],
-//!   [`RowFilter`]) that hold at most one chunk per open column, so
-//!   queries run over lakes larger than memory.
+//! - [`query`] — the pull-based streaming [`TableScan`], which holds at
+//!   most one chunk per open column, so queries run over lakes larger
+//!   than memory.
 //! - [`analyses`] — the paper's aggregations (contention bimodality,
 //!   burst-size CDFs, loss-vs-contention) recomputed out-of-core,
 //!   bit-for-bit equal to the in-memory `ms_analysis` fold.
@@ -39,7 +39,7 @@ pub use analyses::{
     lake_sweep_aggregate, lake_tier_drops, outcomes_csv, policy_compare_csv, synth_diurnal_series,
     tiers_csv, CellAttribution, CellTierDrops, PolicyCompare,
 };
-pub use query::{for_each_row, Batch, ColumnRange, Operator, RowFilter, ScanStats, TableScan};
+pub use query::{for_each_row, Batch, ColumnRange, ScanStats, TableScan};
 pub use segment::{
     verify_segment_bytes, ColumnReader, ColumnWriter, SegmentReader, SegmentWriter, TableKind,
 };

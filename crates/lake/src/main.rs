@@ -17,6 +17,10 @@
 //! `BENCH_lake.json` compression/scan-rate artifact the CI gate checks.
 //! Timing and process-environment reads live only in this binary; the
 //! library stays deterministic (simlint enforces the split).
+//!
+//! Exit status: 0 on success, 1 when a command fails (an unreadable or
+//! corrupt lake, a write error), 2 on a usage error (unknown command or
+//! flag, bad or missing value), which also prints the `--help` hint.
 
 use ms_lake::segment::verify_segment_bytes;
 use ms_lake::{
@@ -25,29 +29,59 @@ use ms_lake::{
 };
 use ms_lake::{CellRows, LakeError};
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();
-        return;
+        return ExitCode::SUCCESS;
     }
-    let cmd = args[0].as_str();
-    let result = match cmd {
-        "synth" => cmd_synth(&args[1..]),
-        "compact" => cmd_compact(&args[1..]),
-        "query" => cmd_query(&args[1..]),
-        "stat" => cmd_stat(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        other => Err(format!("unknown command {other:?}")),
+    let (cmd, opts) = match command(&args[0]).and_then(|c| Ok((c, parse_opts(&args[1..])?))) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("lake: {msg}");
+            eprintln!("lake: try --help");
+            return ExitCode::from(2);
+        }
     };
-    if let Err(msg) = result {
-        eprintln!("lake: {msg}");
-        eprintln!("lake: try --help");
-        std::process::exit(2);
+    match cmd(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("lake: {msg}");
+            ExitCode::from(1)
+        }
     }
 }
+
+/// A subcommand, run once its options parsed.
+type Command = fn(&Opts) -> Result<(), String>;
+
+fn command(name: &str) -> Result<Command, String> {
+    match name {
+        "synth" => Ok(cmd_synth),
+        "compact" => Ok(cmd_compact),
+        "query" => Ok(cmd_query),
+        "stat" => Ok(cmd_stat),
+        "bench" => Ok(cmd_bench),
+        other => Err(format!("unknown command {other:?}")),
+    }
+}
+
+/// A `query --report` kind: the out-of-core fold that renders its CSV.
+type Report = fn(&Lake) -> Result<String, LakeError>;
+
+const REPORTS: [(&str, Report); 6] = [
+    ("aggregate", |lake| {
+        lake_sweep_aggregate(lake).map(|a| a.to_csv())
+    }),
+    ("outcomes", outcomes_csv),
+    ("forensics", ms_lake::forensics_csv),
+    ("attribution", ms_lake::attribution_csv),
+    ("tiers", ms_lake::tiers_csv),
+    ("policy-compare", ms_lake::policy_compare_csv),
+];
 
 /// Flags shared by every subcommand.
 struct Opts {
@@ -60,7 +94,7 @@ struct Opts {
     interval: ms_dcsim::Ns,
     chunk_rows: usize,
     segment_rows: u64,
-    report: String,
+    report: Report,
     out: Option<String>,
     json: Option<String>,
 }
@@ -74,7 +108,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         interval: ms_dcsim::Ns::from_millis(1000),
         chunk_rows: LakeConfig::default().chunk_rows,
         segment_rows: LakeConfig::default().segment_rows,
-        report: String::from("aggregate"),
+        report: REPORTS[0].1,
         out: None,
         json: None,
     };
@@ -97,7 +131,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--segment-rows" => {
                 o.segment_rows = parse_num(value("--segment-rows")?, "--segment-rows")?;
             }
-            "--report" => o.report = value("--report")?.clone(),
+            "--report" => {
+                let name = value("--report")?;
+                o.report = REPORTS
+                    .iter()
+                    .find(|(kind, _)| kind == name)
+                    .map(|&(_, report)| report)
+                    .ok_or_else(|| {
+                        let kinds = REPORTS.map(|(kind, _)| kind).join("/");
+                        format!("--report: {name:?} is not {kinds}")
+                    })?;
+            }
             "--out" => o.out = Some(value("--out")?.clone()),
             "--json" => o.json = Some(value("--json")?.clone()),
             other => return Err(format!("unknown flag {other:?}")),
@@ -117,9 +161,8 @@ fn lake_cfg(o: &Opts) -> LakeConfig {
 }
 
 /// Writes the synthetic diurnal corpus as one lake cell and compacts.
-fn cmd_synth(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let manifest = synth_lake(&o).map_err(|e| e.to_string())?;
+fn cmd_synth(o: &Opts) -> Result<(), String> {
+    let manifest = synth_lake(o).map_err(|e| e.to_string())?;
     print!("{}", manifest.to_csv());
     Ok(())
 }
@@ -140,32 +183,16 @@ fn synth_lake(o: &Opts) -> Result<ms_lake::LakeManifest, LakeError> {
     writer.compact()
 }
 
-fn cmd_compact(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let writer = LakeWriter::create(&o.dir, lake_cfg(&o)).map_err(|e| e.to_string())?;
+fn cmd_compact(o: &Opts) -> Result<(), String> {
+    let writer = LakeWriter::create(&o.dir, lake_cfg(o)).map_err(|e| e.to_string())?;
     let manifest = writer.compact().map_err(|e| e.to_string())?;
     print!("{}", manifest.to_csv());
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
+fn cmd_query(o: &Opts) -> Result<(), String> {
     let lake = Lake::open(&o.dir).map_err(|e| e.to_string())?;
-    let text = match o.report.as_str() {
-        "aggregate" => lake_sweep_aggregate(&lake)
-            .map_err(|e| e.to_string())?
-            .to_csv(),
-        "outcomes" => outcomes_csv(&lake).map_err(|e| e.to_string())?,
-        "forensics" => ms_lake::forensics_csv(&lake).map_err(|e| e.to_string())?,
-        "attribution" => ms_lake::attribution_csv(&lake).map_err(|e| e.to_string())?,
-        "tiers" => ms_lake::tiers_csv(&lake).map_err(|e| e.to_string())?,
-        "policy-compare" => ms_lake::policy_compare_csv(&lake).map_err(|e| e.to_string())?,
-        other => {
-            return Err(format!(
-                "--report: {other:?} is not aggregate/outcomes/forensics/attribution/tiers/policy-compare"
-            ))
-        }
-    };
+    let text = (o.report)(&lake).map_err(|e| e.to_string())?;
     match &o.out {
         Some(path) => std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}")),
         None => {
@@ -177,8 +204,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
 /// Prints the manifest and fully verifies every segment (all checksums,
 /// every value decoded, footer min/max cross-checked).
-fn cmd_stat(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
+fn cmd_stat(o: &Opts) -> Result<(), String> {
     let lake = Lake::open(&o.dir).map_err(|e| e.to_string())?;
     print!("{}", lake.manifest.to_csv());
     for e in &lake.manifest.entries {
@@ -199,8 +225,7 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
 /// Builds the diurnal corpus, then measures compression (vs raw
 /// column bytes and vs the row-oriented millisampler codec) and
 /// out-of-core scan rate. Writes `BENCH_lake.json`.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
+fn cmd_bench(o: &Opts) -> Result<(), String> {
     let series = synth_diurnal_series(o.seed, o.hosts, o.buckets, o.interval);
     let rows: u64 = series.iter().map(|s| s.len() as u64).sum();
     let raw_bytes = rows * 8 * TableKind::Series.columns().len() as u64;
@@ -209,7 +234,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         .map(|s| millisampler::codec::encode(s).len() as u64)
         .sum();
 
-    let writer = LakeWriter::create(&o.dir, lake_cfg(&o)).map_err(|e| e.to_string())?;
+    let writer = LakeWriter::create(&o.dir, lake_cfg(o)).map_err(|e| e.to_string())?;
     let mut shard = writer
         .shard_writer_named("bench")
         .map_err(|e| e.to_string())?;

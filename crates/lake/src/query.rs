@@ -1,13 +1,12 @@
-//! Pull-based streaming operators over a compacted lake.
+//! Pull-based streaming scans over a compacted lake.
 //!
-//! The operator model is deliberately small: an [`Operator`] yields
-//! column-major [`Batch`]es of at most one chunk, pulled by the
-//! consumer. [`TableScan`] is the leaf — it walks a table's segments in
-//! manifest order, skips chunks whose footer `(min, max)` ranges prove
-//! no row can match ([`ColumnRange`] predicate pushdown), verifies each
-//! surviving chunk's checksum, and decodes only the projected columns.
-//! [`RowFilter`] applies an exact row predicate downstream of the
-//! pushdown. Terminal folds ([`for_each_row`]) drive the pull loop.
+//! The model is deliberately small: a [`TableScan`] yields column-major
+//! [`Batch`]es of at most one chunk, pulled by the consumer. It walks a
+//! table's segments in manifest order, skips chunks whose footer
+//! `(min, max)` ranges prove no row can match ([`ColumnRange`]
+//! predicate pushdown), verifies each surviving chunk's checksum, and
+//! decodes only the projected columns. The terminal fold
+//! ([`for_each_row`]) drives the pull loop.
 //!
 //! Memory is bounded by construction: a scan holds one chunk record
 //! buffer plus the decoded projected columns of that one chunk —
@@ -71,13 +70,6 @@ pub struct ScanStats {
     pub peak_resident_rows: u64,
 }
 
-/// A pull-based operator: fills `out` with the next batch, `Ok(false)`
-/// at end of stream.
-pub trait Operator {
-    /// Pulls the next batch into `out` (reusing its allocations).
-    fn next_batch(&mut self, out: &mut Batch) -> Result<bool, LakeError>;
-}
-
 /// An inclusive value range on one (on-disk) column; chunks whose
 /// footer `(min, max)` cannot intersect it are skipped unread.
 #[derive(Debug, Clone, Copy)]
@@ -97,8 +89,8 @@ impl ColumnRange {
     }
 }
 
-/// The leaf operator: a projected, pushdown-filtered scan of one table
-/// across every segment of a lake.
+/// A projected, pushdown-filtered scan of one table across every
+/// segment of a lake.
 #[derive(Debug)]
 pub struct TableScan {
     paths: Vec<PathBuf>,
@@ -168,10 +160,10 @@ impl TableScan {
     pub fn stats(&self) -> ScanStats {
         self.stats
     }
-}
 
-impl Operator for TableScan {
-    fn next_batch(&mut self, out: &mut Batch) -> Result<bool, LakeError> {
+    /// Pulls the next non-empty batch into `out` (reusing its
+    /// allocations); `Ok(false)` at end of stream.
+    pub fn next_batch(&mut self, out: &mut Batch) -> Result<bool, LakeError> {
         loop {
             if self.reader.is_none() {
                 let Some(path) = self.paths.get(self.seg_idx) else {
@@ -228,62 +220,14 @@ impl Operator for TableScan {
     }
 }
 
-/// Exact row-level filter over an upstream operator. The predicate sees
-/// the upstream batch and a row index; kept rows are copied into the
-/// output batch (still at most one chunk resident).
-#[derive(Debug)]
-pub struct RowFilter<Op, F> {
-    input: Op,
-    pred: F,
-    tmp: Batch,
-}
-
-impl<Op: Operator, F: FnMut(&Batch, usize) -> bool> RowFilter<Op, F> {
-    /// Wraps `input`, keeping rows where `pred` returns true.
-    pub fn new(input: Op, pred: F) -> Self {
-        RowFilter {
-            input,
-            pred,
-            tmp: Batch::new(),
-        }
-    }
-
-    /// The wrapped operator (for reading scan stats afterwards).
-    pub fn inner(&self) -> &Op {
-        &self.input
-    }
-}
-
-impl<Op: Operator, F: FnMut(&Batch, usize) -> bool> Operator for RowFilter<Op, F> {
-    fn next_batch(&mut self, out: &mut Batch) -> Result<bool, LakeError> {
-        loop {
-            if !self.input.next_batch(&mut self.tmp)? {
-                return Ok(false);
-            }
-            out.reset(self.tmp.cols.len());
-            for row in 0..self.tmp.rows {
-                if (self.pred)(&self.tmp, row) {
-                    for (dst, src) in out.cols.iter_mut().zip(&self.tmp.cols) {
-                        dst.push(src[row]);
-                    }
-                    out.rows += 1;
-                }
-            }
-            if out.rows > 0 {
-                return Ok(true);
-            }
-        }
-    }
-}
-
-/// Terminal fold: pulls every batch out of `op` and calls `f` once per
-/// row.
-pub fn for_each_row<Op: Operator>(
-    op: &mut Op,
+/// Terminal fold: pulls every batch out of `scan` and calls `f` once
+/// per row.
+pub fn for_each_row(
+    scan: &mut TableScan,
     mut f: impl FnMut(&Batch, usize),
 ) -> Result<(), LakeError> {
     let mut batch = Batch::new();
-    while op.next_batch(&mut batch)? {
+    while scan.next_batch(&mut batch)? {
         for row in 0..batch.rows {
             f(&batch, row);
         }
@@ -385,24 +329,6 @@ mod tests {
         let stats = scan.stats();
         assert_eq!(stats.chunks_read, 2);
         assert_eq!(stats.chunks_skipped, 6);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn row_filter_applies_exact_predicate_after_pushdown() {
-        let dir = temp_dir("filter");
-        let lake = series_lake(&dir, 4, 16, 8);
-        let bucket_col = TableKind::Series.column("bucket").unwrap();
-        let scan = TableScan::new(&lake, TableKind::Series, &[bucket_col], Vec::new()).unwrap();
-        let mut filter = RowFilter::new(scan, |b, r| b.value(0, r) % 2 == 0);
-        let mut rows = 0u64;
-        for_each_row(&mut filter, |b, r| {
-            assert_eq!(b.value(0, r) % 2, 0);
-            rows += 1;
-        })
-        .unwrap();
-        assert_eq!(rows, 4 * 8);
-        assert_eq!(filter.inner().stats().rows_scanned, 64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

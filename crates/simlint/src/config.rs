@@ -38,7 +38,7 @@ pub struct Config {
     pub crates: Vec<String>,
     /// Crates in `crates` where the determinism + cast rules do not
     /// apply (bench harnesses legitimately read the wall clock; simlint
-    /// itself names the forbidden idents). The hot-path, float and
+    /// itself names the forbidden idents). The hot-path and
     /// suppression-audit passes still run there.
     pub relaxed: Vec<String>,
     /// Path prefixes skipped entirely (lint-pass fixture sources).
@@ -49,10 +49,6 @@ pub struct Config {
     /// their documented contract (`ShardQueue::next` parks on its
     /// deque by design).
     pub may_block: Vec<String>,
-    /// `Type::function` names whose whole call tree must be float-free
-    /// (the float-determinism pass): event scheduling, trace emission,
-    /// link serialization.
-    pub float_roots: Vec<String>,
     /// File-level suppressions.
     pub allow: Vec<FileAllow>,
     /// `Type::function` event-queue insertion points checked by the
@@ -97,7 +93,6 @@ impl Config {
                 ("scan", "exclude") => cfg.exclude = values,
                 ("hotpath", "functions") => cfg.hot_functions = values,
                 ("hotpath", "may_block") => cfg.may_block = values,
-                ("float", "roots") => cfg.float_roots = values,
                 ("monotonic", "sinks") => cfg.monotonic_sinks = values,
                 ("allow", "rules") => {
                     for entry in values {
@@ -226,9 +221,6 @@ functions = [
     "EventQueue::pop",
 ]
 
-[float]
-roots = ["EventQueue::schedule"]
-
 [monotonic]
 sinks = ["EventQueue::schedule", "DrainSlot::pulled"]
 
@@ -239,7 +231,6 @@ rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
         .unwrap();
         assert_eq!(cfg.crates, ["crates/dcsim", "crates/millisampler"]);
         assert_eq!(cfg.hot_functions, ["TcFilter::record", "EventQueue::pop"]);
-        assert_eq!(cfg.float_roots, ["EventQueue::schedule"]);
         assert_eq!(
             cfg.monotonic_sinks,
             ["EventQueue::schedule", "DrainSlot::pulled"]
@@ -251,6 +242,13 @@ rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
     #[test]
     fn rejects_unknown_keys() {
         assert!(Config::parse("[scan]\nfoo = \"bar\"\n").is_err());
+        // The float pass is gone; a config still listing its roots
+        // fails at that line rather than being half-read.
+        assert_eq!(
+            Config::parse("[scan]\ncrates = [\"a\"]\n[float]\nroots = [\"Q::schedule\"]\n")
+                .unwrap_err(),
+            "line 4: unknown key `roots` in table `[float]`"
+        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Diagnostics: the finding type, fingerprints, and the two output
-//! formats.
+//! Diagnostics: the finding type and the two output formats.
 
 use std::fmt::Write as _;
 
@@ -22,10 +21,6 @@ pub struct Diagnostic {
     /// function to the offending construct, outermost first. Each step
     /// reads `` `Ty::fn` (file:line) ``.
     pub chain: Vec<String>,
-    /// Stable identity for baseline diffing — FNV-1a 64 over the
-    /// position-independent content, `#k`-suffixed for duplicates.
-    /// Assigned once per run by [`crate::baseline::assign_fingerprints`].
-    pub fingerprint: String,
 }
 
 impl Diagnostic {
@@ -45,7 +40,6 @@ impl Diagnostic {
             message: message.into(),
             hint: hint.into(),
             chain: Vec::new(),
-            fingerprint: String::new(),
         }
     }
 
@@ -54,45 +48,6 @@ impl Diagnostic {
         self.chain = chain;
         self
     }
-
-    /// The position-independent content hashed into the fingerprint.
-    /// Line/column positions are stripped so findings survive unrelated
-    /// edits above them; rule + file + message + chain shape remain.
-    pub fn fingerprint_seed(&self) -> String {
-        let mut seed = format!("{}\x1f{}\x1f{}", self.rule, self.file, self.message);
-        for step in &self.chain {
-            seed.push('\x1f');
-            seed.push_str(&strip_positions(step));
-        }
-        seed
-    }
-}
-
-/// Removes `:123`-style position suffixes from a chain step.
-fn strip_positions(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == ':' && chars.peek().is_some_and(char::is_ascii_digit) {
-            while chars.peek().is_some_and(char::is_ascii_digit) {
-                chars.next();
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// FNV-1a 64 — good enough for fingerprint identity and trivially
-/// stable across platforms.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Renders findings for humans: `file:line:col: [rule] message` plus an
@@ -140,7 +95,7 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
             }
             out.push_str(&json_str(step));
         }
-        let _ = write!(out, "],\"fingerprint\":{}}}", json_str(&d.fingerprint));
+        out.push_str("]}");
     }
     let _ = write!(out, "],\"count\":{}}}", diags.len());
     out
@@ -198,20 +153,5 @@ mod tests {
     #[test]
     fn empty_findings_is_valid_json() {
         assert_eq!(render_json(&[]), "{\"findings\":[],\"count\":0}");
-    }
-
-    #[test]
-    fn fingerprint_seed_ignores_positions() {
-        let a =
-            Diagnostic::new("a.rs", 3, 7, "r", "m", "h").with_chain(vec!["`f` (a.rs:10)".into()]);
-        let b =
-            Diagnostic::new("a.rs", 99, 1, "r", "m", "h").with_chain(vec!["`f` (a.rs:42)".into()]);
-        assert_eq!(a.fingerprint_seed(), b.fingerprint_seed());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vector() {
-        // FNV-1a 64 of "a" per the published reference implementation.
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -12,7 +12,7 @@
 
 /// `(rule, rationale, example diagnostic)` for every rule, v1 through
 /// v4, sorted by analyzer generation then roughly by pass.
-pub const ALL_RULES: [(&str, &str, &str); 14] = [
+pub const ALL_RULES: [(&str, &str, &str); 12] = [
     (
         "hash-collections",
         "HashMap/HashSet iteration order depends on RandomState's per-process seed, so any \
@@ -95,25 +95,6 @@ pub const ALL_RULES: [(&str, &str, &str); 14] = [
          hint: the finding it excused is gone — delete the suppression",
     ),
     (
-        "float-determinism",
-        "Float rounding differs across platforms and optimization levels (FMA contraction, \
-         libm variance), so one f64 on a scheduling path forks the timeline between machines. \
-         Functions under [float] roots and everything they call must stay in integer ns.",
-        "crates/workload/src/sim.rs:205:40: [float-determinism] scheduling-path function \
-         `EventQueue::schedule` uses floats via `Rng::exp`\n    \
-         hint: float rounding is platform/opt-level dependent; scheduling math must stay in \
-         integer Ns/Bytes/Bps (u128 ceil-division for rate conversions) — floats are for \
-         reporting only",
-    ),
-    (
-        "float-root-missing",
-        "A `[float]` root naming a vanished function means float-determinism checking silently \
-         stopped covering that path.",
-        "simlint.toml:1:1: [float-root-missing] configured float root `Trace::emit` was not \
-         found in any scanned file\n    \
-         hint: a rename silently disables its coverage — update [float] roots",
-    ),
-    (
         "non-monotonic-schedule",
         "An event scheduled at a timestamp not provably >= now violates causality: the engine \
          either panics, silently reorders, or — worst — processes the past after the future, \
@@ -175,8 +156,8 @@ mod tests {
 
     #[test]
     fn explain_formats_known_and_rejects_unknown() {
-        let text = explain("float-determinism").expect("registered");
-        assert!(text.starts_with("[float-determinism]"), "{text}");
+        let text = explain("non-monotonic-schedule").expect("registered");
+        assert!(text.starts_with("[non-monotonic-schedule]"), "{text}");
         assert!(text.contains("example:"), "{text}");
         assert!(explain("nonexistent").is_none());
         // Deleted passes' rules must not linger.
@@ -185,6 +166,8 @@ mod tests {
             "unit-mismatch",
             "unchecked-scale",
             "lock-cycle",
+            "float-determinism",
+            "float-root-missing",
         ] {
             assert!(explain(gone).is_none(), "{gone}");
         }

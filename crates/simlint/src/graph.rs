@@ -22,43 +22,25 @@
 use crate::parser::{Block, CallKind, CallSite, FnDef, Node};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The propagated facts. The first three drive the hot-path pass;
-/// `Float` (may reach floating-point math) drives the
-/// float-determinism pass and is seeded from the token stream by
-/// [`crate::floatflow`] rather than the intrinsic call tables.
+/// The propagated facts, each driving one hot-path rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Fact {
     Panic,
     Alloc,
     Block,
-    Float,
 }
 
 /// Number of propagated facts (the width of [`FnNode::trans`]).
-pub const N_FACTS: usize = 4;
+pub const N_FACTS: usize = 3;
 
 impl Fact {
-    /// The hot-path facts — [`Fact::Float`] deliberately excluded; it
-    /// has its own pass with its own roots.
-    pub const ALL: [Fact; 3] = [Fact::Panic, Fact::Alloc, Fact::Block];
-    /// Every fact the fixpoint engine propagates.
-    pub const PROPAGATED: [Fact; N_FACTS] = [Fact::Panic, Fact::Alloc, Fact::Block, Fact::Float];
-
-    pub fn verb(self) -> &'static str {
-        match self {
-            Fact::Panic => "panic",
-            Fact::Alloc => "allocate",
-            Fact::Block => "block",
-            Fact::Float => "use floats",
-        }
-    }
+    pub const ALL: [Fact; N_FACTS] = [Fact::Panic, Fact::Alloc, Fact::Block];
 
     pub fn rule(self) -> &'static str {
         match self {
             Fact::Panic => "hot-path-panic",
             Fact::Alloc => "hot-path-alloc",
             Fact::Block => "hot-path-block",
-            Fact::Float => "float-determinism",
         }
     }
 }
@@ -347,21 +329,10 @@ impl CallGraph {
         }
     }
 
-    /// Appends extra local facts computed outside the intrinsic tables
-    /// (the token-level float evidence) and re-runs propagation. The
-    /// fixpoint is monotone, so re-propagating after seeding is exact.
-    pub fn add_local_facts(&mut self, mut facts_for: impl FnMut(&FnNode) -> Vec<LocalFact>) {
-        for i in 0..self.nodes.len() {
-            let extra = facts_for(&self.nodes[i]);
-            self.nodes[i].local.extend(extra);
-        }
-        self.propagate();
-    }
-
     /// Fixed-point propagation of every fact caller-ward.
     fn propagate(&mut self) {
         for i in 0..self.nodes.len() {
-            for (f, fact) in Fact::PROPAGATED.iter().enumerate() {
+            for (f, fact) in Fact::ALL.iter().enumerate() {
                 self.nodes[i].trans[f] = self.nodes[i].has_local(*fact);
             }
         }

@@ -24,9 +24,6 @@ fn verb_phrase(fact: Fact) -> &'static str {
         Fact::Panic => "can panic",
         Fact::Alloc => "allocates",
         Fact::Block => "can block",
-        // Float is checked by the dedicated float-determinism pass, not
-        // here; `Fact::ALL` keeps it out of this pass's iteration.
-        Fact::Float => "uses floats",
     }
 }
 
@@ -40,7 +37,6 @@ fn hint(fact: Fact) -> &'static str {
             "the per-packet path must not park the thread; move the lock out of the hot loop \
              or list the fn under [hotpath] may_block if blocking is its contract"
         }
-        Fact::Float => "keep scheduling arithmetic in integer Ns/Bytes/Bps",
     }
 }
 

@@ -15,19 +15,18 @@
 //! * cast safety — no silent `as u8/u16/u32` truncation;
 //! * suppression hygiene — every `allow` must still suppress something
 //!   (see [`suppress`]);
-//! * float determinism — no `f32`/`f64` arithmetic transitively
-//!   reachable from the `[float] roots` scheduling/trace-emission
-//!   functions (see [`floatflow`]);
 //! * time monotonicity — every timestamp handed to a `[monotonic]
-//!   sinks` function is provably `now + positive delta` (see
+//!   sinks` function is provably `now + positive delta`, with no
+//!   subtraction, raw literal or float round-trip on the way (see
 //!   [`monotonic`]).
 //!
 //! Dimensions and lock discipline are not lint passes: the
-//! `Ns`/`Bytes`/`Bps` newtypes make mixing units a type error, and
-//! `ShardQueue`'s only lock site returns a value, never a guard.
+//! `Ns`/`Bytes`/`Bps` newtypes make mixing units a type error (and keep
+//! time, volume and rate integral), and `ShardQueue`'s only lock site
+//! returns a value, never a guard.
 //!
 //! Run it with `cargo run -p simlint -- --deny` (CI adds
-//! `--baseline simlint.baseline`). Rules are configured in the
+//! `--bench BENCH_simlint.json`). Rules are configured in the
 //! checked-in `simlint.toml`; one-off exceptions use
 //! `// simlint: allow(rule-id): reason` on or above the offending line.
 //! See `DESIGN.md` § "Invariants & static analysis".
@@ -37,11 +36,9 @@
 //! a workspace-wide call [`graph`]. Keeping `syn` out keeps the
 //! workspace building offline.
 
-pub mod baseline;
 pub mod config;
 pub mod diag;
 pub mod explain;
-pub mod floatflow;
 pub mod graph;
 pub mod hotpath;
 pub mod lexer;
@@ -64,22 +61,17 @@ pub struct Stats {
     pub files_scanned: usize,
     pub fns_in_graph: usize,
     pub resolved_calls: usize,
-    /// Functions that locally use or transitively reach float
-    /// arithmetic.
-    pub float_tainted_fns: usize,
     /// Schedule-sink call sites audited by the monotonicity pass.
     pub monotonic_sites: usize,
     /// Per-pass wall times in milliseconds.
     pub hotpath_ms: f64,
-    pub float_ms: f64,
     pub monotonic_ms: f64,
 }
 
 /// The result of one full analysis.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Findings, sorted by (file, line, col, rule), fingerprints
-    /// assigned.
+    /// Findings, sorted by (file, line, col, rule).
     pub diags: Vec<Diagnostic>,
     pub stats: Stats,
 }
@@ -137,9 +129,8 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
                 crate_dir.clone(),
                 parser::parse_file(&lexed.toks).fns,
             ));
-            // The float and monotonic passes re-walk raw tokens
-            // (operators and literals are not in the statement tree),
-            // so keep them.
+            // The monotonic pass re-walks raw tokens (operators and
+            // literals are not in the statement tree), so keep them.
             tokens.insert(rel, lexed.toks);
             stats.files_scanned += 1;
         }
@@ -148,29 +139,14 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
         return Err("no .rs files scanned — check [scan] crates in simlint.toml".into());
     }
 
-    let mut graph = CallGraph::build(parsed_files);
-    // Token-level float evidence becomes a fourth propagated fact
-    // before the graph is handed to the passes.
-    graph.add_local_facts(|node| {
-        tokens
-            .get(&node.file)
-            .map_or_else(Vec::new, |toks| floatflow::float_evidence(toks, &node.def))
-    });
+    let graph = CallGraph::build(parsed_files);
     stats.fns_in_graph = graph.nodes.len();
     stats.resolved_calls = graph.resolved_edges;
-    stats.float_tainted_fns = graph
-        .nodes
-        .iter()
-        .filter(|n| n.trans[graph::Fact::Float as usize])
-        .count();
 
     let ms = |t0: std::time::Instant| t0.elapsed().as_secs_f64() * 1e3;
     let t0 = std::time::Instant::now();
     raw.extend(hotpath::hotpath_pass(&graph, cfg));
     stats.hotpath_ms = ms(t0);
-    let t0 = std::time::Instant::now();
-    raw.extend(floatflow::float_pass(&graph, cfg));
-    stats.float_ms = ms(t0);
     let t0 = std::time::Instant::now();
     let (mono_diags, mono_stats) = monotonic::monotonic_pass(&graph, &tokens, cfg);
     raw.extend(mono_diags);
@@ -183,7 +159,6 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     diags.extend(suppressions.unused());
 
     diags.sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
-    baseline::assign_fingerprints(&mut diags);
     Ok(Analysis { diags, stats })
 }
 

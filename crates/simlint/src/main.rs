@@ -1,9 +1,8 @@
 //! CLI: `cargo run -p simlint -- [--deny] [--json] [--root DIR]
-//! [--config FILE] [--baseline FILE] [--write-baseline FILE]
-//! [--bench FILE] [--explain RULE]`.
+//! [--config FILE] [--bench FILE] [--explain RULE]`.
 //!
 //! Exit status: 0 when clean (or merely warning), 1 when `--deny` and
-//! non-baselined findings exist, 2 on usage/config errors.
+//! findings exist, 2 on usage/config errors.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -22,8 +21,6 @@ struct Args {
     json: bool,
     root: PathBuf,
     config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     bench: Option<PathBuf>,
     explain: Option<String>,
 }
@@ -34,8 +31,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         root: PathBuf::from("."),
         config: None,
-        baseline: None,
-        write_baseline: None,
         bench: None,
         explain: None,
     };
@@ -50,14 +45,6 @@ fn parse_args() -> Result<Args, String> {
             "--config" => {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config needs a file")?));
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?));
-            }
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(
-                    it.next().ok_or("--write-baseline needs a file")?,
-                ));
-            }
             "--bench" => {
                 args.bench = Some(PathBuf::from(it.next().ok_or("--bench needs a file")?));
             }
@@ -66,19 +53,15 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "simlint — determinism, hot-path, float-determinism and \
-                     time-monotonicity invariants\n\n\
+                    "simlint — determinism, hot-path and time-monotonicity invariants\n\n\
                      USAGE: simlint [--deny] [--json] [--root DIR] [--config FILE]\n\
-                     \x20              [--baseline FILE] [--write-baseline FILE] [--bench FILE]\n\
-                     \x20              [--explain RULE]\n\n\
-                     --deny            exit nonzero if any non-baselined finding survives\n\
-                     --json            machine-readable output (chains + fingerprints)\n\
-                     --root            workspace root (default: current directory)\n\
-                     --config          config file (default: <root>/simlint.toml)\n\
-                     --baseline        subtract accepted fingerprints from the output\n\
-                     --write-baseline  write current findings as the new baseline, then exit\n\
-                     --bench           write scan-size/timing counters as JSON\n\
-                     --explain         print rationale + example for a rule id, then exit"
+                     \x20              [--bench FILE] [--explain RULE]\n\n\
+                     --deny     exit nonzero if any finding survives\n\
+                     --json     machine-readable output (with call chains)\n\
+                     --root     workspace root (default: current directory)\n\
+                     --config   config file (default: <root>/simlint.toml)\n\
+                     --bench    write scan-size/timing counters as JSON\n\
+                     --explain  print rationale + example for a rule id, then exit"
                 );
                 std::process::exit(0);
             }
@@ -86,22 +69,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Subtracts the accepted fingerprints in `path` (when given) from the
-/// findings; returns the surviving findings and the suppressed count.
-fn apply_baseline(
-    diags: Vec<simlint::Diagnostic>,
-    path: Option<&std::path::Path>,
-) -> Result<(Vec<simlint::Diagnostic>, usize), String> {
-    let Some(path) = path else {
-        return Ok((diags, 0));
-    };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let fps = simlint::baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let (new, old) = simlint::baseline::split(diags, &fps);
-    Ok((new, old.len()))
 }
 
 fn main() -> ExitCode {
@@ -155,16 +122,14 @@ fn main() -> ExitCode {
         let s = analysis.stats;
         let json = format!(
             "{{\"files_scanned\":{},\"fns_in_call_graph\":{},\"resolved_calls\":{},\
-             \"float_tainted_fns\":{},\"monotonic_sites\":{},\
-             \"pass_ms\":{{\"hotpath\":{:.3},\"float\":{:.3},\"monotonic\":{:.3}}},\
+             \"monotonic_sites\":{},\
+             \"pass_ms\":{{\"hotpath\":{:.3},\"monotonic\":{:.3}}},\
              \"wall_ms\":{wall_ms:.3}}}\n",
             s.files_scanned,
             s.fns_in_graph,
             s.resolved_calls,
-            s.float_tainted_fns,
             s.monotonic_sites,
             s.hotpath_ms,
-            s.float_ms,
             s.monotonic_ms
         );
         if let Err(e) = std::fs::write(path, json) {
@@ -172,27 +137,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if let Some(path) = &args.write_baseline {
-        let text = simlint::baseline::render(&analysis.diags);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("simlint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "simlint: wrote {} fingerprint{} to {}",
-            analysis.diags.len(),
-            if analysis.diags.len() == 1 { "" } else { "s" },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let (diags, baselined) = match apply_baseline(analysis.diags, args.baseline.as_deref()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("simlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let diags = analysis.diags;
     if args.json {
         emit(&simlint::render_json(&diags));
         emit("\n");
@@ -208,12 +153,6 @@ fn main() -> ExitCode {
                 if args.deny { " (denied)" } else { "" }
             );
         }
-    }
-    if baselined > 0 {
-        eprintln!(
-            "simlint: {baselined} baselined finding{} suppressed",
-            if baselined == 1 { "" } else { "s" }
-        );
     }
     if args.deny && !diags.is_empty() {
         ExitCode::from(1)

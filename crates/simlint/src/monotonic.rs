@@ -13,16 +13,15 @@
 //! * **raw literal** timestamps (absolute times do not compose — a
 //!   second caller with a different epoch reorders the timeline);
 //! * **float round-trips** (`(x as f64 * r) as u64` can round below
-//!   `now`, and rounds differently per platform — the same class of bug
-//!   [`crate::floatflow`] polices on scheduling *roots*, caught here on
-//!   the *values*).
+//!   `now`, and rounds differently per platform), spotted by a token
+//!   detector: `f32`/`f64` mentions, float literals, and float-only
+//!   method calls.
 //!
 //! Unknown provenance stays silent: a timestamp that is just a
 //! parameter or a call result degrades to no finding, never to noise.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::floatflow;
 use crate::graph::CallGraph;
 use crate::lexer::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,6 +51,80 @@ struct Prov {
 }
 
 const SUB_METHODS: [&str; 3] = ["saturating_sub", "checked_sub", "wrapping_sub"];
+
+/// Methods that exist only on `f32`/`f64` (or whose name declares a
+/// float result). `.sqrt()` on an integer does not compile, so seeing
+/// one is proof the receiver is a float.
+const FLOAT_METHODS: [&str; 14] = [
+    "sqrt", "cbrt", "powf", "powi", "ln", "log2", "log10", "exp", "exp2", "mul_add", "recip",
+    "floor", "ceil", "round",
+];
+
+fn is_digits(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit() || b == b'_')
+}
+
+/// `8e9` / `1e` (the head of `1e-9`) — digit-led mantissa, `e`/`E`,
+/// digit-only (possibly empty) exponent. Hex like `0x1e9` fails the
+/// all-digits mantissa test on the `x`.
+fn is_exponent_literal(s: &str) -> bool {
+    let Some(epos) = s.bytes().position(|b| b == b'e' || b == b'E') else {
+        return false;
+    };
+    if epos == 0 || !s.as_bytes()[0].is_ascii_digit() {
+        return false;
+    }
+    is_digits(&s[..epos])
+        && s[epos + 1..]
+            .bytes()
+            .all(|b| b.is_ascii_digit() || b == b'_')
+}
+
+/// The first float evidence in a token slice, described for the
+/// diagnostic: an `f32`/`f64` mention, a float-named conversion
+/// (`as_secs_f64()`), a float-only method call, or a suffixed, exponent
+/// or dotted literal.
+fn first_float_in_slice(body: &[Tok]) -> Option<String> {
+    for (i, t) in body.iter().enumerate() {
+        match t.kind {
+            TokKind::Ident => {
+                if t.text == "f32" || t.text == "f64" {
+                    return Some(format!("`{}`", t.text));
+                }
+                let float_method = FLOAT_METHODS.contains(&t.text.as_str())
+                    && i > 0
+                    && body[i - 1].is_punct('.')
+                    && body.get(i + 1).is_some_and(|n| n.is_punct('('));
+                // `as_secs_f64()` and friends advertise a float result
+                // in their name.
+                if float_method || t.text.ends_with("_f64") || t.text.ends_with("_f32") {
+                    return Some(format!("`.{}()`", t.text));
+                }
+            }
+            TokKind::Literal => {
+                let digit_led = t.text.as_bytes().first().is_some_and(u8::is_ascii_digit);
+                if (digit_led && (t.text.contains("f64") || t.text.contains("f32")))
+                    || is_exponent_literal(&t.text)
+                {
+                    return Some(format!("`{}` literal", t.text));
+                }
+                if is_digits(&t.text)
+                    && body.get(i + 1).is_some_and(|n| n.text == ".")
+                    && body
+                        .get(i + 2)
+                        .is_some_and(|n| n.kind == TokKind::Literal && is_digits(&n.text))
+                    // A leading `.` means we're inside a tuple-index
+                    // chain (`x.0.1`), not a float literal.
+                    && (i == 0 || body[i - 1].text != ".")
+                {
+                    return Some(format!("`{}.{}` literal", t.text, body[i + 2].text));
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
 
 /// Analyzes a token slice, folding in the provenance of any mentioned
 /// binding. One forward pass over bindings-in-source-order is exact for
@@ -83,7 +156,7 @@ fn analyze(slice: &[Tok], env: &BTreeMap<String, Prov>) -> Prov {
         }
     }
     if p.float.is_none() {
-        p.float = floatflow::first_float_in_slice(slice).map(|(_, _, what)| what);
+        p.float = first_float_in_slice(slice);
     }
     p.lit = is_literal_expr(slice);
     p
@@ -422,6 +495,31 @@ mod tests {
             "{QUEUE}#[cfg(test)] mod t {{ fn f(q: &mut Q) {{ q.schedule(100, 1); }} }}"
         ));
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    fn float_in(src: &str) -> Option<String> {
+        first_float_in_slice(&lex(src).toks)
+    }
+
+    #[test]
+    fn exponent_literal_is_float_but_hex_is_not() {
+        assert_eq!(float_in("8e9 as u64").as_deref(), Some("`8e9` literal"));
+        assert_eq!(float_in("0x1e9"), None);
+    }
+
+    #[test]
+    fn tuple_indexing_and_ranges_are_not_literals() {
+        assert_eq!(
+            float_in("let mut s = p.1 .0; for i in 0..10 { s += i } s"),
+            None
+        );
+    }
+
+    #[test]
+    fn float_method_needs_dot_and_call() {
+        // `round` as a free fn name or a bare ident is not evidence.
+        assert_eq!(float_in("round(7) + round"), None);
+        assert_eq!(float_in("x.round()").as_deref(), Some("`.round()`"));
     }
 
     #[test]

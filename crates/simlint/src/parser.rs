@@ -11,8 +11,7 @@
 //!
 //! What the tree preserves, because the passes need it:
 //!
-//! * every function definition with its impl/trait self type, parameter
-//!   names and types, and return-type idents (float evidence);
+//! * every function definition with its impl/trait self type;
 //! * call sites, classified as free calls (`f(..)`), path calls
 //!   (`Ty::f(..)`), or method calls (`recv.f(..)`) with a normalized
 //!   receiver text (`self.deques[_]`), so `self.m()` resolves against
@@ -42,22 +41,14 @@ pub struct FnDef {
     /// 1-based position of the `fn` keyword.
     pub line: u32,
     pub col: u32,
-    /// Type idents of each named parameter, space-joined (`"Ns"`,
-    /// `"Vec FlowId"`; empty for `self` receivers), best effort —
-    /// tuple/struct patterns contribute nothing. The float pass reads
-    /// `f32`/`f64` mentions from these.
-    pub param_types: Vec<String>,
-    /// Identifiers appearing in the return type, space-joined
-    /// (`"Vec f64"`). Empty when the function returns `()`.
-    pub ret: String,
     /// Whether the function sits inside `#[cfg(test)]` or carries
     /// `#[test]`.
     pub in_cfg_test: bool,
     pub body: Block,
     /// Token-index span `[start, end)` of the body within the file's
-    /// token stream, `(0, 0)` for bodyless signatures. The token-level
-    /// passes (float, monotonic) re-walk this range — the
-    /// statement tree drops operators and literals.
+    /// token stream, `(0, 0)` for bodyless signatures. The monotonic
+    /// pass re-walks this range — the statement tree drops operators
+    /// and literals.
     pub body_range: (usize, usize),
 }
 
@@ -376,31 +367,10 @@ impl Parser<'_> {
         if punct_at(self.toks, j, '<') {
             j = skip_angles(self.toks, j);
         }
-        let mut param_types = Vec::new();
         if punct_at(self.toks, j, '(') {
-            let close = matching(self.toks, j, '(', ')').unwrap_or(end);
-            param_types = self.param_list(j + 1, close.min(end));
-            j = close + 1;
+            j = matching(self.toks, j, '(', ')').unwrap_or(end) + 1;
         }
-        // Return type: idents between `->` and the body/`;`/`where`.
-        let mut ret = String::new();
-        if punct_at(self.toks, j, '-') && punct_at(self.toks, j + 1, '>') {
-            j += 2;
-            while j < end {
-                let t = &self.toks[j];
-                if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
-                    break;
-                }
-                if t.kind == TokKind::Ident {
-                    if !ret.is_empty() {
-                        ret.push(' ');
-                    }
-                    ret.push_str(&t.text);
-                }
-                j += 1;
-            }
-        }
-        // `where` clause up to the body.
+        // Return type and `where` clause up to the body.
         while j < end && !punct_at(self.toks, j, '{') && !punct_at(self.toks, j, ';') {
             j += 1;
         }
@@ -419,76 +389,11 @@ impl Parser<'_> {
             name,
             line,
             col,
-            param_types,
-            ret,
             in_cfg_test: in_test,
             body,
             body_range,
         });
         next
-    }
-
-    /// The type idents of each parameter in the token range of a
-    /// parameter list. Segments without a nameable pattern contribute
-    /// nothing.
-    fn param_list(&self, from: usize, end: usize) -> Vec<String> {
-        let mut types = Vec::new();
-        let mut depth = 0i64;
-        let mut seg_start = from;
-        let mut j = from;
-        loop {
-            let at_end = j >= end;
-            let is_comma = !at_end && depth == 0 && punct_at(self.toks, j, ',');
-            if at_end || is_comma {
-                // Idents before the top-level `:` (or the whole segment
-                // for `self` receivers), excluding binding keywords; the
-                // idents after it are the parameter's type.
-                let mut named = false;
-                let mut ty = String::new();
-                let mut past_colon = false;
-                let mut d = 0i64;
-                for k in seg_start..j {
-                    let t = &self.toks[k];
-                    if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                        d += 1;
-                    } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-                        d -= 1;
-                    } else if d == 0 && t.is_punct(':') && !past_colon {
-                        past_colon = true;
-                    } else if t.kind == TokKind::Ident {
-                        if past_colon {
-                            if !matches!(t.text.as_str(), "mut" | "dyn" | "impl") {
-                                if !ty.is_empty() {
-                                    ty.push(' ');
-                                }
-                                ty.push_str(&t.text);
-                            }
-                        } else if d == 0 && !matches!(t.text.as_str(), "mut" | "ref" | "dyn") {
-                            named = true;
-                        }
-                    }
-                }
-                if named {
-                    types.push(ty);
-                }
-                if at_end {
-                    break;
-                }
-                seg_start = j + 1;
-            } else if punct_at(self.toks, j, '(')
-                || punct_at(self.toks, j, '[')
-                || punct_at(self.toks, j, '<')
-            {
-                depth += 1;
-            } else if punct_at(self.toks, j, ')')
-                || punct_at(self.toks, j, ']')
-                || (punct_at(self.toks, j, '>') && !punct_at(self.toks, j - 1, '-'))
-            {
-                depth -= 1;
-            }
-            j += 1;
-        }
-        types
     }
 
     /// Parses the statements of a block body in `[i, end)`.
@@ -869,27 +774,28 @@ mod tests {
         let p = parse("impl Widget { fn poll(&mut self) -> u64 { 0 } fn helper() {} }");
         assert_eq!(p.fns.len(), 2);
         assert_eq!(p.fns[0].qualified(), "Widget::poll");
-        assert_eq!(p.fns[0].param_types, vec![""]);
         assert_eq!(p.fns[1].qualified(), "Widget::helper");
     }
 
     #[test]
     fn free_fn_params_and_ret() {
-        let p = parse("fn rates<T>(m: &Vec<T>) -> std::vec::Vec<f64> { m }");
+        let p = parse("fn rates<T>(m: &Vec<T>) -> std::vec::Vec<f64> { helper(m) }");
+        assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "rates");
-        assert_eq!(p.fns[0].param_types, vec!["Vec T"]);
-        assert!(p.fns[0].ret.contains("f64"));
+        assert_eq!(calls(&p.fns[0].body.stmts[0])[0].name, "helper");
     }
 
     #[test]
-    fn param_types_stay_parallel_to_names() {
-        // One entry per named parameter; a tuple pattern names nothing.
+    fn pattern_params_are_skipped_to_the_body() {
+        // A struct pattern's braces sit inside the parameter list; the
+        // body is the first `{` after it.
         let p = parse(
-            "impl W { fn f(&self, start: Ns, (a, b): (f64, u8), sizes: &[u32], rate: Bps) \
-             -> Bytes { x } }",
+            "impl W { fn f(&self, W { a, b }: W, (c, d): (f64, u8), s: &[u32]) \
+             -> Bytes { helper(a) } }",
         );
-        assert_eq!(p.fns[0].param_types, vec!["", "Ns", "u32", "Bps"]);
-        assert_eq!(p.fns[0].ret, "Bytes");
+        assert_eq!(p.fns.len(), 1);
+        assert_eq!(p.fns[0].qualified(), "W::f");
+        assert_eq!(calls(&p.fns[0].body.stmts[0])[0].name, "helper");
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! becomes an `unused-allow` finding pointing at the directive itself.
 //!
 //! `unused-allow` is deliberately not suppressible by allows — an allow
-//! excusing another allow converges nowhere. A migration period can use
-//! the baseline instead.
+//! excusing another allow converges nowhere.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;

@@ -1,7 +1,7 @@
 //! Rule-by-rule fixture tests: every rule must fire on its bad fixture,
 //! every suppression mechanism (inline allow, file-level config allow,
 //! `tests/` exemption, `#[cfg(test)]` exemption) must suppress, and the
-//! hot-path and float passes must see through call indirection.
+//! hot-path pass must see through call indirection.
 
 use simlint::config::FileAllow;
 use simlint::{analyze, render_json, Config, Diagnostic};
@@ -228,56 +228,6 @@ fn stale_allow_is_flagged_at_its_directive_line() {
     );
 }
 
-#[test]
-fn float_on_scheduling_path_three_hops_deep_carries_full_chain() {
-    let mut cfg = base_config();
-    cfg.float_roots.push("EventQueue::schedule".to_string());
-    let d = run(&cfg);
-    let f = "floatpath/chain.rs";
-    let hit = d
-        .iter()
-        .find(|d| d.file == f && d.rule == "float-determinism")
-        .expect("the f64 three calls down must surface");
-    assert_eq!(hit.line, 11, "anchored at the `self.jitter(...)` call site");
-    assert!(
-        hit.message.contains("`EventQueue::schedule`")
-            && hit.message.contains("via `EventQueue::jitter`"),
-        "{}",
-        hit.message
-    );
-    assert_eq!(
-        hit.chain.len(),
-        4,
-        "root + two hops + construct: {:?}",
-        hit.chain
-    );
-    assert!(hit.chain[0].contains("EventQueue::schedule"));
-    assert!(hit.chain[1].contains("EventQueue::jitter"));
-    assert!(hit.chain[2].contains("EventQueue::scaled"));
-    assert!(hit.chain[3].contains("f64"));
-}
-
-#[test]
-fn float_fixture_is_silent_without_a_configured_root() {
-    let d = run(&base_config());
-    assert!(
-        d.iter().all(|d| d.file != "floatpath/chain.rs"),
-        "no [float] roots configured — nothing may fire: {d:?}"
-    );
-}
-
-#[test]
-fn missing_float_root_is_reported() {
-    let mut cfg = base_config();
-    cfg.float_roots.push("Vanished::gone".to_string());
-    let d = run(&cfg);
-    assert!(
-        d.iter()
-            .any(|d| d.rule == "float-root-missing" && d.message.contains("Vanished::gone")),
-        "renamed-away float roots must be loud: {d:?}"
-    );
-}
-
 fn monotonic_config() -> Config {
     let mut cfg = base_config();
     cfg.monotonic_sinks.push("EventQueue::schedule".to_string());
@@ -357,15 +307,13 @@ fn blocking_recv_reachable_from_hot_root_carries_the_path() {
 }
 
 /// Golden `--json` snapshot over the interprocedural fixtures: the
-/// rendered output — chains, fingerprints, ordering — must match the
+/// rendered output — chains, messages, ordering — must match the
 /// checked-in snapshot byte-for-byte, and a second analysis of the same
-/// tree must render identically (fingerprint stability is what makes
-/// `simlint.baseline` diffing trustworthy).
+/// tree must render identically.
 #[test]
-fn golden_json_snapshot_and_fingerprint_stability() {
+fn golden_json_snapshot_is_byte_stable() {
     let cfg = Config {
         crates: vec![
-            "floatpath".to_string(),
             "monotonic".to_string(),
             "suppress".to_string(),
             "transitive".to_string(),
@@ -375,7 +323,6 @@ fn golden_json_snapshot_and_fingerprint_stability() {
             "Merge::pump".to_string(),
             "Bins::note".to_string(),
         ],
-        float_roots: vec!["EventQueue::schedule".to_string()],
         monotonic_sinks: vec!["EventQueue::schedule".to_string()],
         ..Config::default()
     };

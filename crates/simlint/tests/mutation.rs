@@ -1,8 +1,9 @@
-//! Mutation coverage for the monotonicity pass: plant the exact bug it
-//! exists to catch into otherwise-clean source, and assert the finding
-//! surfaces with the right rule and anchor. The mutation is planted into
-//! a copy of the *real* `EventQueue` so the check exercises the
-//! production event-engine source, not a toy.
+//! Mutation coverage for the monotonicity pass: plant the exact bugs it
+//! exists to catch — a subtracted and a float round-tripped timestamp —
+//! into otherwise-clean source, and assert each finding surfaces with
+//! the right rule and anchor. The mutations are planted into a copy of
+//! the *real* `EventQueue` so the check exercises the production
+//! event-engine source, not a toy.
 
 use simlint::{analyze, Config, Diagnostic};
 use std::path::{Path, PathBuf};
@@ -34,6 +35,11 @@ impl<E> EventQueue<E> {
         let at = Ns(self.now.0 - delta.0);
         self.schedule(at, event);
     }
+
+    pub fn round_trip(&mut self, event: E) {
+        let at = Ns((self.now.0 as f64 * 1.0) as u64);
+        self.schedule(at, event);
+    }
 }
 ";
 
@@ -61,20 +67,23 @@ fn planted_now_minus_delta_in_the_real_event_queue_is_caught() {
         .into_iter()
         .filter(|d| d.rule == "non-monotonic-schedule")
         .collect();
-    assert_eq!(after.len(), 1, "exactly the planted regression: {after:?}");
+    assert_eq!(after.len(), 2, "exactly the planted regressions: {after:?}");
     assert!(
         after[0].message.contains("`EventQueue::regress`")
             && after[0].message.contains("subtraction"),
         "{}",
         after[0].message
     );
-    // Anchored at the planted `self.schedule(...)` sink, five lines
-    // past the pristine file's end (blank, impl, fn, let, call).
-    let planted_line = engine_src().lines().count() as u32 + 5;
-    assert_eq!(
-        (after[0].line, after[0].col),
-        (planted_line, 14),
-        "{:?}",
-        after[0]
+    assert!(
+        after[1].message.contains("`EventQueue::round_trip`")
+            && after[1].message.contains("floating-point math (`f64`)"),
+        "{}",
+        after[1].message
     );
+    // Anchored at the planted `self.schedule(...)` sinks, five and ten
+    // lines past the pristine file's end (blank, impl, fn, let, call,
+    // close, blank, fn, let, call).
+    let end = engine_src().lines().count() as u32;
+    let anchors: Vec<(u32, u32)> = after.iter().map(|d| (d.line, d.col)).collect();
+    assert_eq!(anchors, [(end + 5, 14), (end + 10, 14)], "{after:?}");
 }

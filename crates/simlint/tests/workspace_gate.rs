@@ -55,18 +55,22 @@ fn every_workspace_crate_is_scanned() {
     );
 }
 
-/// `--lp-report` went with the LP-partition pass; a script that still
-/// passes it must get a usage error, not a silently ignored flag.
+/// Retired flags — `--lp-report` went with the LP-partition pass, the
+/// other with the checked-in list of accepted findings — must give a
+/// script that still passes one a usage error, not a silently ignored
+/// flag.
 #[test]
 fn retired_lp_report_flag_is_a_usage_error() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args(["--lp-report", "x"])
-        .output()
-        .expect("simlint binary runs");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown argument \"--lp-report\""),
-        "{stderr}"
-    );
+    for flag in ["--lp-report", "--baseline"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
+            .args([flag, "x"])
+            .output()
+            .expect("simlint binary runs");
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument \"{flag}\"")),
+            "{stderr}"
+        );
+    }
 }

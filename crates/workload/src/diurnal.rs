@@ -13,11 +13,6 @@ pub struct Diurnal {
 }
 
 impl Diurnal {
-    /// Flat profile (no diurnal effect) — used in ablations.
-    pub fn flat() -> Self {
-        Diurnal { weights: [1.0; 24] }
-    }
-
     /// The deployment-like profile: a smooth bump peaking in hours 4–10,
     /// lifting load by roughly 25–30 % at the peak relative to the trough.
     pub fn meta_like() -> Self {
@@ -47,12 +42,6 @@ impl Diurnal {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flat_profile_is_unity() {
-        let d = Diurnal::flat();
-        assert!((0..24).all(|h| d.weight(h) == 1.0));
-    }
 
     #[test]
     fn meta_like_peaks_in_busy_window() {

@@ -13,7 +13,7 @@ use ms_dcsim::Ns;
 use ms_fleet::{
     run_cell, run_fleet, run_fleet_to_lake, CellResult, FleetCell, FleetConfig, FleetReport,
 };
-use ms_lake::{outcomes_csv, Batch, Lake, LakeConfig, LakeWriter, Operator, TableKind, TableScan};
+use ms_lake::{outcomes_csv, Batch, Lake, LakeConfig, LakeWriter, TableKind, TableScan};
 use ms_transport::CcAlgorithm;
 use ms_workload::{
     FatTreeOpts, FlowSpec, ScenarioBuilder, ScenarioSpec, TopoFlowSpec, TopologySpec,

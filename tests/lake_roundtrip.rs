@@ -16,7 +16,7 @@ use ms_fleet::{
     PlacementKind,
 };
 use ms_lake::{
-    lake_sweep_aggregate, outcomes_csv, Batch, ColumnRange, Lake, LakeConfig, LakeWriter, Operator,
+    lake_sweep_aggregate, outcomes_csv, Batch, ColumnRange, Lake, LakeConfig, LakeWriter,
     TableKind, TableScan,
 };
 use ms_transport::CcAlgorithm;
