@@ -32,15 +32,6 @@ pub enum FindingKind {
         /// Mean utilization over the window (fraction of line rate).
         utilization: f64,
     },
-    /// A gap in an otherwise-active series: the host NIC kept receiving
-    /// but the kernel processed nothing — the §4.6 locking-bug signature
-    /// (traffic resumes right after, often as an apparent burst).
-    SamplerBlackout {
-        /// Bytes per bucket immediately before the gap.
-        rate_before: u64,
-        /// Bytes per bucket immediately after the gap.
-        rate_after: u64,
-    },
 }
 
 /// Finds windows with retransmissions but near-idle utilization.
@@ -81,42 +72,6 @@ pub fn loss_at_low_utilization(
     out
 }
 
-/// Finds blackout gaps: ≥ `min_gap` consecutive all-zero buckets flanked
-/// by activity of at least `min_rate` bytes/bucket on both sides.
-pub fn sampler_blackouts(series: &HostSeries, min_gap: usize, min_rate: u64) -> Vec<Finding> {
-    assert!(min_gap > 0);
-    let v = &series.in_bytes;
-    let n = v.len();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < n {
-        if v[i] == 0 {
-            let start = i;
-            while i < n && v[i] == 0 {
-                i += 1;
-            }
-            let len = i - start;
-            if len >= min_gap && start > 0 && i < n {
-                let before = v[start - 1];
-                let after = v[i];
-                if before >= min_rate && after >= min_rate {
-                    out.push(Finding {
-                        start,
-                        end: i,
-                        kind: FindingKind::SamplerBlackout {
-                            rate_before: before,
-                            rate_after: after,
-                        },
-                    });
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,16 +97,12 @@ mod tests {
         let s = series(in_bytes, in_retx);
         let findings = loss_at_low_utilization(&s, LINK, 10, 0.10);
         assert_eq!(findings.len(), 1);
-        match findings[0].kind {
-            FindingKind::LossAtLowUtilization {
-                retx_bytes,
-                utilization,
-            } => {
-                assert_eq!(retx_bytes, 4_500);
-                assert!(utilization < 0.02);
-            }
-            _ => panic!("wrong kind"),
-        }
+        let FindingKind::LossAtLowUtilization {
+            retx_bytes,
+            utilization,
+        } = findings[0].kind;
+        assert_eq!(retx_bytes, 4_500);
+        assert!(utilization < 0.02);
     }
 
     #[test]
@@ -179,44 +130,5 @@ mod tests {
         let findings = loss_at_low_utilization(&s, LINK, 10, 0.10);
         assert_eq!(findings.len(), 1);
         assert_eq!((findings[0].start, findings[0].end), (10, 20));
-    }
-
-    #[test]
-    fn blackout_detected_between_activity() {
-        let mut v = vec![500_000u64; 30];
-        for b in v.iter_mut().take(20).skip(10) {
-            *b = 0;
-        }
-        let s = series(v, vec![0; 30]);
-        let f = sampler_blackouts(&s, 5, 100_000);
-        assert_eq!(f.len(), 1);
-        assert_eq!((f[0].start, f[0].end), (10, 20));
-    }
-
-    #[test]
-    fn short_gaps_and_quiet_edges_ignored() {
-        // 2-bucket gap: below min_gap.
-        let mut v = vec![500_000u64; 10];
-        v[4] = 0;
-        v[5] = 0;
-        let s = series(v, vec![0; 10]);
-        assert!(sampler_blackouts(&s, 5, 100_000).is_empty());
-        // Long gap but idle before it: not a blackout, just idleness.
-        let mut v2 = vec![0u64; 30];
-        for b in v2.iter_mut().skip(20) {
-            *b = 500_000;
-        }
-        let s2 = series(v2, vec![0; 30]);
-        assert!(sampler_blackouts(&s2, 5, 100_000).is_empty());
-    }
-
-    #[test]
-    fn leading_and_trailing_zeros_not_blackouts() {
-        let mut v = vec![0u64; 30];
-        for b in v.iter_mut().take(20).skip(10) {
-            *b = 500_000;
-        }
-        let s = series(v, vec![0; 30]);
-        assert!(sampler_blackouts(&s, 5, 100_000).is_empty());
     }
 }

@@ -28,8 +28,7 @@
 //! * [`stats`] — CDFs, quantiles, box-plot summaries, Pearson correlation,
 //!   and bucketed series used to print the paper's figures.
 //! * [`diagnose`] — the §4.2 diagnostic signatures over stored runs:
-//!   loss-at-low-utilization (the NIC firmware-bug war story) and sampler
-//!   blackout gaps (the §4.6 kernel-stall signature).
+//!   loss-at-low-utilization (the NIC firmware-bug war story).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -321,7 +321,7 @@ pub fn fig15(ctx: &mut Ctx) {
             f3(100.0 * drop),
         ]);
     }
-    let _ = r.write_csv(&out);
+    r.save(&out);
     let cdf = Cdf::new(drops);
     println!(
         "  runs {} (excluded p90=0: {excluded}, paper 6.2%)",

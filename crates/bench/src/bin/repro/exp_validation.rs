@@ -115,7 +115,7 @@ pub fn fig3(ctx: &mut Ctx) {
             }
         }
     }
-    let _ = series.write_csv(&ctx.opts.out);
+    series.save(&ctx.opts.out);
 }
 
 /// Fig. 4: five clients in one rack receive synchronized 1.8 MB bursts
@@ -201,7 +201,7 @@ pub fn fig5(ctx: &mut Ctx) {
             ts.row(&[name.to_string(), i.to_string(), c.to_string()]);
         }
     }
-    let _ = ts.write_csv(&out);
+    ts.save(&out);
     // And the burst raster (Fig. 5 upper panels).
     let mut raster = Report::new("fig5_raster", &["run", "server", "start_ms", "len_ms"]);
     for (name, o) in [("low", low), ("high", high)] {
@@ -214,7 +214,7 @@ pub fn fig5(ctx: &mut Ctx) {
             ]);
         }
     }
-    let _ = raster.write_csv(&out);
+    raster.save(&out);
     println!(
         "  paper: low run varies 0-3, high run varies 3-12; measured low avg {} / high avg {}",
         f3(low.analysis.contention_stats.avg),

@@ -5,7 +5,7 @@
 //!
 //! EXPERIMENTS
 //!   fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!   fig14 fig15 fig16 fig17 fig18 fig19 table1 table2 perf all
+//!   fig14 fig15 fig16 fig17 fig18 fig19 table1 table2 all
 //!
 //! OPTIONS
 //!   --racks N        racks per region                 (default 40)
@@ -26,7 +26,6 @@ mod exp_bursts;
 mod exp_contention;
 mod exp_loss;
 mod exp_validation;
-mod perf;
 
 use ms_bench::{sweep_region, RegionData, SweepConfig};
 use ms_workload::placement::RegionKind;
@@ -134,8 +133,8 @@ impl Ctx {
 }
 
 const ALL: &[&str] = &[
-    "fig1", "fig3", "fig4", "fig5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12", "fig13", "fig14", "fig15", "table2", "fig16", "fig17", "fig18", "fig19", "perf",
+    "fig1", "fig3", "fig4", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "fig13", "fig14", "fig15", "table2", "fig16", "fig17", "fig18", "fig19",
 ];
 
 fn run_experiment(name: &str, ctx: &mut Ctx) {
@@ -162,7 +161,6 @@ fn run_experiment(name: &str, ctx: &mut Ctx) {
         "fig17" => exp_loss::fig17(ctx),
         "fig18" => exp_loss::fig18(ctx),
         "fig19" => exp_loss::fig19(ctx),
-        "perf" => perf::perf(ctx),
         other => {
             eprintln!("unknown experiment '{other}' (try: {})", ALL.join(" "));
             std::process::exit(2);

@@ -287,15 +287,6 @@ impl<E> EventQueue<E> {
         self.depth_high_water = self.depth_high_water.max(self.len());
     }
 
-    /// Schedules `event` at `now + delay`.
-    pub fn schedule_in(&mut self, delay: Ns, event: E) {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("simulation time overflow");
-        self.schedule(at, event);
-    }
-
     /// Pops the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Ns, E)> {
         let (key, idx) = self.near.pop_front()?;
@@ -658,15 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(100), "first");
-        q.pop();
-        q.schedule_in(Ns(50), "second");
-        assert_eq!(q.pop(), Some((Ns(150), "second")));
-    }
-
-    #[test]
     fn pop_until_respects_deadline() {
         let mut q = EventQueue::new();
         q.schedule(Ns(10), "a");
@@ -711,8 +693,8 @@ mod tests {
         assert_eq!((q.nodes.len(), q.depth_high_water()), (4, 4));
         // A long run with a few events pending reuses those few nodes.
         for i in 0..50_000u64 {
-            q.schedule_in(Ns(1 + i % 3_000), 'x');
-            q.schedule_in(Ns(10_000_000 + i), 'y');
+            q.schedule(q.now() + Ns(1 + i % 3_000), 'x');
+            q.schedule(q.now() + Ns(10_000_000 + i), 'y');
             q.pop();
             q.pop();
         }

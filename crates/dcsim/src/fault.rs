@@ -79,14 +79,6 @@ impl StallSchedule {
     pub fn is_stalled(&self, now: Ns) -> bool {
         self.windows.iter().any(|&(f, t)| now >= f && now < t)
     }
-
-    /// The end of the stall containing `now`, if stalled.
-    pub fn stall_end(&self, now: Ns) -> Option<Ns> {
-        self.windows
-            .iter()
-            .find(|&&(f, t)| now >= f && now < t)
-            .map(|&(_, t)| t)
-    }
 }
 
 #[cfg(test)]
@@ -126,10 +118,8 @@ mod tests {
         s.add(Ns(500), Ns(600));
         assert!(!s.is_stalled(Ns(50)));
         assert!(s.is_stalled(Ns(150)));
-        assert_eq!(s.stall_end(Ns(150)), Some(Ns(200)));
         assert!(!s.is_stalled(Ns(300)));
         assert!(s.is_stalled(Ns(599)));
-        assert_eq!(s.stall_end(Ns(300)), None);
     }
 
     #[test]

@@ -572,8 +572,6 @@ impl BufferPolicy for FlexibleBounds {
 pub struct DelayDriven {
     /// Byte ceiling equivalent to the delay target at the drain rate.
     cap: Bytes,
-    /// Drain rate, kept for delay estimation in diagnostics/tests.
-    drain: Bps,
     ecn: Bytes,
 }
 
@@ -592,19 +590,7 @@ impl DelayDriven {
         } else {
             Bytes(cap as u64)
         };
-        DelayDriven { cap, drain, ecn }
-    }
-
-    /// The estimated queueing delay of `occupancy` bytes at the
-    /// configured drain rate (integer ns, truncating).
-    pub fn estimated_delay(&self, occupancy: Bytes) -> Ns {
-        let ns =
-            u128::from(occupancy.as_u64()) * 8 * 1_000_000_000 / u128::from(self.drain.as_u64());
-        if ns > u128::from(u64::MAX) {
-            Ns::MAX
-        } else {
-            Ns(ns as u64)
-        }
+        DelayDriven { cap, ecn }
     }
 }
 
@@ -895,8 +881,6 @@ mod tests {
             over.reason_or(DropReason::SharedBufferFull),
             DropReason::DelayTargetExceeded
         );
-        // Delay estimation round-trips the cap to the target.
-        assert_eq!(dd.estimated_delay(Bytes(781_250)), Ns::from_micros(500));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!       [--placements single,paired,spread] [--ccs dctcp,cubic,reno]
 //!       [--policies dt,cs,sp,fb,delay]
 //!       [--servers 8] [--buckets 200] [--conns 80] [--bytes 12000000]
-//!       [--csv PATH] [--json PATH] [--bench PATH] [--out-lake DIR]
+//!       [--csv PATH] [--json PATH] [--out-lake DIR]
 //!       [--forensics] [--quiet]
 //! ```
 //!
@@ -14,12 +14,9 @@
 //! in-memory FleetReport), whose compacted segments are byte-identical
 //! for any `--jobs`. Query it with `lake query --dir DIR`.
 //!
-//! `--bench PATH` additionally runs the grid serially (`jobs = 1`),
-//! asserts the aggregate outputs are byte-identical to the parallel
-//! run, and writes a `BENCH_fleet.json` artifact with both wall-clock
-//! times. Timing and process-environment reads live only in this
-//! binary; the library stays deterministic and env-free (simlint
-//! enforces this split via `simlint.toml` allows scoped to this file).
+//! Timing and process-environment reads live only in this binary; the
+//! library stays deterministic and env-free (simlint enforces this
+//! split via `simlint.toml` allows scoped to this file).
 
 use ms_dcsim::PolicyKind;
 use ms_fleet::{
@@ -94,15 +91,13 @@ fn main() {
 
     let started = Instant::now();
     let report = run_fleet(&cells, &cfg);
-    let parallel_wall = started.elapsed();
-
-    let runs_per_sec = cells.len() as f64 / parallel_wall.as_secs_f64().max(1e-9);
     if !out.quiet {
+        let wall = started.elapsed().as_secs_f64();
         eprintln!(
-            "[fleet] {}/{} ok in {:.2}s ({runs_per_sec:.2} runs/s)",
+            "[fleet] {}/{} ok in {wall:.2}s ({:.2} runs/s)",
             report.ok_count(),
             cells.len(),
-            parallel_wall.as_secs_f64(),
+            cells.len() as f64 / wall.max(1e-9),
         );
         for (label, message) in report.failures() {
             eprintln!("[fleet] FAILED {label}: {message}");
@@ -110,47 +105,12 @@ fn main() {
     }
 
     let csv = report.to_csv();
-    let json = report.to_json();
     match &out.csv_path {
         Some(path) => write_or_die(path, &csv),
         None => print!("{csv}"),
     }
     if let Some(path) = &out.json_path {
-        write_or_die(path, &json);
-    }
-
-    if let Some(bench_path) = &out.bench_path {
-        // Re-run serially to measure speedup and prove byte-identity.
-        let serial_cfg = FleetConfig {
-            jobs: 1,
-            progress: false,
-            ..cfg
-        };
-        let serial_started = Instant::now();
-        let serial_report = run_fleet(&cells, &serial_cfg);
-        let serial_wall = serial_started.elapsed();
-        let identical = serial_report.to_csv() == csv && serial_report.to_json() == json;
-        if !identical {
-            eprintln!("fleet: serial and parallel aggregates DIFFER — determinism bug");
-        }
-        let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
-        let bench = format!(
-            "{{\n  \"bench\": \"fleet\",\n  \"cells\": {},\n  \"jobs\": {jobs},\n  \
-             \"host_cores\": {host_cores},\n  \"serial_wall_ms\": {:.3},\n  \
-             \"parallel_wall_ms\": {:.3},\n  \"speedup\": {:.3},\n  \
-             \"runs_per_sec\": {runs_per_sec:.3},\n  \"identical\": {identical}\n}}\n",
-            cells.len(),
-            serial_wall.as_secs_f64() * 1e3,
-            parallel_wall.as_secs_f64() * 1e3,
-            serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-9),
-        );
-        write_or_die(bench_path, &bench);
-        if !out.quiet {
-            eprintln!("[fleet] bench artifact written to {bench_path}");
-        }
-        if !identical {
-            std::process::exit(1);
-        }
+        write_or_die(path, &report.to_json());
     }
 
     if report.ok_count() < cells.len() {
@@ -162,7 +122,6 @@ fn main() {
 struct OutputSpec {
     csv_path: Option<String>,
     json_path: Option<String>,
-    bench_path: Option<String>,
     lake_dir: Option<String>,
     quiet: bool,
 }
@@ -176,7 +135,6 @@ fn parse_args(args: &[String]) -> Result<(FleetGrid, FleetConfig, OutputSpec), S
     let mut out = OutputSpec {
         csv_path: None,
         json_path: None,
-        bench_path: None,
         lake_dir: None,
         quiet: false,
     };
@@ -241,7 +199,6 @@ fn parse_args(args: &[String]) -> Result<(FleetGrid, FleetConfig, OutputSpec), S
             "--forensics" => grid.forensics = true,
             "--csv" => out.csv_path = Some(value("--csv")?.clone()),
             "--json" => out.json_path = Some(value("--json")?.clone()),
-            "--bench" => out.bench_path = Some(value("--bench")?.clone()),
             "--out-lake" => out.lake_dir = Some(value("--out-lake")?.clone()),
             "--quiet" => {
                 out.quiet = true;
@@ -250,11 +207,9 @@ fn parse_args(args: &[String]) -> Result<(FleetGrid, FleetConfig, OutputSpec), S
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if out.lake_dir.is_some()
-        && (out.csv_path.is_some() || out.json_path.is_some() || out.bench_path.is_some())
-    {
+    if out.lake_dir.is_some() && (out.csv_path.is_some() || out.json_path.is_some()) {
         return Err(String::from(
-            "--out-lake replaces the in-memory report; it cannot combine with --csv/--json/--bench",
+            "--out-lake replaces the in-memory report; it cannot combine with --csv/--json",
         ));
     }
     Ok((grid, cfg, out))
@@ -310,8 +265,6 @@ fn print_help() {
          Output (aggregates are byte-identical for any --jobs):\n\
          \x20 --csv PATH            write aggregate CSV (default: stdout)\n\
          \x20 --json PATH           write aggregate JSON\n\
-         \x20 --bench PATH          also run serially, verify byte-identity,\n\
-         \x20                       and write a BENCH_fleet.json artifact\n\
          \x20 --out-lake DIR        stream full results (outcomes, bursts, raw\n\
          \x20                       series) into an ms-lake columnar lake at DIR\n\
          \x20                       instead of buffering a report; segments are\n\

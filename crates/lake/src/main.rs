@@ -7,16 +7,14 @@
 //! lake query   --dir DIR [--report aggregate|outcomes|forensics|attribution|tiers|policy-compare]
 //!              [--out PATH]
 //! lake stat    --dir DIR
-//! lake bench   --dir DIR [--seed N] [--hosts N] [--json PATH]
 //! ```
 //!
 //! `synth` writes a deterministic diurnal corpus (for testing the
 //! format at scale), `compact` folds leftover shards into segments,
-//! `query` streams the paper's aggregations out-of-core, `stat`
-//! verifies every chunk checksum, and `bench` writes the
-//! `BENCH_lake.json` compression/scan-rate artifact the CI gate checks.
-//! Timing and process-environment reads live only in this binary; the
-//! library stays deterministic (simlint enforces the split).
+//! `query` streams the paper's aggregations out-of-core, and `stat`
+//! verifies every chunk checksum. Process-environment reads live only
+//! in this binary; the library stays deterministic (simlint enforces
+//! the split).
 //!
 //! Exit status: 0 on success, 1 when a command fails (an unreadable or
 //! corrupt lake, a write error), 2 on a usage error (unknown command or
@@ -24,13 +22,11 @@
 
 use ms_lake::segment::verify_segment_bytes;
 use ms_lake::{
-    lake_sweep_aggregate, outcomes_csv, synth_diurnal_series, Lake, LakeConfig, LakeWriter,
-    TableKind,
+    lake_sweep_aggregate, outcomes_csv, synth_diurnal_series, CellRows, Lake, LakeConfig,
+    LakeError, LakeWriter,
 };
-use ms_lake::{CellRows, LakeError};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,7 +60,6 @@ fn command(name: &str) -> Result<Command, String> {
         "compact" => Ok(cmd_compact),
         "query" => Ok(cmd_query),
         "stat" => Ok(cmd_stat),
-        "bench" => Ok(cmd_bench),
         other => Err(format!("unknown command {other:?}")),
     }
 }
@@ -96,7 +91,6 @@ struct Opts {
     segment_rows: u64,
     report: Report,
     out: Option<String>,
-    json: Option<String>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
@@ -110,7 +104,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         segment_rows: LakeConfig::default().segment_rows,
         report: REPORTS[0].1,
         out: None,
-        json: None,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -143,7 +136,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     })?;
             }
             "--out" => o.out = Some(value("--out")?.clone()),
-            "--json" => o.json = Some(value("--json")?.clone()),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -222,82 +214,6 @@ fn cmd_stat(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the diurnal corpus, then measures compression (vs raw
-/// column bytes and vs the row-oriented millisampler codec) and
-/// out-of-core scan rate. Writes `BENCH_lake.json`.
-fn cmd_bench(o: &Opts) -> Result<(), String> {
-    let series = synth_diurnal_series(o.seed, o.hosts, o.buckets, o.interval);
-    let rows: u64 = series.iter().map(|s| s.len() as u64).sum();
-    let raw_bytes = rows * 8 * TableKind::Series.columns().len() as u64;
-    let codec_bytes: u64 = series
-        .iter()
-        .map(|s| millisampler::codec::encode(s).len() as u64)
-        .sum();
-
-    let writer = LakeWriter::create(&o.dir, lake_cfg(o)).map_err(|e| e.to_string())?;
-    let mut shard = writer
-        .shard_writer_named("bench")
-        .map_err(|e| e.to_string())?;
-    shard
-        .append(&CellRows {
-            cell: 0,
-            label: String::from("bench-diurnal"),
-            outcome: None,
-            bursts: Vec::new(),
-            series,
-            forensics: Vec::new(),
-        })
-        .map_err(|e| e.to_string())?;
-    shard.finish().map_err(|e| e.to_string())?;
-    let manifest = writer.compact().map_err(|e| e.to_string())?;
-    let lake_bytes = manifest.bytes(TableKind::Series);
-
-    // Out-of-core scan: sum one column over every row, timed.
-    let lake = Lake::open(&o.dir).map_err(|e| e.to_string())?;
-    let started = Instant::now();
-    let in_col = TableKind::Series
-        .column("in_bytes")
-        .ok_or("missing in_bytes column")?;
-    let mut scan = ms_lake::TableScan::new(&lake, TableKind::Series, &[in_col], Vec::new())
-        .map_err(|e| e.to_string())?;
-    let mut total_in = 0u64;
-    let mut scanned = 0u64;
-    ms_lake::for_each_row(&mut scan, |b, r| {
-        total_in = total_in.wrapping_add(b.value(0, r));
-        scanned += 1;
-    })
-    .map_err(|e| e.to_string())?;
-    let wall = started.elapsed();
-    if scanned != rows {
-        return Err(format!("scan returned {scanned} rows, expected {rows}"));
-    }
-
-    let compression_vs_raw = raw_bytes as f64 / lake_bytes.max(1) as f64;
-    let compression_vs_codec = codec_bytes as f64 / lake_bytes.max(1) as f64;
-    let rows_per_sec = rows as f64 / wall.as_secs_f64().max(1e-9);
-    let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
-    let json = format!(
-        "{{\n  \"bench\": \"lake\",\n  \"hosts\": {},\n  \"buckets\": {},\n  \
-         \"rows\": {rows},\n  \"raw_bytes\": {raw_bytes},\n  \
-         \"millisampler_codec_bytes\": {codec_bytes},\n  \"lake_bytes\": {lake_bytes},\n  \
-         \"compression_vs_raw\": {compression_vs_raw:.3},\n  \
-         \"compression_vs_codec\": {compression_vs_codec:.3},\n  \
-         \"scan_wall_ms\": {:.3},\n  \"scan_rows_per_sec\": {rows_per_sec:.1},\n  \
-         \"checksum\": {total_in},\n  \"host_cores\": {host_cores}\n}}\n",
-        o.hosts,
-        o.buckets,
-        wall.as_secs_f64() * 1e3,
-    );
-    match &o.json {
-        Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("[lake] bench artifact written to {path}");
-        }
-        None => print!("{json}"),
-    }
-    Ok(())
-}
-
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse::<T>()
         .map_err(|_| format!("{flag}: bad value {s:?}"))
@@ -315,7 +231,6 @@ fn print_help() {
          \x20 query    stream an analysis out-of-core\n\
          \x20          (--report aggregate|outcomes|forensics|attribution|tiers|policy-compare)\n\
          \x20 stat     print the manifest and verify every segment checksum\n\
-         \x20 bench    build the diurnal corpus, measure compression + scan rate\n\
          \n\
          OPTIONS:\n\
          \x20 --dir DIR           lake directory (required)\n\
@@ -327,7 +242,6 @@ fn print_help() {
          \x20 --segment-rows N    rows per segment file             [default 262144]\n\
          \x20 --report KIND       query report: aggregate|outcomes|forensics|\n\
          \x20                     attribution|tiers|policy-compare [default aggregate]\n\
-         \x20 --out PATH          write query output to PATH (default: stdout)\n\
-         \x20 --json PATH         write BENCH_lake.json to PATH (bench only)"
+         \x20 --out PATH          write query output to PATH (default: stdout)"
     );
 }

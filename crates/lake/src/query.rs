@@ -82,13 +82,6 @@ pub struct ColumnRange {
     pub max: u64,
 }
 
-impl ColumnRange {
-    /// Whether a row value satisfies the range.
-    pub fn admits(&self, v: u64) -> bool {
-        v >= self.min && v <= self.max
-    }
-}
-
 /// A projected, pushdown-filtered scan of one table across every
 /// segment of a lake.
 #[derive(Debug)]

@@ -17,8 +17,6 @@ pub struct RttEstimator {
     max_rto: Ns,
     /// Current backoff multiplier (doubles per consecutive timeout).
     backoff: u32,
-    /// Most recent raw sample, for diagnostics.
-    last_sample: Option<Ns>,
 }
 
 impl RttEstimator {
@@ -31,7 +29,6 @@ impl RttEstimator {
             min_rto,
             max_rto,
             backoff: 0,
-            last_sample: None,
         }
     }
 
@@ -43,7 +40,6 @@ impl RttEstimator {
     /// Feeds one RTT sample (from a non-retransmitted segment — Karn's
     /// algorithm is the caller's responsibility). Resets timeout backoff.
     pub fn on_sample(&mut self, rtt: Ns) {
-        self.last_sample = Some(rtt);
         self.backoff = 0;
         match self.srtt {
             None => {
@@ -68,11 +64,6 @@ impl RttEstimator {
     /// The smoothed RTT, if a sample has been taken.
     pub fn srtt(&self) -> Option<Ns> {
         self.srtt
-    }
-
-    /// The most recent raw sample.
-    pub fn last_sample(&self) -> Option<Ns> {
-        self.last_sample
     }
 
     /// The current retransmission timeout: `srtt + 4·rttvar`, clamped to

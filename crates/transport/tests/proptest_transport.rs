@@ -37,9 +37,9 @@ fn transfer_completes(bytes: u64, drop_ordinals: &[u64], alg: CcAlgorithm) -> bo
                     if drop_ordinals.contains(data_seen) {
                         continue;
                     }
-                    q.schedule_in(delay, Ev::ToRx(p));
+                    q.schedule(q.now() + delay, Ev::ToRx(p));
                 }
-                _ => q.schedule_in(delay, Ev::ToTx(p)),
+                _ => q.schedule(q.now() + delay, Ev::ToTx(p)),
             }
         }
     };

@@ -58,20 +58,18 @@ fn main() {
             findings.len()
         );
         if let Some(f) = findings.first() {
-            if let FindingKind::LossAtLowUtilization {
+            let FindingKind::LossAtLowUtilization {
                 retx_bytes,
                 utilization,
-            } = f.kind
-            {
-                print!(
-                    "  <-- SUSPECT: {} retx bytes at {:.1}% utilization in [{}ms,{}ms)",
-                    retx_bytes,
-                    100.0 * utilization,
-                    f.start,
-                    f.end
-                );
-                suspects += 1;
-            }
+            } = f.kind;
+            print!(
+                "  <-- SUSPECT: {} retx bytes at {:.1}% utilization in [{}ms,{}ms)",
+                retx_bytes,
+                100.0 * utilization,
+                f.start,
+                f.end
+            );
+            suspects += 1;
         }
         println!();
     }

@@ -9,6 +9,8 @@
 //!    holds more than one chunk of rows per open column.
 //! 4. **Pushdown** — a cell-range predicate skips non-matching chunks
 //!    without reading them.
+//! 5. **Compression** — a day of 1 s diurnal series compacts to at most
+//!    a quarter of its raw column bytes.
 
 use ms_dcsim::Ns;
 use ms_fleet::{
@@ -16,8 +18,8 @@ use ms_fleet::{
     PlacementKind,
 };
 use ms_lake::{
-    lake_sweep_aggregate, outcomes_csv, Batch, ColumnRange, Lake, LakeConfig, LakeWriter,
-    TableKind, TableScan,
+    lake_sweep_aggregate, outcomes_csv, synth_diurnal_series, Batch, CellRows, ColumnRange, Lake,
+    LakeConfig, LakeWriter, TableKind, TableScan,
 };
 use ms_transport::CcAlgorithm;
 use std::path::PathBuf;
@@ -324,6 +326,35 @@ fn cell_predicate_pushdown_skips_chunks_unread() {
         "most chunks must be skipped (read {}, skipped {})",
         stats.chunks_read,
         stats.chunks_skipped
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn diurnal_day_compresses_at_least_4x_below_raw_column_bytes() {
+    let dir = temp_dir("compress");
+    let series = synth_diurnal_series(1, 8, 86_400, Ns::from_secs(1));
+    let rows: u64 = series.iter().map(|s| s.len() as u64).sum();
+    let raw_bytes = rows * 8 * TableKind::Series.columns().len() as u64;
+    let writer = LakeWriter::create(&dir, LakeConfig::default()).unwrap();
+    let mut shard = writer.shard_writer_named("diurnal").unwrap();
+    shard
+        .append(&CellRows {
+            cell: 0,
+            label: String::from("diurnal"),
+            outcome: None,
+            bursts: Vec::new(),
+            series,
+            forensics: Vec::new(),
+        })
+        .unwrap();
+    shard.finish().unwrap();
+    let manifest = writer.compact().unwrap();
+    assert_eq!(manifest.rows(TableKind::Series), rows);
+    let lake_bytes = manifest.bytes(TableKind::Series);
+    assert!(
+        lake_bytes * 4 <= raw_bytes,
+        "{lake_bytes} lake bytes for {raw_bytes} raw column bytes is below the 4x bound"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
