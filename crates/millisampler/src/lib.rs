@@ -14,9 +14,9 @@
 //!   per packet, and the self-clearing `enabled` flag. In the kernel this
 //!   is the compiled eBPF program; here it is a `#[inline]`-friendly struct
 //!   the simulation invokes at the host's ingress/egress hook points. Its
-//!   per-packet cost is measured by `repro perf` and by the `perf/`
-//!   package's `millisampler.record*_ns` rows (the §4.3 "88 ns vs.
-//!   271 ns tcpdump" comparison).
+//!   per-packet cost is measured by the `perf/` package's
+//!   `millisampler.record*_ns` rows (the §4.3 "88 ns vs. 271 ns
+//!   tcpdump" comparison).
 //! * [`run`] — run configuration and the aggregated per-host output
 //!   ([`run::HostSeries`]), i.e. what user space reads out of the BPF map
 //!   and stores.
