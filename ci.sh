@@ -229,17 +229,18 @@ if [ "$status" -ne 2 ]; then
 fi
 grep -q 'unknown command' "$LAKE_TMP/lake_bench.err"
 grep -q 'try --help' "$LAKE_TMP/lake_bench.err"
-echo "==> buffer-policy sweep smoke (--policies dt,fb, jobs-count byte-identity)"
-# A two-policy sweep of one lossy base cell: the per-policy attribution
-# report must come back byte-identical for --jobs 1 and --jobs 2, and
-# the policy-compare rollup must key one row per swept policy.
+echo "==> buffer-policy sweep smoke (every policy, jobs-count byte-identity)"
+# One lossy base cell under each of the five policies: the per-policy
+# attribution report must come back byte-identical for --jobs 1 and
+# --jobs 2, and the policy-compare rollup must key one row per policy.
+POLICIES=dt,cs,sp,fb,delay
 cargo run -q --release -p ms-fleet --bin fleet -- \
     --jobs 1 --buckets 80 --conns 160 --bytes 20000000 --quiet \
-    --seeds 1 --alphas 0.25 --placements single --policies dt,fb \
+    --seeds 1 --alphas 0.25 --placements single --policies "$POLICIES" \
     --forensics --out-lake "$LAKE_TMP/p1" > /dev/null
 cargo run -q --release -p ms-fleet --bin fleet -- \
     --jobs 2 --buckets 80 --conns 160 --bytes 20000000 --quiet \
-    --seeds 1 --alphas 0.25 --placements single --policies dt,fb \
+    --seeds 1 --alphas 0.25 --placements single --policies "$POLICIES" \
     --forensics --out-lake "$LAKE_TMP/p2" > /dev/null
 cargo run -q --release -p ms-lake --bin lake -- query \
     --dir "$LAKE_TMP/p1" --report attribution --out "$LAKE_TMP/pattr_j1.csv"
@@ -249,8 +250,9 @@ diff "$LAKE_TMP/pattr_j1.csv" "$LAKE_TMP/pattr_j2.csv"
 cargo run -q --release -p ms-lake --bin lake -- query \
     --dir "$LAKE_TMP/p1" --report policy-compare --out "$LAKE_TMP/pcmp.csv"
 grep -q '^policy,cells,' "$LAKE_TMP/pcmp.csv"
-grep -q '^dt,1,' "$LAKE_TMP/pcmp.csv"
-grep -q '^fb,1,' "$LAKE_TMP/pcmp.csv"
+for policy in $(echo "$POLICIES" | tr , " "); do
+    grep -q "^$policy,1," "$LAKE_TMP/pcmp.csv"
+done
 
 echo "==> multi-rack smoke (k=4 fat-tree incast, jobs-count byte-identity)"
 # A cross-pod incast on the k=4 fat-tree: lake segments, the forensic

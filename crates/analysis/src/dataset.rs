@@ -6,7 +6,7 @@
 //! the observation record one `(rack, hour, run)` cell produces and the
 //! aggregation helpers the experiment harness prints from.
 
-use crate::classify::RunAnalysis;
+use crate::classify::{ClassifiedBurst, RunAnalysis};
 use crate::outcome::RunOutcome;
 
 /// Which bucket of the §8 analysis a rack belongs to.
@@ -102,17 +102,11 @@ pub struct CategorySummary {
 }
 
 impl CategorySummary {
-    /// Accumulates one observation.
-    pub fn add(&mut self, obs: &RackHourObservation) {
-        for b in &obs.analysis.bursts {
-            self.bursts += 1;
-            if b.contended {
-                self.contended += 1;
-            }
-            if b.lossy {
-                self.lossy += 1;
-            }
-        }
+    /// Accumulates one burst.
+    pub fn add(&mut self, burst: &ClassifiedBurst) {
+        self.bursts += 1;
+        self.contended += u64::from(burst.contended);
+        self.lossy += u64::from(burst.lossy);
     }
 
     /// Percentage of bursts contended.
@@ -161,6 +155,35 @@ mod tests {
         assert!((s.pct_lossy() - 1.0).abs() < 1e-12);
         s.bursts = 0;
         assert!(s.pct_contended().is_nan());
+    }
+
+    #[test]
+    fn category_summary_counts_each_burst_once() {
+        let burst = |contended, lossy| ClassifiedBurst {
+            burst: crate::burst::Burst {
+                server: 0,
+                start: 0,
+                len: 1,
+                bytes: 1,
+                avg_conns: 1.0,
+            },
+            max_contention: if contended { 2 } else { 1 },
+            contended,
+            retx_bytes: u64::from(lossy),
+            lossy,
+        };
+        let mut s = CategorySummary::default();
+        for b in [burst(true, false), burst(true, true), burst(false, false)] {
+            s.add(&b);
+        }
+        assert_eq!(
+            s,
+            CategorySummary {
+                bursts: 3,
+                contended: 2,
+                lossy: 1,
+            }
+        );
     }
 
     #[test]

@@ -46,14 +46,7 @@ pub fn table2(ctx: &mut Ctx) {
     let mut summaries = [CategorySummary::default(); 3];
     for (cat, b) in &bursts {
         let idx = CATEGORIES.iter().position(|c| c == cat).unwrap();
-        let s = &mut summaries[idx];
-        s.bursts += 1;
-        if b.contended {
-            s.contended += 1;
-        }
-        if b.lossy {
-            s.lossy += 1;
-        }
+        summaries[idx].add(b);
     }
     let mut r = Report::new(
         "table2",

@@ -15,7 +15,7 @@
 //! * [`packet::Packet`] — segment metadata (no payload bytes are simulated),
 //! * [`link::Link`] — rate + propagation-delay links with serialization,
 //! * [`switch::SharedBufferSwitch`] — a shared-memory ToR switch with
-//!   pluggable buffer sharing ([`policy::BufferPolicy`]: Choudhury–Hahne
+//!   selectable buffer sharing ([`policy::ActivePolicy`]: Choudhury–Hahne
 //!   **Dynamic Threshold** by default, plus FB-style flexible bounds and
 //!   BShare-style delay-driven admission), buffer quadrants, per-queue
 //!   dedicated reserves, a static ECN marking threshold, and cumulative
@@ -57,10 +57,7 @@ pub use link::Link;
 pub use ms_telemetry::{DropReason, SharedTelemetry, TraceEvent};
 pub use ms_units::{Bps, Bytes};
 pub use packet::{Direction, EcnCodepoint, FlowId, Packet, PacketKind};
-pub use policy::{
-    ActivePolicy, AdmitDecision, BufferPolicy, BufferPolicySpec, CompleteSharing, DelayDriven,
-    DtAlpha, FlexibleBounds, PolicyKind, QueueCtx, SharedCtx, StaticPartition,
-};
+pub use policy::{ActivePolicy, AdmitDecision, BufferPolicySpec, PolicyKind, SharedCtx};
 pub use profile::EngineProfile;
 pub use rng::SimRng;
 pub use switch::{

@@ -8,8 +8,8 @@
 //!   port in hardware; here, a configurable map defaulting to
 //!   `queue % quadrants`);
 //! * per queue, a small **dedicated reserve** is always admissible; the rest
-//!   of the quadrant (~3.6 MB) is a **shared pool** governed by a pluggable
-//!   [`crate::policy::BufferPolicy`], defaulting to the Dynamic Threshold
+//!   of the quadrant (~3.6 MB) is a **shared pool** governed by a
+//!   [`crate::policy::ActivePolicy`], defaulting to the Dynamic Threshold
 //!   (DT) algorithm of Choudhury & Hahne the studied fleet runs:
 //!
 //!   > a packet is admitted to queue *q* iff *q*'s shared-pool occupancy is
@@ -34,7 +34,7 @@
 //! via [`SharedBufferSwitch::dequeue`] when the link goes idle).
 
 use crate::packet::{EcnCodepoint, Packet};
-use crate::policy::{ActivePolicy, BufferPolicySpec, QueueCtx, SharedCtx};
+use crate::policy::{ActivePolicy, BufferPolicySpec, SharedCtx};
 use crate::time::Ns;
 use ms_telemetry::{DropCause, DropForensic, DropReason, SharedTelemetry, TraceBus, TraceEvent};
 use ms_units::{Bps, Bytes};
@@ -193,8 +193,7 @@ pub struct SharedBufferSwitch {
     shared_occupancy: Vec<Bytes>,
     /// Multicast groups: group id → member queues.
     groups: Vec<(u32, Vec<usize>)>,
-    /// Runtime buffer-sharing policy instantiated from `cfg.policy`
-    /// (enum dispatch — see [`crate::policy::ActivePolicy`]).
+    /// Runtime buffer-sharing policy instantiated from `cfg.policy`.
     policy: ActivePolicy,
     /// Optional telemetry hub; `None` keeps the hot path to one branch.
     telemetry: Option<SharedTelemetry>,
@@ -221,7 +220,7 @@ impl SharedBufferSwitch {
         assert!(cfg.num_queues > 0, "switch needs at least one queue");
         assert!(cfg.num_quadrants > 0, "switch needs at least one quadrant");
         cfg.policy.assert_valid();
-        let policy = ActivePolicy::from_spec(&cfg.policy, cfg.ecn_threshold);
+        let policy = ActivePolicy::from_spec(&cfg.policy);
         let queues = (0..cfg.num_queues).map(|_| QueueState::new()).collect();
         let shared_occupancy = vec![Bytes::ZERO; cfg.num_quadrants];
         SharedBufferSwitch {
@@ -266,7 +265,7 @@ impl SharedBufferSwitch {
     /// admissions see the new policy.
     pub fn set_policy(&mut self, spec: BufferPolicySpec) {
         spec.assert_valid();
-        self.policy = ActivePolicy::from_spec(&spec, self.cfg.ecn_threshold);
+        self.policy = ActivePolicy::from_spec(&spec);
         self.cfg.policy = spec;
     }
 
@@ -406,7 +405,7 @@ impl SharedBufferSwitch {
             .unwrap_or(&[])
     }
 
-    /// The policy contexts for an admission or probe in `quadrant`.
+    /// The policy's view of `quadrant`'s shared pool for an admission or probe.
     /// `arriving_queue` is the queue about to receive a packet: it counts
     /// as active even while still empty, and the active-queue scan runs
     /// only for policies that ask for it, so the DT hot path stays O(1).
@@ -431,13 +430,11 @@ impl SharedBufferSwitch {
     }
 
     /// The per-queue shared-pool threshold currently governing admission
-    /// in `quadrant` — for DT, `α·(B_shared − Q_shared)`, computed in
-    /// exact integer emulation of the historical f64 multiply (see
-    /// [`crate::policy::DtAlpha`]); for the other policies, their own
+    /// in `quadrant` — for DT, `α·(B_shared − Q_shared)` as an f64 product
+    /// truncated to whole bytes; for the other policies, their own
     /// governing limit. This is the value every drop forensic records.
     pub fn dynamic_threshold(&self, quadrant: usize) -> Bytes {
-        self.policy
-            .shared_threshold(&self.shared_ctx(quadrant, None))
+        self.policy.threshold(&self.shared_ctx(quadrant, None))
     }
 
     /// Current occupancy of a queue, both pools.
@@ -479,12 +476,12 @@ impl SharedBufferSwitch {
     /// Admission: the packet takes dedicated-reserve space if any remains
     /// for this queue (reserves are honored under every policy); otherwise
     /// it needs shared-pool space, granted only if the active
-    /// [`crate::policy::BufferPolicy`] admits it *and* the pool physically
+    /// [`crate::policy::ActivePolicy`] admits it *and* the pool physically
     /// fits the packet.
     ///
     /// On admission, the stored packet is CE-marked if it is ECN-capable
-    /// and the policy's `mark` hook fires (every shipped policy: queue
-    /// occupancy after enqueue exceeds the static ECN threshold).
+    /// and the queue's occupancy after enqueue exceeds the static ECN
+    /// threshold, whatever the policy.
     pub fn try_enqueue(&mut self, queue: usize, mut pkt: Packet, now: Ns) -> EnqueueOutcome {
         assert!(queue < self.cfg.num_queues, "queue {queue} out of range");
         let quadrant = self.cfg.quadrant_of(queue);
@@ -498,18 +495,19 @@ impl SharedBufferSwitch {
             Pool::Dedicated
         } else {
             let fits_pool = self.shared_occupancy[quadrant] + size <= self.cfg.shared_capacity();
-            let queue_ctx = QueueCtx {
-                shared_used: self.queues[queue].shared_used,
-                occupancy: occ_before,
-            };
             let shared_ctx = self.shared_ctx(quadrant, Some(queue));
-            let decision = self.policy.admit(&queue_ctx, &shared_ctx, size);
+            let decision = self.policy.admit(
+                self.queues[queue].shared_used,
+                occ_before,
+                &shared_ctx,
+                size,
+            );
             if decision.admitted() && fits_pool {
                 Pool::Shared
             } else {
                 // Which rule said no: physical pool exhaustion trumps the
                 // per-queue limit; otherwise the policy names the limit.
-                // (A policy that admits everything, like CompleteSharing,
+                // (A policy that admits everything, like complete sharing,
                 // only ever rejects on pool exhaustion.)
                 let reason = if fits_pool {
                     decision.reason_or(DropReason::SharedBufferFull)
@@ -570,7 +568,7 @@ impl SharedBufferSwitch {
         q.stats.enq_bytes += size.as_u64();
         q.stats.max_occupancy = q.stats.max_occupancy.max(occupancy);
 
-        let marked = pkt.ecn == EcnCodepoint::Ect && self.policy.mark(occ_before, occupancy);
+        let marked = pkt.ecn == EcnCodepoint::Ect && occupancy > self.cfg.ecn_threshold;
         if marked {
             pkt.ecn = EcnCodepoint::Ce;
         }
@@ -603,12 +601,6 @@ impl SharedBufferSwitch {
                 self.shared_occupancy[quadrant] -= size;
             }
         }
-        let queue_ctx = QueueCtx {
-            shared_used: self.queues[queue].shared_used,
-            occupancy: self.queues[queue].occupancy(),
-        };
-        let shared_ctx = self.shared_ctx(quadrant, None);
-        self.policy.on_dequeue(&queue_ctx, &shared_ctx, size);
         if let Some(tr) = &self.telemetry {
             let mut tr = tr.borrow_mut();
             let ns = now.as_nanos();
@@ -845,11 +837,10 @@ mod tests {
         for i in 0..40 {
             match sw.try_enqueue(0, pkt(i, 1000), Ns::ZERO) {
                 EnqueueOutcome::Enqueued { marked } => {
-                    // Threshold is 20k: first ~20 packets unmarked.
-                    if sw.queue_occupancy(0) <= Bytes(20_000) {
-                        assert!(!marked);
-                        unmarked_seen = true;
-                    }
+                    // Threshold is 20k: the 20th packet reaches it exactly
+                    // and stays unmarked; every packet past it is marked.
+                    assert_eq!(marked, sw.queue_occupancy(0) > Bytes(20_000), "packet {i}");
+                    unmarked_seen |= !marked;
                     marked_seen |= marked;
                 }
                 EnqueueOutcome::Dropped { .. } => break,
