@@ -1,4 +1,5 @@
-//! Golden byte-identity tests for the buffer policies.
+//! Golden byte-identity tests for the buffer policies and the congestion
+//! controllers.
 //!
 //! Moving the Dynamic-Threshold admission test out of `try_enqueue`
 //! into a policy was to be unobservable: a DT switch must reproduce the
@@ -48,7 +49,7 @@
 //! its stored runs are folded into the fingerprint, which no other row
 //! has.
 //!
-//! The last four rows run the first row's incast under the other four
+//! The next four rows run the first row's incast under the other four
 //! sharing policies at their workspace defaults
 //! (`PolicyKind::spec_with_alpha(1.0)`), captured on an unchanged
 //! simulator before the policy code was folded into one enum. With two
@@ -56,6 +57,16 @@
 //! and flexible bounds both allow the whole shared pool and share a
 //! fingerprint; complete sharing makes the same decisions but records
 //! the pool headroom as its threshold, so only its fingerprint differs.
+//!
+//! The last four rows were captured on an unchanged simulator before
+//! the three congestion controllers were folded into one window type.
+//! Two run the first row's incast with Cubic and with Reno senders, so
+//! every controller's ECN cut, loss cut and growth step is pinned (the
+//! rows above all run DCTCP). Two run static partitioning and flexible
+//! bounds on eight servers: queue 0 then shares its quadrant with an
+//! idle queue, so static partitioning caps it at half the pool while
+//! flexible bounds lets the lone active queue take all of it, and the
+//! two rows differ.
 
 use millisampler::{RunConfig, SchedulerConfig};
 use ms_analysis::analyze_run;
@@ -84,28 +95,47 @@ fn incast(dst_server: usize, connections: u32, total_bytes: u64) -> FlowSpec {
     }
 }
 
-/// One contended incast (300 conns into one 12.5G downlink) that forces
-/// drops, marks, and forensic classification under the given α.
-fn dt_incast(seed: u64, alpha: f64, tune: bool) -> ScenarioBuilder {
-    let mut b = ScenarioBuilder::new(2, seed);
+/// One contended incast (300 conns into one 12.5G downlink) on a rack
+/// of `servers` that forces drops, marks, and forensic classification
+/// under the given α, its senders running `algorithm`.
+fn rack_incast(servers: usize, seed: u64, alpha: f64, algorithm: CcAlgorithm) -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(servers, seed);
     b.buckets(150)
         .warmup(Ns::from_millis(10))
         .alpha(alpha)
         .telemetry(TelemetryConfig::default())
         .forensics()
-        .flow_at(Ns::from_millis(20), incast(0, 300, 30_000_000));
+        .flow_at(
+            Ns::from_millis(20),
+            FlowSpec {
+                algorithm,
+                ..incast(0, 300, 30_000_000)
+            },
+        );
+    b
+}
+
+/// The DCTCP incast on two servers, with the α tuner if `tune`.
+fn dt_incast(seed: u64, alpha: f64, tune: bool) -> ScenarioBuilder {
+    let mut b = rack_incast(2, seed, alpha, CcAlgorithm::Dctcp);
     if tune {
         b.alpha_tune_period(Ns::from_millis(5));
     }
     b
 }
 
-/// The seed-7 incast of the first row under another sharing policy at
-/// its workspace defaults.
-fn policy_incast(kind: PolicyKind) -> ScenarioBuilder {
-    let mut b = dt_incast(7, 1.0, false);
+/// The seed-7 incast of the first row on `servers` servers under
+/// another sharing policy at its workspace defaults.
+fn policy_incast(kind: PolicyKind, servers: usize) -> ScenarioBuilder {
+    let mut b = rack_incast(servers, 7, 1.0, CcAlgorithm::Dctcp);
     b.buffer_policy(kind.spec_with_alpha(1.0));
     b
+}
+
+/// The seed-7, α = 1 incast of the first row with its senders running
+/// another congestion controller.
+fn cc_incast(algorithm: CcAlgorithm) -> ScenarioBuilder {
+    rack_incast(2, 7, 1.0, algorithm)
 }
 
 /// An incast smoothed to 40 Gbps through a 25 Gbps trunk with a 256 KiB
@@ -363,23 +393,43 @@ const GOLDEN: &[Case] = &[
     ("agent rotation", agent_rotation, 0xbada_48f5_41c8_683b),
     (
         "cs seed 7",
-        || policy_incast(PolicyKind::CompleteSharing),
+        || policy_incast(PolicyKind::CompleteSharing, 2),
         0xf330_dc18_32f2_c328,
     ),
     (
         "sp seed 7",
-        || policy_incast(PolicyKind::StaticPartition),
+        || policy_incast(PolicyKind::StaticPartition, 2),
         0x3d18_3dfe_6d38_9be0,
     ),
     (
         "fb seed 7",
-        || policy_incast(PolicyKind::FlexibleBounds),
+        || policy_incast(PolicyKind::FlexibleBounds, 2),
         0x3d18_3dfe_6d38_9be0,
     ),
     (
         "delay seed 7",
-        || policy_incast(PolicyKind::DelayDriven),
+        || policy_incast(PolicyKind::DelayDriven, 2),
         0x774f_2bc0_2e74_6f42,
+    ),
+    (
+        "cubic seed 7",
+        || cc_incast(CcAlgorithm::Cubic),
+        0xa50e_2e3d_fd70_e4b6,
+    ),
+    (
+        "reno seed 7",
+        || cc_incast(CcAlgorithm::Reno),
+        0x37d6_2cca_96ad_ea33,
+    ),
+    (
+        "sp eight servers",
+        || policy_incast(PolicyKind::StaticPartition, 8),
+        0xc705_45a6_7cfa_ad84,
+    ),
+    (
+        "fb eight servers",
+        || policy_incast(PolicyKind::FlexibleBounds, 8),
+        0x4115_0646_49ba_b8dc,
     ),
 ];
 
@@ -400,6 +450,10 @@ const EVENTS: &[(u64, u64)] = &[
     (78_606, 0xa87c_ad00_ccbf_f589),
     (78_606, 0xa87c_ad00_ccbf_f589),
     (21_637, 0xce0b_0fc4_fa74_499b),
+    (42_145, 0x0f4f_ba13_655f_4df0),
+    (44_837, 0xf76c_242f_d454_cccd),
+    (42_697, 0x0da2_92de_bd1e_882a),
+    (75_591, 0x856c_cd00_0820_25db),
 ];
 
 #[test]
