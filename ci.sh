@@ -101,18 +101,22 @@ test -s "$PROFILE_TMP.folded"
 rm -f "$PROFILE_TMP" "$PROFILE_TMP.folded"
 
 echo "==> fleet sweep smoke (serial vs parallel byte-identity)"
-# The same grid at --jobs 1 and --jobs 2: the aggregate CSV and JSON
-# must come back byte-identical.
+# The same grid, every congestion controller, at --jobs 1 and --jobs 2:
+# the aggregate CSV and JSON must come back byte-identical, with Cubic
+# and Reno cells among the rows.
 FLEET_TMP="${TMPDIR:-/tmp}/ms_fleet_smoke"
 rm -rf "$FLEET_TMP"
 mkdir -p "$FLEET_TMP"
 for jobs in 1 2; do
     cargo run -q --release -p ms-fleet --bin fleet -- \
         --jobs "$jobs" --buckets 80 --conns 24 --bytes 1500000 --quiet \
+        --ccs dctcp,cubic,reno \
         --csv "$FLEET_TMP/j$jobs.csv" --json "$FLEET_TMP/j$jobs.json"
 done
 diff "$FLEET_TMP/j1.csv" "$FLEET_TMP/j2.csv"
 diff "$FLEET_TMP/j1.json" "$FLEET_TMP/j2.json"
+grep -q -- '-cubic-' "$FLEET_TMP/j1.csv"
+grep -q -- '-reno-' "$FLEET_TMP/j1.csv"
 rm -rf "$FLEET_TMP"
 
 echo "==> repro smoke (three exhibits, thread-count byte-identity)"

@@ -81,7 +81,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// MTU at the server line rate).
 ///
 /// With [`RING_BUCKETS`] the ring spans 8.4 ms, which covers the 4 ms
-/// `min_rto` and the 20 µs `FABRIC_DELAY`, so in-region transport events
+/// `MIN_RTO` and the 20 µs `FABRIC_DELAY`, so in-region transport events
 /// never reach the far heap. Measured on `perf bench` (`incast_storm`,
 /// `bulk_stream`, `udp_floor`, `region_day`; 5 pairs × 3 s each): 4.096 µs
 /// × 2 048 is 3–14 % slower in wall time — longer near runs to sort and

@@ -12,8 +12,7 @@
 //!   α·(B−Q) threshold is the f64 product `(alpha * free as f64) as u64`,
 //!   the expression `tests/policy_golden.rs` was first captured on.
 //! * `Fb` — FB-style sharing (Apostolaki et al., arXiv 2105.10553):
-//!   every queue keeps a guaranteed floor of the shared pool, and above
-//!   the floor its ceiling is the even split of the pool over the
+//!   each queue's ceiling is the even split of the shared pool over the
 //!   quadrant's *currently active* queues, so bounds flex with
 //!   contention instead of with free headroom.
 //! * `Delay` — BShare-style sharing (Agarwal et al., arXiv 2605.24178):
@@ -50,7 +49,7 @@ pub enum BufferPolicySpec {
     /// Fixed per-queue cap: shared capacity divided evenly over the
     /// queues of the quadrant (no statistical multiplexing).
     StaticPartition,
-    /// FB-style guaranteed floor + active-queue-count-adaptive ceiling.
+    /// FB-style active-queue-count-adaptive ceiling.
     FlexibleBounds,
     /// BShare-style delay-target admission.
     DelayDriven {
@@ -122,7 +121,7 @@ pub enum PolicyKind {
     CompleteSharing,
     /// Fixed even split (`sp`).
     StaticPartition,
-    /// FB-style floors/ceilings (`fb`).
+    /// FB-style adaptive ceilings (`fb`).
     FlexibleBounds,
     /// BShare-style delay target (`delay`).
     DelayDriven,
@@ -275,12 +274,11 @@ pub enum ActivePolicy {
     /// Fixed per-queue slice of the shared pool (the §2.1 "static
     /// partitioning" baseline): no statistical multiplexing at all.
     Sp,
-    /// FB-style flexible bounds: a guaranteed floor (half the pool split
-    /// over the quadrant's queues, so the floors never oversubscribe the
-    /// pool) protects lightly-loaded queues, and above it each queue's
-    /// ceiling is the even split of the whole pool over the *currently
-    /// active* queues — generous when the quadrant is quiet, tight under
-    /// contention.
+    /// FB-style flexible bounds: each queue's ceiling is the even split
+    /// of the whole pool over the quadrant's *currently active* queues —
+    /// generous when the quadrant is quiet, tight under contention. A
+    /// quadrant holds at most `queues_per_quadrant` queues, so the
+    /// ceiling never falls below static partitioning's slice.
     Fb,
     /// BShare-style delay-driven admission: admit while the queue's
     /// estimated queueing delay (occupancy ÷ drain rate) stays within the
@@ -316,14 +314,11 @@ impl ActivePolicy {
     /// The per-queue threshold currently governing the quadrant, for
     /// admission, probes and forensic records.
     pub fn threshold(&self, shared: &SharedCtx) -> Bytes {
-        let qpq = shared.queues_per_quadrant.max(1);
         match *self {
             ActivePolicy::Dt { alpha } => Bytes((alpha * shared.headroom().as_u64() as f64) as u64),
             ActivePolicy::Cs => shared.headroom(),
-            ActivePolicy::Sp => shared.capacity / qpq,
-            ActivePolicy::Fb => {
-                (shared.capacity / shared.active_queues.max(1)).max(shared.capacity / (2 * qpq))
-            }
+            ActivePolicy::Sp => shared.capacity / shared.queues_per_quadrant.max(1),
+            ActivePolicy::Fb => shared.capacity / shared.active_queues.max(1),
             ActivePolicy::Delay { cap } => cap,
         }
     }
@@ -447,10 +442,8 @@ mod tests {
         let fb = policy(PolicyKind::FlexibleBounds);
         // Quiet quadrant: the lone active queue may take the whole pool.
         assert_eq!(fb.threshold(&sctx(0, 100_000, 1, 4)), Bytes(100_000));
-        // Contended: the even split shrinks the ceiling...
+        // Contended: the even split shrinks the ceiling.
         assert_eq!(fb.threshold(&sctx(0, 100_000, 4, 4)), Bytes(25_000));
-        // ...but never below the guaranteed floor (cap / 2·qpq).
-        assert_eq!(fb.threshold(&sctx(0, 100_000, 100, 4)), Bytes(12_500));
     }
 
     #[test]

@@ -1017,6 +1017,25 @@ mod tests {
     }
 
     #[test]
+    fn flexible_bounds_full_quadrant_ceiling_is_the_static_slice() {
+        // Every queue of the one quadrant busy, the most the switch can
+        // count: FB's ceiling bottoms out at static partitioning's slice.
+        let cfg = SwitchConfig {
+            policy: BufferPolicySpec::FlexibleBounds,
+            ..small_cfg()
+        };
+        let slice = cfg.shared_capacity() / cfg.num_queues as u64;
+        let mut sw = SharedBufferSwitch::new(cfg);
+        // 400 × 500 B round-robin is twice the quadrant: every queue fills.
+        for i in 0..400 {
+            sw.try_enqueue(i % 4, pkt(i as u64, 500), Ns::ZERO);
+        }
+        assert_eq!(sw.dynamic_threshold(0), slice);
+        assert!((0..4).all(|q| sw.queues[q].shared_used + Bytes(500) > slice));
+        sw.check_invariants();
+    }
+
+    #[test]
     fn flexible_bounds_lone_queue_may_take_the_whole_pool() {
         let mut sw = SharedBufferSwitch::new(SwitchConfig {
             policy: BufferPolicySpec::FlexibleBounds,

@@ -88,25 +88,6 @@ impl TopoPoint {
     }
 }
 
-/// Stable label fragment for a congestion-control algorithm.
-pub fn cc_label(cc: CcAlgorithm) -> &'static str {
-    match cc {
-        CcAlgorithm::Dctcp => "dctcp",
-        CcAlgorithm::Cubic => "cubic",
-        CcAlgorithm::Reno => "reno",
-    }
-}
-
-/// Parses a CLI congestion-control fragment.
-pub fn cc_parse(s: &str) -> Option<CcAlgorithm> {
-    match s {
-        "dctcp" => Some(CcAlgorithm::Dctcp),
-        "cubic" => Some(CcAlgorithm::Cubic),
-        "reno" => Some(CcAlgorithm::Reno),
-        _ => None,
-    }
-}
-
 /// One grid point: a label (unique within the grid) plus the declarative
 /// scenario to run.
 #[derive(Debug, Clone)]
@@ -203,7 +184,7 @@ impl FleetGrid {
                                 let mut label = format!(
                                     "s{seed}-a{alpha:.2}-{}-{}-{}",
                                     placement.label(),
-                                    cc_label(cc),
+                                    cc.label(),
                                     policy.label()
                                 );
                                 if topo != TopoPoint::SingleRack {
@@ -550,10 +531,6 @@ mod tests {
         ] {
             assert_eq!(PlacementKind::parse(p.label()), Some(p));
         }
-        for cc in [CcAlgorithm::Dctcp, CcAlgorithm::Cubic, CcAlgorithm::Reno] {
-            assert_eq!(cc_parse(cc_label(cc)), Some(cc));
-        }
         assert_eq!(PlacementKind::parse("bogus"), None);
-        assert_eq!(cc_parse("bogus"), None);
     }
 }

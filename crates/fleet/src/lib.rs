@@ -42,7 +42,7 @@ pub mod lake_run;
 pub mod merge;
 pub mod runner;
 
-pub use grid::{cc_label, cc_parse, FleetCell, FleetGrid, PlacementKind, TopoPoint};
+pub use grid::{FleetCell, FleetGrid, PlacementKind, TopoPoint};
 pub use lake_run::{run_fleet_in_memory_aggregate, run_fleet_to_lake};
 pub use merge::{CellFailure, CellResult, FleetReport};
 pub use runner::{run_cell, run_fleet, run_pool, CellRun, FleetConfig};

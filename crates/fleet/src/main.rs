@@ -19,10 +19,9 @@
 //! split via `simlint.toml` allows scoped to this file).
 
 use ms_dcsim::PolicyKind;
-use ms_fleet::{
-    cc_parse, run_fleet, run_fleet_to_lake, FleetConfig, FleetGrid, PlacementKind, TopoPoint,
-};
+use ms_fleet::{run_fleet, run_fleet_to_lake, FleetConfig, FleetGrid, PlacementKind, TopoPoint};
 use ms_lake::{LakeConfig, LakeWriter};
+use ms_transport::CcAlgorithm;
 use std::time::Instant;
 
 fn main() {
@@ -175,7 +174,8 @@ fn parse_args(args: &[String]) -> Result<(FleetGrid, FleetConfig, OutputSpec), S
             "--ccs" => {
                 grid.ccs = split_list(value("--ccs")?)
                     .map(|s| {
-                        cc_parse(s).ok_or_else(|| format!("--ccs: {s:?} is not dctcp/cubic/reno"))
+                        CcAlgorithm::parse(s)
+                            .ok_or_else(|| format!("--ccs: {s:?} is not dctcp/cubic/reno"))
                     })
                     .collect::<Result<_, _>>()?;
             }

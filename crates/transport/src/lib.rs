@@ -5,6 +5,8 @@
 //! inter-region traffic, **Reno** as a classic baseline, loss recovery via
 //! retransmission timeouts and NewReno-style fast retransmit, ECN echo, and
 //! the Meta-style **diagnostic retransmit bit** that Millisampler counts.
+//! Congestion control is one [`cc::CongestionWindow`] per sender whose law
+//! is DCTCP, Cubic or Reno; the RTO bounds are the [`rtt`] constants.
 //!
 //! The design is *sans-io*, in the style of smoltcp: a [`Sender`] and a
 //! [`Receiver`] are pure state machines. They are handed packets and
@@ -34,7 +36,7 @@ pub mod receiver;
 pub mod rtt;
 pub mod sender;
 
-pub use cc::{CcAlgorithm, CongestionControl, Cubic, Dctcp, Reno};
+pub use cc::CcAlgorithm;
 pub use receiver::Receiver;
 pub use rtt::RttEstimator;
 pub use sender::{Sender, SenderConfig};

@@ -1,40 +1,36 @@
 //! RTT estimation and retransmission-timeout computation.
 //!
 //! Jacobson/Karels SRTT/RTTVAR smoothing with the RFC 6298 RTO formula,
-//! tuned for data center operation: the minimum RTO defaults to 4 ms
+//! tuned for data center operation: the RTO floor is [`MIN_RTO`] = 4 ms
 //! rather than Linux's 200 ms, the standard setting for DCTCP deployments
 //! (a 200 ms floor would make every timeout dwarf the 2 s Millisampler run
-//! and suppress all the dynamics under study).
+//! and suppress all the dynamics under study), and the ceiling is
+//! [`MAX_RTO`] = 1 s.
 
 use ms_dcsim::Ns;
+
+/// RTO floor.
+pub const MIN_RTO: Ns = Ns::from_millis(4);
+/// RTO ceiling, backoff included.
+pub const MAX_RTO: Ns = Ns::from_secs(1);
 
 /// Smoothed RTT state and RTO computation.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     srtt: Option<Ns>,
     rttvar: Ns,
-    min_rto: Ns,
-    max_rto: Ns,
     /// Current backoff multiplier (doubles per consecutive timeout).
     backoff: u32,
 }
 
 impl RttEstimator {
-    /// Creates an estimator with the given RTO floor and ceiling.
-    pub fn new(min_rto: Ns, max_rto: Ns) -> Self {
-        assert!(min_rto < max_rto);
+    /// An estimator with no sample yet, clamping to `[MIN_RTO, MAX_RTO]`.
+    pub fn datacenter() -> Self {
         RttEstimator {
             srtt: None,
             rttvar: Ns::ZERO,
-            min_rto,
-            max_rto,
             backoff: 0,
         }
-    }
-
-    /// Data-center defaults: 4 ms RTO floor, 1 s ceiling.
-    pub fn datacenter() -> Self {
-        RttEstimator::new(Ns::from_millis(4), Ns::from_secs(1))
     }
 
     /// Feeds one RTT sample (from a non-retransmitted segment — Karn's
@@ -67,18 +63,15 @@ impl RttEstimator {
     }
 
     /// The current retransmission timeout: `srtt + 4·rttvar`, clamped to
-    /// `[min_rto, max_rto]`, doubled per outstanding backoff step.
+    /// `[MIN_RTO, MAX_RTO]`, doubled per outstanding backoff step.
     pub fn rto(&self) -> Ns {
         let base = match self.srtt {
             Some(srtt) => Ns(srtt.as_nanos() + 4 * self.rttvar.as_nanos()),
             // Before any sample: be conservative but not glacial.
-            None => self.min_rto * 4,
+            None => MIN_RTO * 4,
         };
-        let clamped = Ns(base
-            .as_nanos()
-            .clamp(self.min_rto.as_nanos(), self.max_rto.as_nanos()));
-        let backed_off = Ns(clamped.as_nanos().saturating_mul(1 << self.backoff));
-        Ns(backed_off.as_nanos().min(self.max_rto.as_nanos()))
+        let clamped = base.clamp(MIN_RTO, MAX_RTO);
+        Ns(clamped.as_nanos().saturating_mul(1 << self.backoff)).min(MAX_RTO)
     }
 }
 
@@ -115,11 +108,12 @@ mod tests {
 
     #[test]
     fn rto_tracks_variance() {
-        let mut stable = RttEstimator::new(Ns::from_micros(1), Ns::from_secs(10));
-        let mut jittery = RttEstimator::new(Ns::from_micros(1), Ns::from_secs(10));
+        // RTTs of a few ms, so both RTOs sit above the 4 ms floor.
+        let mut stable = RttEstimator::datacenter();
+        let mut jittery = RttEstimator::datacenter();
         for i in 0..100 {
-            stable.on_sample(Ns::from_micros(500));
-            jittery.on_sample(Ns::from_micros(if i % 2 == 0 { 100 } else { 900 }));
+            stable.on_sample(Ns::from_millis(5));
+            jittery.on_sample(Ns::from_millis(if i % 2 == 0 { 1 } else { 9 }));
         }
         assert!(jittery.rto() > stable.rto());
     }
@@ -139,11 +133,11 @@ mod tests {
 
     #[test]
     fn rto_capped_at_max() {
-        let mut e = RttEstimator::new(Ns::from_millis(1), Ns::from_millis(100));
+        let mut e = RttEstimator::datacenter();
         e.on_sample(Ns::from_millis(50));
         for _ in 0..20 {
             e.on_timeout();
         }
-        assert_eq!(e.rto(), Ns::from_millis(100));
+        assert_eq!(e.rto(), MAX_RTO);
     }
 }

@@ -9,7 +9,7 @@
 //! The sender is a pure state machine: `poll_send`/`on_ack`/`on_timer`
 //! return packets; the caller transmits them and schedules `next_timer()`.
 
-use crate::cc::{AckInfo, CcAlgorithm, CongestionControl};
+use crate::cc::{CcAlgorithm, CongestionWindow};
 use crate::rtt::RttEstimator;
 use ms_dcsim::packet::NodeId;
 use ms_dcsim::{Bytes, FlowId, Ns, Packet};
@@ -22,10 +22,6 @@ pub struct SenderConfig {
     pub mss: u32,
     /// Congestion control algorithm.
     pub algorithm: CcAlgorithm,
-    /// RTO floor.
-    pub min_rto: Ns,
-    /// RTO ceiling.
-    pub max_rto: Ns,
 }
 
 impl Default for SenderConfig {
@@ -33,8 +29,6 @@ impl Default for SenderConfig {
         SenderConfig {
             mss: 1500,
             algorithm: CcAlgorithm::Dctcp,
-            min_rto: Ns::from_millis(4),
-            max_rto: Ns::from_secs(1),
         }
     }
 }
@@ -70,7 +64,7 @@ pub struct Sender {
     src: NodeId,
     dst: NodeId,
     mss: u32,
-    cc: Box<dyn CongestionControl>,
+    cc: CongestionWindow,
     rtt: RttEstimator,
 
     /// Bytes the application has committed to the stream.
@@ -114,8 +108,8 @@ impl Sender {
             src,
             dst,
             mss: cfg.mss,
-            cc: cfg.algorithm.build(cfg.mss),
-            rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
+            cc: CongestionWindow::new(cfg.algorithm, cfg.mss),
+            rtt: RttEstimator::datacenter(),
             app_limit: 0,
             app_closed: false,
             snd_una: 0,
@@ -392,13 +386,7 @@ impl Sender {
                 }
             }
 
-            self.cc.on_ack(AckInfo {
-                now,
-                acked_bytes,
-                marked_bytes: ack.ecn_echo_bytes as u64,
-                rtt: sample,
-                in_flight: self.in_flight(),
-            });
+            self.cc.on_ack(now, acked_bytes, ack.ecn_echo_bytes as u64);
 
             self.arm_rto(now);
             self.note_cwnd(now);

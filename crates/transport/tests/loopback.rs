@@ -107,7 +107,7 @@ impl Loopback {
             karn: FullWalk {
                 sent: Vec::new(),
                 snd_una: 0,
-                rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
+                rtt: RttEstimator::datacenter(),
                 samples: 0,
                 max_walk: 0,
             },
@@ -191,7 +191,7 @@ impl Loopback {
 
 #[test]
 fn clean_transfer_completes_for_all_algorithms() {
-    for alg in [CcAlgorithm::Dctcp, CcAlgorithm::Cubic, CcAlgorithm::Reno] {
+    for alg in CcAlgorithm::ALL {
         let mut lb = Loopback::new(alg, Bps(10_000_000_000), Ns::from_micros(20));
         let done = lb
             .run(1_000_000, Ns::from_secs(5))

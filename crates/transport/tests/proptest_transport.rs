@@ -113,7 +113,7 @@ fn all_algorithms_survive_burst_loss() {
         let start = 1 + rng.gen_range(19);
         let run_len = 1 + rng.gen_range(7);
         let drops: Vec<u64> = (start..start + run_len).collect();
-        for alg in [CcAlgorithm::Dctcp, CcAlgorithm::Cubic, CcAlgorithm::Reno] {
+        for alg in CcAlgorithm::ALL {
             assert!(
                 transfer_completes(100_000, &drops, alg),
                 "{alg:?} stalled on burst loss {drops:?}"

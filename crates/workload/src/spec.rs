@@ -418,7 +418,7 @@ impl ScenarioSpec {
             w.u64(f.flow.dst_server as u64);
             w.u64(u64::from(f.flow.connections));
             w.u64(f.flow.total_bytes);
-            w.u64(cc_tag(f.flow.algorithm));
+            w.u64(f.flow.algorithm.code());
             opt_u64(&mut w, f.flow.paced_bps.map(Bps::as_u64));
             w.u64(f.flow.task);
         }
@@ -497,7 +497,7 @@ impl ScenarioSpec {
                 w.u64(u64::from(f.flow.dst_host));
                 w.u64(u64::from(f.flow.connections));
                 w.u64(f.flow.total_bytes);
-                w.u64(cc_tag(f.flow.algorithm));
+                w.u64(f.flow.algorithm.code());
                 opt_u64(&mut w, f.flow.paced_bps.map(Bps::as_u64));
                 w.u64(f.flow.task);
             }
@@ -541,7 +541,7 @@ impl ScenarioSpec {
                     dst_server: r.u64()? as usize,
                     connections: r.u32()?,
                     total_bytes: r.u64()?,
-                    algorithm: cc_from(r.u64()?)?,
+                    algorithm: CcAlgorithm::from_code(r.u64()?).ok_or(DecodeError::OutOfRange)?,
                     paced_bps: opt_u64_from(&mut r)?.map(Bps),
                     task: r.u64()?,
                 },
@@ -642,7 +642,8 @@ impl ScenarioSpec {
                                 dst_host: r.u32()?,
                                 connections: r.u32()?,
                                 total_bytes: r.u64()?,
-                                algorithm: cc_from(r.u64()?)?,
+                                algorithm: CcAlgorithm::from_code(r.u64()?)
+                                    .ok_or(DecodeError::OutOfRange)?,
                                 paced_bps: opt_u64_from(&mut r)?.map(Bps),
                                 task: r.u64()?,
                             },
@@ -774,23 +775,6 @@ fn decode_topology(r: &mut WireReader<'_>) -> Result<TopologySpec, DecodeError> 
             let ecmp_seed = r.u64()?;
             Ok(TopologySpec::FatTree { opts, ecmp_seed })
         }
-        _ => Err(DecodeError::OutOfRange),
-    }
-}
-
-fn cc_tag(a: CcAlgorithm) -> u64 {
-    match a {
-        CcAlgorithm::Dctcp => 0,
-        CcAlgorithm::Cubic => 1,
-        CcAlgorithm::Reno => 2,
-    }
-}
-
-fn cc_from(tag: u64) -> Result<CcAlgorithm, DecodeError> {
-    match tag {
-        0 => Ok(CcAlgorithm::Dctcp),
-        1 => Ok(CcAlgorithm::Cubic),
-        2 => Ok(CcAlgorithm::Reno),
         _ => Err(DecodeError::OutOfRange),
     }
 }
@@ -1225,6 +1209,29 @@ mod tests {
             decode_policy(&mut r).is_err(),
             "unknown policy tag must be a decode error"
         );
+    }
+
+    #[test]
+    fn every_cc_round_trips_and_unknown_codes_are_rejected() {
+        let encoded = |algorithm| {
+            let mut spec = rich_spec();
+            spec.flows[0].flow.algorithm = algorithm;
+            spec.encode()
+        };
+        for algorithm in CcAlgorithm::ALL {
+            let bytes = encoded(algorithm);
+            let dec = ScenarioSpec::decode(&bytes).expect("decodable");
+            assert_eq!(dec.flows[0].flow.algorithm, algorithm);
+            assert_eq!(dec.encode(), bytes);
+        }
+        // The CC code is the one byte where a DCTCP and a Reno spec
+        // differ; code 3 names no algorithm.
+        let dctcp = encoded(CcAlgorithm::Dctcp);
+        let mut bad = encoded(CcAlgorithm::Reno);
+        let at: Vec<usize> = (0..bad.len()).filter(|&i| bad[i] != dctcp[i]).collect();
+        assert_eq!(at.len(), 1);
+        bad[at[0]] = 3;
+        assert_eq!(ScenarioSpec::decode(&bad), Err(DecodeError::OutOfRange));
     }
 
     #[test]
