@@ -8,9 +8,9 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> simlint --deny (bench artifact)"
-# Any finding fails the run; the only exceptions are inline and [allow]
-# allows, each audited. BENCH_simlint.json records scan size and wall
-# time so analyzer slowdowns show up in CI history.
+# Any finding fails the run; the only exceptions are inline allows, each
+# audited. BENCH_simlint.json records scan size and coverage counts only
+# (no timing), so a rerun on unchanged code rewrites it byte for byte.
 cargo run -q -p simlint -- --deny --bench BENCH_simlint.json
 grep -q '"files_scanned"' BENCH_simlint.json
 # The monotonicity pass must have covered real code: zero timestamp
@@ -21,7 +21,6 @@ if [ "${sites:-0}" -lt 1 ]; then
     exit 1
 fi
 echo "    (monotonic_sites: $sites)"
-grep -q '"monotonic"' BENCH_simlint.json
 
 echo "==> bench ledger (BENCH_history.jsonl: one line per merged PR)"
 # The trajectory the north star asks for: every line names its commit and
@@ -44,14 +43,66 @@ for key in parent_medians pairs_won calib_spin_ns; do
     fi
 done
 
-echo "==> clippy"
-# clippy may be absent on minimal toolchains; the simlint + test gates
-# still hold there, so degrade loudly rather than fail the run.
-if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --workspace --all-targets -- -D clippy::dbg_macro -D clippy::todo
-else
-    echo "    (clippy not installed; skipped)"
+echo "==> clippy (determinism bans: clippy.toml at deny)"
+# The hash-ordered types, the host clock and the environment reads are
+# denied by the [workspace.lints] levels; each legitimate site carries an
+# #[expect] with a reason, and a stale one fails the build.
+cargo clippy --workspace --all-targets -- -D clippy::dbg_macro -D clippy::todo
+
+echo "==> clippy probe (every planted ban and a stale #[expect] must fail)"
+# A throwaway crate with this workspace's clippy.toml and lint levels
+# uses each banned type and method once and puts an #[expect] on clean
+# code: clippy must refuse it and name every one. A ban that stopped
+# resolving, or a level that slipped below deny, fails here.
+PROBE_TMP="${TMPDIR:-/tmp}/ms_clippy_probe"
+rm -rf "$PROBE_TMP"
+mkdir -p "$PROBE_TMP/src"
+cp clippy.toml "$PROBE_TMP/"
+{
+    printf '[package]\nname = "clippy_probe"\nversion = "0.0.0"\nedition = "2021"\n\n[workspace]\n\n'
+    awk '/^\[/ { keep = /^\[workspace\.lints\./ } keep' Cargo.toml | sed 's/^\[workspace\.lints\./[lints./'
+} > "$PROBE_TMP/Cargo.toml"
+cat > "$PROBE_TMP/src/lib.rs" <<'PROBE'
+pub fn planted() {
+    let _ = std::collections::HashMap::<u8, u8>::new();
+    let _ = std::collections::HashSet::<u8>::new();
+    let _ = std::hash::RandomState::new();
+    let _ = std::hash::DefaultHasher::new();
+    let _ = std::time::Instant::now();
+    let _ = std::time::SystemTime::now();
+    let _ = std::env::var("PROBE");
+    let _ = std::env::var_os("PROBE");
+    let _ = std::env::vars();
+    let _ = std::env::vars_os();
+    let _ = std::env::args();
+    let _ = std::env::args_os();
+    let _ = std::env::temp_dir();
+    let _ = std::env::current_dir();
+}
+
+#[expect(clippy::disallowed_methods)]
+pub fn clean() -> u8 {
+    1
+}
+PROBE
+status=0
+(cd "$PROBE_TMP" && CARGO_TARGET_DIR="$PROBE_TMP/target" cargo clippy --offline -q) \
+    > "$PROBE_TMP/out.txt" 2>&1 || status=$?
+if [ "$status" -eq 0 ]; then
+    echo "clippy accepted the planted bans"
+    exit 1
 fi
+for item in std::collections::HashMap std::collections::HashSet \
+    std::hash::RandomState std::hash::DefaultHasher; do
+    grep -q "^error: use of a disallowed type \`$item\`" "$PROBE_TMP/out.txt" || { echo "probe: $item not denied"; exit 1; }
+done
+for item in std::time::Instant::now std::time::SystemTime::now std::env::var \
+    std::env::var_os std::env::vars std::env::vars_os std::env::args \
+    std::env::args_os std::env::temp_dir std::env::current_dir; do
+    grep -q "^error: use of a disallowed method \`$item\`" "$PROBE_TMP/out.txt" || { echo "probe: $item not denied"; exit 1; }
+done
+grep -q '^error: this lint expectation is unfulfilled' "$PROBE_TMP/out.txt" || { echo "probe: stale #[expect] not denied"; exit 1; }
+rm -rf "$PROBE_TMP"
 
 echo "==> cargo test"
 cargo test --workspace -q

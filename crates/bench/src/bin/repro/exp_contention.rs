@@ -140,11 +140,11 @@ pub fn fig12(ctx: &mut Ctx) {
     for kind in [RegionKind::RegA, RegionKind::RegB] {
         let data = ctx.daily(kind);
         let mut per_rack: Vec<(f64, f64, f64)> = Vec::new();
-        for rack in 0..data.config.racks as u32 {
+        for rack in 0..data.config.racks {
             let avgs: Vec<f64> = data
                 .obs
                 .iter()
-                .filter(|o| o.rack_id == rack)
+                .filter(|o| o.rack_id as usize == rack)
                 .map(|o| o.analysis.contention_stats.avg)
                 .collect();
             if avgs.is_empty() {

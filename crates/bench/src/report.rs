@@ -119,6 +119,10 @@ mod tests {
 
     #[test]
     fn csv_round_trip() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test writes a scratch CSV under the system temp dir"
+        )]
         let dir = std::env::temp_dir().join("ms_bench_report_test");
         let mut r = Report::new("unit", &["a", "b"]);
         r.row(&["1".into(), "x".into()]);

@@ -6,8 +6,9 @@
 //! lands. [`EngineProfile`] counts every dispatch by kind; counts are a
 //! pure function of the event stream and therefore byte-identical per
 //! seed. Wall-time accounting is *injected*:
-//! the sim crates never read a clock (simlint's wall-clock rule), so a
-//! relaxed caller (the bench crate) passes a monotonic-nanosecond
+//! the sim crates never read a clock (clippy's `disallowed_methods`
+//! bans `Instant::now`), so a caller that may (a bench binary, under an
+//! `#[expect]`) passes a monotonic-nanosecond
 //! function via [`EngineProfile::set_clock`] and only then do the
 //! `wall_ns` columns fill in. Exports keep the two strictly separated so
 //! "compare only sim-time counters" is a field filter, not a diff hack:

@@ -2,12 +2,15 @@
 //!
 //! ```text
 //! fleet [--jobs N] [--seeds 1,2] [--alphas 0.5,2.0]
-//!       [--placements single,paired,spread] [--ccs dctcp,cubic,reno]
+//!       [--placements single,paired,spread] [--ccs CC,CC]
 //!       [--policies dt,cs,sp,fb,delay]
 //!       [--servers 8] [--buckets 200] [--conns 80] [--bytes 12000000]
 //!       [--csv PATH] [--json PATH] [--out-lake DIR]
 //!       [--forensics] [--quiet]
 //! ```
+//!
+//! `CC` is a congestion controller's label (`CcAlgorithm::label`);
+//! `--help` lists every one in `CcAlgorithm::ALL`.
 //!
 //! `--out-lake DIR` switches to lake-backed execution: cells stream
 //! into an `ms-lake` columnar lake (outcome + bursts + raw series, no
@@ -15,8 +18,9 @@
 //! for any `--jobs`. Query it with `lake query --dir DIR`.
 //!
 //! Timing and process-environment reads live only in this binary; the
-//! library stays deterministic and env-free (simlint enforces this
-//! split via `simlint.toml` allows scoped to this file).
+//! library stays deterministic and env-free (clippy's
+//! `disallowed_methods` enforces this split, and each read here carries
+//! an `#[expect]`).
 
 use ms_dcsim::PolicyKind;
 use ms_fleet::{run_fleet, run_fleet_to_lake, FleetConfig, FleetGrid, PlacementKind, TopoPoint};
@@ -25,6 +29,10 @@ use ms_transport::CcAlgorithm;
 use std::time::Instant;
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary's argument parser reads its own command line"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();
@@ -69,6 +77,10 @@ fn main() {
                 std::process::exit(1);
             }
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-time readout on stderr; the report and the lake never see it"
+        )]
         let started = Instant::now();
         let manifest = match run_fleet_to_lake(&cells, &cfg, &writer) {
             Ok(m) => m,
@@ -88,6 +100,10 @@ fn main() {
         return;
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-time readout on stderr; the report and the lake never see it"
+    )]
     let started = Instant::now();
     let report = run_fleet(&cells, &cfg);
     if !out.quiet {
@@ -175,7 +191,7 @@ fn parse_args(args: &[String]) -> Result<(FleetGrid, FleetConfig, OutputSpec), S
                 grid.ccs = split_list(value("--ccs")?)
                     .map(|s| {
                         CcAlgorithm::parse(s)
-                            .ok_or_else(|| format!("--ccs: {s:?} is not dctcp/cubic/reno"))
+                            .ok_or_else(|| format!("--ccs: {s:?} is not {}", cc_labels("/")))
                     })
                     .collect::<Result<_, _>>()?;
             }
@@ -231,7 +247,13 @@ fn write_or_die(path: &str, contents: &str) {
     }
 }
 
+/// Every congestion controller's label, joined by `sep`.
+fn cc_labels(sep: &str) -> String {
+    CcAlgorithm::ALL.map(CcAlgorithm::label).join(sep)
+}
+
 fn print_help() {
+    let ccs = cc_labels("|");
     println!(
         "fleet — parallel multi-rack sweep runner\n\
          \n\
@@ -241,7 +263,7 @@ fn print_help() {
          \x20 --seeds N,N,..        experiment seeds           [default 1,2]\n\
          \x20 --alphas F,F,..       DT alpha values            [default 0.5,2.0]\n\
          \x20 --placements L,L,..   single|paired|spread       [default single,paired]\n\
-         \x20 --ccs L,L,..          dctcp|cubic|reno           [default dctcp]\n\
+         \x20 --ccs L,L,..          {ccs:<27}[default dctcp]\n\
          \x20 --policies L,L,..     dt|cs|sp|fb|delay          [default dt]\n\
          \x20                       ToR buffer sharing: dynamic-threshold,\n\
          \x20                       complete sharing, static partition,\n\

@@ -557,7 +557,10 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
-        // simlint: allow(env-read): tests write scratch lakes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "tests write scratch lakes under the system temp dir"
+        )]
         let base = std::env::temp_dir();
         let dir = base.join(format!("ms-lake-analyses-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -13,8 +13,8 @@
 //! format at scale), `compact` folds leftover shards into segments,
 //! `query` streams the paper's aggregations out-of-core, and `stat`
 //! verifies every chunk checksum. Process-environment reads live only
-//! in this binary; the library stays deterministic (simlint enforces
-//! the split).
+//! in this binary; the library stays deterministic (clippy's
+//! `disallowed_methods` enforces the split).
 //!
 //! Exit status: 0 on success, 1 when a command fails (an unreadable or
 //! corrupt lake, a write error), 2 on a usage error (unknown command or
@@ -29,6 +29,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary's argument parser reads its own command line"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();

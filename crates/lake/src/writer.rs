@@ -497,7 +497,10 @@ mod tests {
     }
 
     fn temp_dir(name: &str) -> PathBuf {
-        // simlint: allow(env-read): tests write scratch lakes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "tests write scratch lakes under the system temp dir"
+        )]
         let dir = std::env::temp_dir().join(format!("ms-lake-test-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir

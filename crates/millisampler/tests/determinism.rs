@@ -1,7 +1,7 @@
 //! Determinism regression: two [`TcFilter`] runs fed the identical
 //! seeded packet stream must serialize (via the canonical codec) to
-//! byte-identical buffers. This is the property simlint's determinism
-//! rules exist to protect — if a hash-ordered collection or an ambient
+//! byte-identical buffers. This is the property the determinism bans in
+//! `clippy.toml` exist to protect — if a hash-ordered collection or an ambient
 //! clock ever sneaks into the sampler, this test goes red first.
 
 use millisampler::{codec, Direction, PacketMeta, RunConfig, TcFilter};

@@ -11,36 +11,13 @@
 //!
 //! [hotpath]
 //! functions = ["TcFilter::record"]
-//!
-//! [allow]
-//! # "<rule-id> <workspace-relative-path>" — suppresses the rule for the
-//! # whole file. Prefer inline `// simlint: allow(rule): reason` comments;
-//! # file-level entries are for files where the rule is wholesale
-//! # inapplicable (e.g. a wire format made of u16/u32 fields).
-//! rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
 //! ```
-
-/// One file-level suppression from `[allow] rules`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileAllow {
-    pub rule: String,
-    /// Workspace-relative path the rule is suppressed for.
-    pub path: String,
-    /// Line of the entry in `simlint.toml` — the suppression audit
-    /// points here when the entry matches no finding.
-    pub line: u32,
-}
 
 /// Parsed configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Workspace-relative crate directories to scan.
     pub crates: Vec<String>,
-    /// Crates in `crates` where the determinism + cast rules do not
-    /// apply (bench harnesses legitimately read the wall clock; simlint
-    /// itself names the forbidden idents). The hot-path and
-    /// suppression-audit passes still run there.
-    pub relaxed: Vec<String>,
     /// Path prefixes skipped entirely (lint-pass fixture sources).
     pub exclude: Vec<String>,
     /// `Type::function` names whose bodies must obey the hot-path rules.
@@ -49,8 +26,6 @@ pub struct Config {
     /// their documented contract (`ShardQueue::next` parks on its
     /// deque by design).
     pub may_block: Vec<String>,
-    /// File-level suppressions.
-    pub allow: Vec<FileAllow>,
     /// `Type::function` event-queue insertion points checked by the
     /// time-monotonicity pass (matched by method name at call sites).
     pub monotonic_sinks: Vec<String>,
@@ -89,26 +64,10 @@ impl Config {
             let values = parse_value(&value).map_err(|e| format!("line {}: {e}", idx + 1))?;
             match (table.as_str(), key) {
                 ("scan", "crates") => cfg.crates = values,
-                ("scan", "relaxed") => cfg.relaxed = values,
                 ("scan", "exclude") => cfg.exclude = values,
                 ("hotpath", "functions") => cfg.hot_functions = values,
                 ("hotpath", "may_block") => cfg.may_block = values,
                 ("monotonic", "sinks") => cfg.monotonic_sinks = values,
-                ("allow", "rules") => {
-                    for entry in values {
-                        let Some((rule, path)) = entry.split_once(' ') else {
-                            return Err(format!(
-                                "line {}: allow entry {entry:?} must be \"<rule> <path>\"",
-                                idx + 1
-                            ));
-                        };
-                        cfg.allow.push(FileAllow {
-                            rule: rule.to_string(),
-                            path: path.trim().to_string(),
-                            line: u32::try_from(idx + 1).unwrap_or(u32::MAX),
-                        });
-                    }
-                }
                 _ => {
                     return Err(format!(
                         "line {}: unknown key `{key}` in table `[{table}]`",
@@ -132,11 +91,6 @@ impl Config {
         self.exclude
             .iter()
             .any(|e| path == e || path.starts_with(&format!("{}/", e.trim_end_matches('/'))))
-    }
-
-    /// Whether the determinism/cast rules are relaxed for `crate_dir`.
-    pub fn is_relaxed(&self, crate_dir: &str) -> bool {
-        self.relaxed.iter().any(|c| c == crate_dir)
     }
 }
 
@@ -218,9 +172,6 @@ functions = [
 
 [monotonic]
 sinks = ["EventQueue::schedule", "DrainSlot::pulled"]
-
-[allow]
-rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
 "#,
         )
         .unwrap();
@@ -230,9 +181,6 @@ rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
             cfg.monotonic_sinks,
             ["EventQueue::schedule", "DrainSlot::pulled"]
         );
-        assert_eq!(cfg.allow.len(), 1);
-        assert_eq!(cfg.allow[0].rule, "cast-truncation");
-        assert_eq!(cfg.allow[0].path, "crates/dcsim/src/pcap.rs");
     }
 
     #[test]
@@ -247,9 +195,16 @@ rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
         );
     }
 
+    /// File-level allows are gone: an `[allow]` entry, well-formed or
+    /// not, fails at its line instead of silencing a file.
     #[test]
     fn rejects_malformed_allow_entries() {
-        assert!(Config::parse("[allow]\nrules = [\"no-path\"]\n").is_err());
+        for entry in ["no-path", "cast-truncation crates/a/src/lib.rs"] {
+            assert_eq!(
+                Config::parse(&format!("[allow]\nrules = [\"{entry}\"]\n")).unwrap_err(),
+                "line 2: unknown key `rules` in table `[allow]`"
+            );
+        }
     }
 
     #[test]
@@ -259,22 +214,24 @@ rules = ["cast-truncation crates/dcsim/src/pcap.rs"]
 
     #[test]
     fn hash_inside_string_survives() {
-        let cfg = Config::parse("[allow]\nrules = [\"env-read a/b#c.rs\"]\n").unwrap();
-        assert_eq!(cfg.allow[0].path, "a/b#c.rs");
-        assert_eq!(cfg.allow[0].line, 2);
+        let cfg = Config::parse("[scan]\nexclude = [\"a/b#c.rs\"] # comment\n").unwrap();
+        assert_eq!(cfg.exclude, ["a/b#c.rs"]);
     }
 
+    /// Every crate gets every pass: a `relaxed` list is rejected at its
+    /// line rather than read.
     #[test]
     fn scan_relaxed_exclude_and_may_block() {
         let cfg = Config::parse(
             "[scan]\ncrates = [\"crates/a\", \"crates/bench\"]\n\
-             relaxed = [\"crates/bench\"]\n\
              exclude = [\"crates/a/tests/fixtures\"]\n\
              [hotpath]\nfunctions = [\"Q::next\"]\nmay_block = [\"Q::next\"]\n",
         )
         .unwrap();
-        assert!(cfg.is_relaxed("crates/bench"));
-        assert!(!cfg.is_relaxed("crates/a"));
+        assert_eq!(
+            Config::parse("[scan]\nrelaxed = [\"crates/bench\"]\n").unwrap_err(),
+            "line 2: unknown key `relaxed` in table `[scan]`"
+        );
         assert!(cfg.excluded("crates/a/tests/fixtures/x.rs"));
         assert!(!cfg.excluded("crates/a/tests/fixtures_other.rs"));
         assert_eq!(cfg.may_block, ["Q::next"]);

@@ -11,7 +11,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Stable rule id, e.g. `hash-collections`.
+    /// Stable rule id, e.g. `cast-truncation`.
     pub rule: String,
     /// What is wrong.
     pub message: String,
@@ -111,8 +111,8 @@ fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
             }
             c => out.push(c),
         }
@@ -127,8 +127,8 @@ mod tests {
 
     #[test]
     fn human_output_is_clickable() {
-        let d = Diagnostic::new("a/b.rs", 3, 7, "wall-clock", "bad", "fix it");
-        assert!(render_human(&[d]).starts_with("a/b.rs:3:7: [wall-clock] bad"));
+        let d = Diagnostic::new("a/b.rs", 3, 7, "cast-truncation", "bad", "fix it");
+        assert!(render_human(&[d]).starts_with("a/b.rs:3:7: [cast-truncation] bad"));
     }
 
     #[test]

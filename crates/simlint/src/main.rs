@@ -34,6 +34,10 @@ fn parse_args() -> Result<Args, String> {
         bench: None,
         explain: None,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary's argument parser reads its own command line"
+    )]
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -53,14 +57,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "simlint — determinism, hot-path and time-monotonicity invariants\n\n\
+                    "simlint — hot-path, time-monotonicity and cast invariants\n\n\
                      USAGE: simlint [--deny] [--json] [--root DIR] [--config FILE]\n\
                      \x20              [--bench FILE] [--explain RULE]\n\n\
                      --deny     exit nonzero if any finding survives\n\
                      --json     machine-readable output (with call chains)\n\
                      --root     workspace root (default: current directory)\n\
                      --config   config file (default: <root>/simlint.toml)\n\
-                     --bench    write scan-size/timing counters as JSON\n\
+                     --bench    write scan-size counters as JSON\n\
                      --explain  print rationale + example for a rule id, then exit"
                 );
                 std::process::exit(0);
@@ -107,9 +111,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Wall time is a bench artifact only — it never enters the JSON
-    // findings, which must stay byte-identical across runs.
-    let started = std::time::Instant::now();
     let analysis = match simlint::analyze(&args.root, &cfg) {
         Ok(a) => a,
         Err(e) => {
@@ -117,20 +118,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     if let Some(path) = &args.bench {
         let s = analysis.stats;
         let json = format!(
             "{{\"files_scanned\":{},\"fns_in_call_graph\":{},\"resolved_calls\":{},\
-             \"monotonic_sites\":{},\
-             \"pass_ms\":{{\"hotpath\":{:.3},\"monotonic\":{:.3}}},\
-             \"wall_ms\":{wall_ms:.3}}}\n",
-            s.files_scanned,
-            s.fns_in_graph,
-            s.resolved_calls,
-            s.monotonic_sites,
-            s.hotpath_ms,
-            s.monotonic_ms
+             \"monotonic_sites\":{}}}\n",
+            s.files_scanned, s.fns_in_graph, s.resolved_calls, s.monotonic_sites
         );
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("simlint: cannot write {}: {e}", path.display());

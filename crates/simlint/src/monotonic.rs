@@ -233,8 +233,8 @@ fn close_paren(toks: &[Tok], open: usize, limit: usize) -> usize {
     limit
 }
 
-/// Runs the pass: checks every sink call site in every non-test,
-/// non-relaxed function, plus the configured guard entries.
+/// Runs the pass: checks every sink call site in every non-test
+/// function, plus the configured guard entries.
 pub fn monotonic_pass(
     graph: &CallGraph,
     tokens: &BTreeMap<String, Vec<Tok>>,
@@ -263,7 +263,7 @@ pub fn monotonic_pass(
         }
     }
     for node in &graph.nodes {
-        if cfg.is_relaxed(&node.crate_dir) || node.def.in_cfg_test || node.file.contains("tests/") {
+        if node.def.in_cfg_test || node.file.contains("tests/") {
             continue;
         }
         let Some(toks) = tokens.get(&node.file) else {

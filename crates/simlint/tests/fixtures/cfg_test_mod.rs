@@ -1,6 +1,5 @@
 //! Fixture: `#[cfg(test)]` modules are exempt from the cast rule (test
-//! scaffolding) but NOT from determinism rules (flaky tests are still
-//! flaky).
+//! scaffolding counters are not packet counters).
 
 fn shipped(x: u64) -> u16 {
     x as u16
@@ -10,9 +9,5 @@ fn shipped(x: u64) -> u16 {
 mod tests {
     fn helper(x: u64) -> u32 {
         x as u32
-    }
-
-    fn still_banned() {
-        let m: HashMap<u8, u8> = HashMap::new();
     }
 }

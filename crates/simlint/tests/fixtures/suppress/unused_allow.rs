@@ -1,9 +1,9 @@
-//! Fixture: a stale suppression. The `Instant::now()` this allow once
+//! Fixture: a stale suppression. The narrowing cast this allow once
 //! excused was deleted, so the directive covers nothing — and a
 //! suppression that suppresses nothing is a silently-disabled invariant.
 
-// simlint: allow(wall-clock): timing readout (stale — the read is gone)
-pub fn elapsed_placeholder() -> u64 {
+// simlint: allow(cast-truncation): masked to 8 bits (stale — the cast is gone)
+pub fn narrow_placeholder() -> u64 {
     42
 }
 

@@ -1,10 +1,5 @@
-//! Fixture: lives under `tests/`, so the cast rule does not apply —
-//! but determinism rules still do.
+//! Fixture: lives under `tests/`, so the cast rule does not apply.
 
 fn helper(x: u64) -> u32 {
     x as u32
-}
-
-fn flaky() {
-    let t = std::time::Instant::now();
 }

@@ -266,11 +266,9 @@ pub(crate) fn escape_json(s: &str) -> String {
         match ch {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            // simlint: allow(cast-truncation): char scalar values fit u32 exactly
-            c if (c as u32) < 0x20 => {
+            c if u32::from(c) < 0x20 => {
                 use std::fmt::Write;
-                // simlint: allow(cast-truncation): char scalar values fit u32 exactly
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
             }
             c => out.push(c),
         }

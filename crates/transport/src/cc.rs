@@ -159,6 +159,11 @@ impl CongestionWindow {
         }
     }
 
+    /// Segment size in bytes.
+    pub fn mss(&self) -> u32 {
+        self.mss
+    }
+
     /// Current congestion window in bytes.
     pub fn cwnd(&self) -> u64 {
         self.cwnd.max(self.mss as u64)

@@ -63,7 +63,6 @@ pub struct Sender {
     flow: FlowId,
     src: NodeId,
     dst: NodeId,
-    mss: u32,
     cc: CongestionWindow,
     rtt: RttEstimator,
 
@@ -107,7 +106,6 @@ impl Sender {
             flow,
             src,
             dst,
-            mss: cfg.mss,
             cc: CongestionWindow::new(cfg.algorithm, cfg.mss),
             rtt: RttEstimator::datacenter(),
             app_limit: 0,
@@ -276,13 +274,13 @@ impl Sender {
                 break;
             }
             let len = (self.app_limit - self.snd_nxt)
-                .min(self.mss as u64)
+                .min(u64::from(self.cc.mss()))
                 .min(window_room.max(1)) as u32; // simlint: allow(cast-truncation): min with mss (u32) bounds it
                                                  // Never split below MSS while more data waits, unless the
                                                  // window forces it; always send at least something when the
                                                  // window has any room and nothing is in flight (avoid silly
                                                  // window lockout at cwnd < MSS after a timeout).
-            if (len as u64) < self.mss as u64
+            if (len as u64) < u64::from(self.cc.mss())
                 && self.app_limit - self.snd_nxt > len as u64
                 && self.in_flight() > 0
             {
@@ -325,7 +323,7 @@ impl Sender {
     fn retransmit_head(&mut self, now: Ns) -> Packet {
         let start = self.snd_una;
         // simlint: allow(cast-truncation): min with mss (u32) bounds it
-        let len = (self.snd_nxt - start).min(self.mss as u64) as u32;
+        let len = (self.snd_nxt - start).min(u64::from(self.cc.mss())) as u32;
         debug_assert!(len > 0, "retransmit with nothing outstanding");
         // Karn: mark overlapping sent records so they yield no RTT sample.
         // `sent` is ordered by `start` and holds nothing wholly acked, so

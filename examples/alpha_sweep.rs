@@ -24,6 +24,10 @@ use std::path::Path;
 fn main() {
     let cfg = FleetConfig::default();
     let mut lake_dir: Option<String> = None;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary's argument parser reads its own command line"
+    )]
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {

@@ -156,6 +156,10 @@ fn run_forensics() {
 fn wall_clock_ns() -> u64 {
     use std::sync::OnceLock;
     static START: OnceLock<std::time::Instant> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiler's injected wall clock times handlers, not simulated events"
+    )]
     let start = START.get_or_init(std::time::Instant::now);
     // simlint: allow(cast-truncation): u64 nanoseconds cover ~584 years
     (start.elapsed().as_nanos()) as u64
@@ -181,6 +185,10 @@ fn run_profile(path: &str) {
 }
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary's argument parser reads its own command line"
+    )]
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--trace") {
         let path = args.get(i + 1).expect("--trace needs a path");

@@ -20,6 +20,10 @@ use ms_workload::placement::{build_region, RackClass, RegionKind};
 use ms_workload::scenario::{rack_spec_for, ScenarioConfig};
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary's argument parser reads its own command line"
+    )]
     let args: Vec<String> = std::env::args().collect();
     let want_ml = args.iter().any(|a| a == "ml");
     let trace_path = args

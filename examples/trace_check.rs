@@ -8,6 +8,10 @@
 //! ```
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary's argument parser reads its own command line"
+    )]
     let path = std::env::args()
         .nth(1)
         .expect("usage: trace_check <trace.json>");

@@ -54,7 +54,10 @@ fn cfg(jobs: usize) -> FleetConfig {
 }
 
 fn temp_dir(name: &str) -> PathBuf {
-    // simlint: allow(env-read): tests write scratch lakes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tests write scratch lakes under the system temp dir"
+    )]
     let dir = std::env::temp_dir().join(format!("ms-lake-rt-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
